@@ -45,10 +45,6 @@ class ParamLin:
     entries: tuple[tuple[tuple, Fraction], ...] = ()
 
     @staticmethod
-    def of(hbar: Fraction | int = 0, **_ignored) -> "ParamLin":
-        return ParamLin._make({_H: Fraction(hbar)})
-
-    @staticmethod
     def hbar(q: Fraction | int = 1) -> "ParamLin":
         return ParamLin._make({_H: Fraction(q)})
 

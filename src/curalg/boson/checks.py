@@ -14,6 +14,7 @@ continuation, so sample points are unconstrained up to poles.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -29,13 +30,46 @@ from .kernel import kernel
 from .master import EULER_GAMMA
 
 
+# (cartan, params, x, y) with argument variables renamed _0, _1, ... in order
+# of first appearance -> the pair's ClosedForm in those placeholder names.
+# Words repeat a few hundred distinct pairs thousands of times, under ever
+# new variable names.
+_PAIR_CACHE: dict[tuple, ClosedForm] = {}
+
+
+def _relabeled(form: ClosedForm, names: dict[str, str]) -> ClosedForm:
+    """``form`` with every variable renamed through ``names``, vars re-sorted."""
+    return ClosedForm(
+        tuple(replace(p, vars=tuple(sorted((names[n], k) for n, k in p.vars)))
+              for p in form.primitives),
+        form.gamma_power)
+
+
 def pair_exponent(x: BosonCurrent, y: BosonCurrent, cartan: CartanData,
                   params: ParamTower) -> ClosedForm:
-    """Contraction exponent of the ordered pair X(arg_x) Y(arg_y)."""
+    """Contraction exponent of the ordered pair X(arg_x) Y(arg_y).
+
+    A pair is reduced once per (Cartan data, tower, pair up to renaming of
+    its variables); a repeat relabels the stored form, which gives exactly
+    the form the reduction returns for the caller's names.
+    """
     if x.slot != y.slot:
         return ClosedForm(())  # independent mode copies never contract
-    ker = kernel(cartan, x.j, y.j, x.slot)
-    return contraction_exponent(x.g(), y.g(), ker, params)
+    placeholders: dict[str, str] = {}
+
+    def abstracted(c: BosonCurrent) -> BosonCurrent:
+        vars_ = tuple((placeholders.setdefault(n, f"_{len(placeholders)}"), k)
+                      for n, k in c.arg.vars)
+        return replace(c, arg=replace(c.arg, vars=vars_))
+
+    key = (cartan, params, abstracted(x), abstracted(y))
+    cached = _PAIR_CACHE.get(key)
+    if cached is not None:
+        return _relabeled(cached, {p: n for n, p in placeholders.items()})
+    form = contraction_exponent(x.g(), y.g(), kernel(cartan, x.j, y.j, x.slot), params)
+    if isinstance(form, ClosedForm):  # a quadrature fallback is evaluated per call
+        _PAIR_CACHE[key] = _relabeled(form, placeholders)
+    return form
 
 
 def word_exponent(word: Sequence[BosonCurrent], cartan: CartanData,
@@ -46,13 +80,6 @@ def word_exponent(word: Sequence[BosonCurrent], cartan: CartanData,
         for b in range(a + 1, len(word)):
             total = total + pair_exponent(word[a], word[b], cartan, params)
     return total
-
-
-def word_coefficient(word: Sequence[BosonCurrent], cartan: CartanData,
-                     params: ParamTower, assignment) -> complex:
-    """Full scalar in front of the normal-ordered product of ``word``."""
-    phase = word_phase(word, cartan)
-    return phase * word_exponent(word, cartan, params).exp_value(assignment, params)
 
 
 def exchange_check(x: BosonCurrent, y: BosonCurrent, expected: StructureRatio,
@@ -199,7 +226,11 @@ def serre_check(i: int, j: int, cartan: CartanData, params: ParamTower,
         c = current("E", j, "v")
         return [((a, b, c), 1.0), ((a, c, b), -coef), ((c, a, b), 1.0)]
 
-    terms = words("u1", "u2") + words("u2", "u1")
+    try:
+        terms = [(wt, word_phase(word, cartan), word_exponent(word, cartan, params))
+                 for word, wt in words("u1", "u2") + words("u2", "u1")]
+    except (ArithmeticError, OverflowError, ValueError):
+        terms = None  # no point can be evaluated: the loop rejects every sample
     worst = 0.0
     done = 0
     tries = 0
@@ -210,9 +241,10 @@ def serre_check(i: int, j: int, cartan: CartanData, params: ParamTower,
             "u2": complex(rng.uniform(-2, 2), rng.uniform(-0.15, 0.15)),
             "v": complex(rng.uniform(-2, 2), rng.uniform(-0.15, 0.15)),
         }
+        if terms is None:
+            continue
         try:
-            vals = [wt * word_coefficient(word, cartan, params, pt)
-                    for word, wt in terms]
+            vals = [wt * (phase * form.exp_value(pt, params)) for wt, phase, form in terms]
         except (ArithmeticError, OverflowError, ValueError):
             continue
         if not all(np.isfinite(abs(v)) for v in vals):

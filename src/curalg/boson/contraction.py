@@ -398,4 +398,4 @@ def quadrature_exponent(kernel: Kernel, g1: ExponentFn, g2: ExponentFn,
     tail = abs(f(complex(lam_max, 0.0)))
     if not (tail < 1e-10):
         raise UnsupportedPairError("quadrature fallback divergent along the contour")
-    return _contour_quadrature(f, 0.0, rho, lam_max, 4096)
+    return _contour_quadrature(f, 0.0, rho, lam_max, 240)

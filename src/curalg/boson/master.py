@@ -23,6 +23,7 @@ the 1/lambda^2-type singularity at the origin.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from typing import Callable
 
@@ -51,6 +52,15 @@ def i0_closed(x: complex) -> complex:
     return -(EULER_GAMMA + cmath.log(x))
 
 
+@functools.lru_cache(maxsize=None)
+def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only, once per n."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 def _contour_quadrature(g: Callable[[complex], complex], x: complex,
                         rho: float, lam_max: float, circle_n: int) -> complex:
     """Keyhole quadrature of ln(-lambda)/(2*pi*i) * g(lambda)."""
@@ -63,7 +73,7 @@ def _contour_quadrature(g: Callable[[complex], complex], x: complex,
 
     # The ln weight jumps by 2*pi*i across theta = 0, so the circle
     # integrand is smooth but not periodic: Gauss-Legendre, not trapezoid.
-    nodes, weights = np.polynomial.legendre.leggauss(min(circle_n, 240))
+    nodes, weights = _leggauss(circle_n)
     theta = math.pi * (nodes + 1.0)
     wq = math.pi * weights
     lam = rho * np.exp(1j * theta)
@@ -76,7 +86,7 @@ def _contour_quadrature(g: Callable[[complex], complex], x: complex,
 
 def master_integral_quadrature(x: complex, eta_p: float, rho: float | None = None,
                                lam_max: float | None = None,
-                               circle_n: int = 4096) -> complex:
+                               circle_n: int = 240) -> complex:
     """Oracle for master_integral; agreement ~1e-7 on the principal domain."""
     xr = complex(x).real
     if eta_p * xr <= 0:
@@ -93,7 +103,7 @@ def master_integral_quadrature(x: complex, eta_p: float, rho: float | None = Non
 
 
 def i0_quadrature(x: complex, rho: float = 0.5, lam_max: float | None = None,
-                  circle_n: int = 4096) -> complex:
+                  circle_n: int = 240) -> complex:
     xr = complex(x).real
     if xr <= 0:
         raise BranchError("quadrature oracle needs Re(x) > 0")

@@ -24,6 +24,7 @@ import numpy as np
 from . import evalrep, structfn
 from .boson.atoms import _rational_level
 from .boson.checks import word_exponent, word_phase
+from .boson.contraction import ClosedForm
 from .boson.currents import BosonCurrent
 from .liealg import CartanData
 from .params import ParamTower
@@ -508,15 +509,34 @@ def _signature(cs: list[tuple[int, BosonCurrent]]):
     ))
 
 
-def _word_value(cs: list[tuple[int, BosonCurrent]], cartan: CartanData,
-                params: ParamTower, pt) -> complex:
-    val = 1.0 + 0.0j
-    slots = sorted({s for s, _ in cs})
-    for s in slots:
+def _word_forms(cs: list[tuple[int, BosonCurrent]], cartan: CartanData,
+                params: ParamTower) -> list[tuple[complex, ClosedForm]]:
+    """(phase, contraction exponent) of each tensor slot's word, slot by slot."""
+    out = []
+    for s in sorted({s for s, _ in cs}):
         word = [c for sl, c in cs if sl == s]
-        val *= word_phase(word, cartan)
-        val *= word_exponent(word, cartan, params).exp_value(pt, params)
+        out.append((word_phase(word, cartan), word_exponent(word, cartan, params)))
+    return out
+
+
+def _word_value(forms: list[tuple[complex, ClosedForm]], params: ParamTower,
+                pt) -> complex:
+    val = 1.0 + 0.0j
+    for phase, form in forms:
+        val *= phase
+        val *= form.exp_value(pt, params)
     return val
+
+
+def _signature_forms(groups: dict, cartan: CartanData,
+                     params: ParamTower) -> Optional[dict]:
+    """Each signature's (coefficient, slot forms) list, or None when a form
+    cannot be built: then no sample point can be evaluated."""
+    try:
+        return {sig: [(c, _word_forms(cs, cartan, params)) for c, cs in entries]
+                for sig, entries in groups.items()}
+    except (ArithmeticError, OverflowError, ValueError):
+        return None
 
 
 def verify_homomorphism(cartan: CartanData, params: ParamTower,
@@ -584,6 +604,8 @@ def _exchange_residual(x2: CurrentExpr, y2: CurrentExpr, sr: structfn.StructureR
             rhs_words.setdefault(_signature(cs), []).append((wy.coeff * wx.coeff, cs))
     if set(lhs_words) != set(rhs_words):
         return float("inf")
+    lhs_forms = _signature_forms(lhs_words, cartan, params)
+    rhs_forms = _signature_forms(rhs_words, cartan, params)
     worst = 0.0
     done = 0
     tries = 0
@@ -593,12 +615,14 @@ def _exchange_residual(x2: CurrentExpr, y2: CurrentExpr, sr: structfn.StructureR
             "u": complex(rng.uniform(-2, 2), rng.uniform(-0.15, 0.15)),
             "v": complex(rng.uniform(-2, 2), rng.uniform(-0.15, 0.15)),
         }
+        if lhs_forms is None or rhs_forms is None:
+            continue
         try:
             ratio_val = sr.eval(pt["u"] - pt["v"], params)
             res_here = 0.0
-            for sig in lhs_words:
-                lv = sum(c * _word_value(cs, cartan, params, pt) for c, cs in lhs_words[sig])
-                rv = sum(c * _word_value(cs, cartan, params, pt) for c, cs in rhs_words[sig])
+            for sig in lhs_forms:
+                lv = sum(c * _word_value(fs, params, pt) for c, fs in lhs_forms[sig])
+                rv = sum(c * _word_value(fs, params, pt) for c, fs in rhs_forms[sig])
                 scale = max(1.0, abs(lv), abs(ratio_val * rv))
                 res_here = max(res_here, abs(lv - ratio_val * rv) / scale)
         except (ArithmeticError, OverflowError, ValueError):
@@ -639,6 +663,7 @@ def verify_serre_level2(cartan: CartanData, params: ParamTower, i: int, j: int,
                     cs = _word_to_boson(w1) + _word_to_boson(w2) + _word_to_boson(w3)
                     coeff = weight * w1.coeff * w2.coeff * w3.coeff
                     groups.setdefault(_signature(cs), []).append((coeff, cs))
+    forms = _signature_forms(groups, cartan, params)
     worst = 0.0
     done = 0
     tries = 0
@@ -646,10 +671,12 @@ def verify_serre_level2(cartan: CartanData, params: ParamTower, i: int, j: int,
         tries += 1
         pt = {n: complex(rng.uniform(-2, 2), rng.uniform(-0.1, 0.1))
               for n in ("u1", "u2", "v")}
+        if forms is None:
+            continue
         try:
             res_here = 0.0
-            for sig, entries in groups.items():
-                vals = [c * _word_value(cs, cartan, params, pt) for c, cs in entries]
+            for entries in forms.values():
+                vals = [c * _word_value(fs, params, pt) for c, fs in entries]
                 scale = max(1.0, max(abs(v) for v in vals))
                 res_here = max(res_here, abs(sum(vals)) / scale)
         except (ArithmeticError, OverflowError, ValueError):

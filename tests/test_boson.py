@@ -9,9 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curalg import structfn
-from curalg.boson import checks, master
+from curalg.boson import checks, contraction, master
 from curalg.boson.atoms import ExponentFn, ParamLin
-from curalg.boson.contraction import contraction_exponent, quadrature_exponent
+from curalg.boson.contraction import (
+    contraction_exponent,
+    product_exponent,
+    quadrature_exponent,
+)
 from curalg.boson.currents import (
     ZeroModeWord,
     current,
@@ -270,6 +274,56 @@ def test_ef_contraction_factor_closed_form(params, a2):
         got = cf.exp_value({"u": w, "v": 0.0}, params)
         want = -math.exp(-2 * master.EULER_GAMMA) / ((w - 0.5j * h) * (w + 0.5j * h))
         assert abs(got - want) < 1e-12 * abs(want)
+
+
+def test_pair_cache_relabels_to_the_callers_names(params, a2, monkeypatch):
+    monkeypatch.setattr(checks, "_PAIR_CACHE", {})
+    # the second naming sorts the other way round, so every primitive's vars re-sort
+    for xk, yk in (("E", "F"), ("H+", "E"), ("H-", "F")):
+        for names in (("u", "v"), ("z", "a")):
+            x = current(xk, 1, names[0], Fraction(1, 2))
+            y = current(yk, 2 if xk == "E" else 1, names[1])
+            got = checks.pair_exponent(x, y, a2, params)
+            want = product_exponent(kernel(a2, x.j, y.j, 0), x.g(), y.g(), params)
+            assert got.primitives and got.primitives == want.primitives
+            assert got.gamma_power == want.gamma_power
+            assert all(p.vars == tuple(sorted(p.vars)) for p in got.primitives)
+    assert len(checks._PAIR_CACHE) == 3
+
+
+def test_pair_cache_is_keyed_on_the_tower(a2, monkeypatch):
+    monkeypatch.setattr(checks, "_PAIR_CACHE", {})
+    x, y = current("E", 1, "u", slot=1), current("E", 1, "v", slot=1)
+    forms = []
+    for t in (tower(1.0, 1.0), tower(1.0, 2.0)):
+        forms.append(checks.pair_exponent(x, y, a2, t))
+        assert forms[-1] == product_exponent(kernel(a2, 1, 1, 1), x.g(), y.g(), t)
+    assert forms[0] != forms[1]
+    assert len(checks._PAIR_CACHE) == 2
+
+
+def test_pair_cache_reduces_each_pair_once(params, a2, monkeypatch):
+    monkeypatch.setattr(checks, "_PAIR_CACHE", {})
+    calls = []
+    reduce = contraction.product_exponent
+
+    def counted(*args):
+        calls.append(args)
+        return reduce(*args)
+
+    monkeypatch.setattr(contraction, "product_exponent", counted)
+    for u, v in (("u", "v"), ("u", "v"), ("a", "b"), ("v", "u")):
+        checks.pair_exponent(current("H+", 1, u), current("F", 2, v), a2, params)
+    assert len(calls) == 1
+
+
+def test_unbuildable_serre_words_fail_the_record(params, a2, monkeypatch):
+    def unsupported(*_args):
+        raise contraction.UnsupportedPairError("no closed form")
+
+    monkeypatch.setattr(checks, "word_exponent", unsupported)
+    rec = checks.serre_check(1, 2, a2, params, samples=5)
+    assert rec["samples"] == 0 and not rec["pass"]
 
 
 @pytest.mark.parametrize("rel,xk,yk,i,j,sign", [

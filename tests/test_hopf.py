@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from curalg import evalrep, hopf
+from curalg.boson.contraction import UnsupportedPairError
 from curalg.hopf import (
     CurrentExpr,
     EvalBackend,
@@ -208,3 +209,15 @@ def test_serre_level2(params):
         assert rec["signatures"] == 8  # 48 words collapse onto 8 monomials
     with pytest.raises(ValueError):
         hopf.verify_serre_level2(cartan("A", 3), params, 1, 3)
+
+
+def test_unbuildable_level2_words_fail_the_record(params, monkeypatch):
+    def unsupported(*_args):
+        raise UnsupportedPairError("no closed form")
+
+    monkeypatch.setattr(hopf, "word_exponent", unsupported)
+    cd = cartan("A", 2)
+    rec = hopf.verify_serre_level2(cd, params, 1, 2, samples=4)
+    assert rec["samples"] == 0 and not rec["pass"]
+    out = hopf.verify_homomorphism(cd, params, samples=4, relations=("EE",))
+    assert out and all(r["max_residual"] == float("inf") and not r["pass"] for r in out)
