@@ -286,8 +286,8 @@ class EvalBackend:
         self._hinv_plus: dict[int, DistExpr] = {}
         self._hinv_minus: dict[int, DistExpr] = {}
         for l in range(1, rep.r + 1):
-            self._hinv_plus[l] = _invert_diag(rep.h_plus[l])
-            self._hinv_minus[l] = _invert_diag(rep.h_minus[l])
+            self._hinv_plus[l] = rep.h_plus[l].reciprocal()
+            self._hinv_minus[l] = rep.h_minus[l].reciprocal()
 
     def letter_expr(self, letter: Letter) -> DistExpr:
         rep = self.rep
@@ -323,21 +323,6 @@ class EvalBackend:
         for w in x.words:
             acc = acc + self.word_expr(w)
         return acc
-
-
-def _invert_diag(h: DistExpr) -> DistExpr:
-    """Reciprocal of a DistExpr whose terms are diagonal matrix units.
-
-    The H currents are diagonal with per-entry sh ratios; inversion just
-    flips every factor exponent within each single-entry term.
-    """
-    from .trigcalc import Term, TrigFactor
-
-    out = []
-    for t in h.terms:
-        flipped = tuple(TrigFactor(f.period, f.arg, -f.exponent) for f in t.factors)
-        out.append(Term(1.0 / t.scalar, flipped, t.deltas, t.mat))
-    return DistExpr(out)
 
 
 # ---------------------------------------------------------------------------

@@ -217,15 +217,7 @@ def vertex_move_coeff(fam: str, a: int, cur: str, i: int, r: int,
     expr = _ratio_expr(FAMILY[fam][1], r, i, _CASE_OFFSETS[case], EXTRAS[fam][cur])
     if u_name != "u":
         expr = expr.subs("u", var(u_name))
-    return expr if vertex_left else _invert_ratio(expr)
-
-
-def _invert_ratio(expr: DistExpr) -> DistExpr:
-    out = []
-    for t in expr.terms:
-        flipped = tuple(TrigFactor(f.period, f.arg, -f.exponent) for f in t.factors)
-        out.append(Term(1.0 / t.scalar, flipped, t.deltas, t.mat))
-    return DistExpr(out)
+    return expr if vertex_left else expr.reciprocal()
 
 
 _CURRENT_REL = {
@@ -252,8 +244,97 @@ def exchange_fn(xk: str, xi: int, yk: str, yi: int, cartan: CartanData,
         # printed orientation is Y X; invert it at the swapped argument
         rel, sign = _CURRENT_REL[(yk, xk)]
         printed = structfn.ratio(rel, yi, xi, cartan, c=1, sign=sign).ratio
-        return _invert_ratio(printed.subs("w", -w_fwd))
+        return printed.subs("w", -w_fwd).reciprocal()
     raise DeltaBearingMove(f"no delta-free exchange for {xk},{yk}")
+
+
+# (re, im) of u, v and z, in the order each try draws them
+_DRAW_LO = np.array([-2.0, -0.2, -2.0, -0.2, -2.0, -0.2])
+_DRAW_HI = -_DRAW_LO
+
+
+class _Diamonds:
+    """The diamond checks of one suite call, each expression built once.
+
+    Every vertex-move and exchange coefficient is memoized, a
+    DeltaBearingMove included.  Expressions are interned on their terms
+    (``DistExpr.key``), so equal ones share an id and one object, and each
+    product of two interned expressions is built once.
+    """
+
+    def __init__(self, cartan: CartanData):
+        self.cartan = cartan
+        self._coeffs: dict[tuple, object] = {}   # call -> (id, DistExpr) or DeltaBearingMove
+        self._interned: dict[tuple, tuple[int, DistExpr]] = {}   # DistExpr.key() -> (id, expr)
+        self._products: dict[tuple[int, int], tuple[int, DistExpr]] = {}
+
+    def _intern(self, expr: DistExpr) -> tuple[int, DistExpr]:
+        return self._interned.setdefault(expr.key(), (len(self._interned), expr))
+
+    def _mul(self, a: tuple[int, DistExpr], b: tuple[int, DistExpr]) -> tuple[int, DistExpr]:
+        hit = self._products.get((a[0], b[0]))
+        if hit is None:
+            hit = self._products[a[0], b[0]] = self._intern(a[1] * b[1])
+        return hit
+
+    def paths(self, fam: str, a: int, xk: str, xi: int, yk: str, yi: int):
+        """(path A, path B) of a triple, path B None when it has path A's
+        terms; or the first DeltaBearingMove, in the order cx, cy, rxy, ryx."""
+        r, cd = self.cartan.rank, self.cartan
+        found = []
+        for key, build, args in (
+                (("move", fam, a, xk, xi, "u"), vertex_move_coeff, (fam, a, xk, xi, r, "u")),
+                (("move", fam, a, yk, yi, "v"), vertex_move_coeff, (fam, a, yk, yi, r, "v")),
+                (("exchange", xk, xi, yk, yi, "u"), exchange_fn, (xk, xi, yk, yi, cd, "u", "v")),
+                (("exchange", yk, yi, xk, xi, "v"), exchange_fn, (yk, yi, xk, xi, cd, "v", "u"))):
+            hit = self._coeffs.get(key)
+            if hit is None:
+                try:
+                    hit = self._intern(build(*args))
+                except DeltaBearingMove as exc:
+                    hit = exc
+                self._coeffs[key] = hit
+            if isinstance(hit, DeltaBearingMove):
+                return hit
+            found.append(hit)
+        cx, cy, rxy, ryx = found
+        path_a = self._mul(cx, cy)
+        path_b = self._mul(self._mul(self._mul(rxy, cy), cx), ryx)
+        return path_a[1], None if path_b[0] == path_a[0] else path_b[1]
+
+    def check(self, fam: str, a: int, xk: str, xi: int, yk: str, yi: int,
+              params: ParamTower, samples: int, tol: float,
+              rng: np.random.Generator) -> dict:
+        rec: dict = {"triple": f"{fam}_{a} | {xk}_{xi}(u) | {yk}_{yi}(v)"}
+        paths = self.paths(fam, a, xk, xi, yk, yi)
+        if isinstance(paths, DeltaBearingMove):
+            rec.update({"skipped": True, "reason": str(paths), "pass": True})
+            return rec
+        path_a, path_b = paths
+        worst = 0.0
+        done = 0
+        tries = 0
+        while done < samples and tries < samples + 200:
+            # the tries left if none is rejected, drawn at once: the same
+            # stream as one (re, im) pair of uniforms per variable per try
+            n = min(samples - done, samples + 200 - tries)
+            flat = rng.uniform(np.tile(_DRAW_LO, n), np.tile(_DRAW_HI, n)).tolist()
+            for k in range(0, 6 * n, 6):
+                tries += 1
+                pt = {"u": complex(flat[k], flat[k + 1]),
+                      "v": complex(flat[k + 2], flat[k + 3]),
+                      "z": complex(flat[k + 4], flat[k + 5])}
+                try:
+                    va = path_a.eval(pt, params)
+                    vb = va if path_b is None else path_b.eval(pt, params)
+                except ArithmeticError:
+                    continue
+                scale = max(1.0, abs(va), abs(vb))
+                worst = max(worst, abs(va - vb) / scale)
+                done += 1
+        rec.update({"skipped": False, "samples": done, "max_residual": worst,
+                    "pass": bool(done > 0 and worst < tol)})
+        return rec
 
 
 def verify_consistency(fam: str, a: int, xk: str, xi: int, yk: str, yi: int,
@@ -265,58 +346,32 @@ def verify_consistency(fam: str, a: int, xk: str, xi: int, yk: str, yi: int,
     Path A moves the vertex straight through both currents; path B
     exchanges the currents first, moves the vertex, then exchanges back
     through the printed reverse relation.  Agreement tests the
-    transcription and the inversion property jointly.
+    transcription and the inversion property jointly.  When the two paths
+    canonicalize to the same terms only path A is evaluated (the residual
+    is then exactly 0.0, as evaluating both gives).
     """
     if rng is None:
         rng = np.random.default_rng(31)
-    r = cartan.rank
-    rec: dict = {"triple": f"{fam}_{a} | {xk}_{xi}(u) | {yk}_{yi}(v)"}
-    try:
-        cx = vertex_move_coeff(fam, a, xk, xi, r, "u")
-        cy = vertex_move_coeff(fam, a, yk, yi, r, "v")
-        rxy = exchange_fn(xk, xi, yk, yi, cartan, "u", "v")
-        ryx = exchange_fn(yk, yi, xk, xi, cartan, "v", "u")
-    except DeltaBearingMove as exc:
-        rec.update({"skipped": True, "reason": str(exc), "pass": True})
-        return rec
-    path_a = cx * cy
-    path_b = rxy * cy * cx * ryx
-    worst = 0.0
-    done = 0
-    tries = 0
-    while done < samples and tries < samples + 200:
-        tries += 1
-        pt = {
-            "u": complex(rng.uniform(-2, 2), rng.uniform(-0.2, 0.2)),
-            "v": complex(rng.uniform(-2, 2), rng.uniform(-0.2, 0.2)),
-            "z": complex(rng.uniform(-2, 2), rng.uniform(-0.2, 0.2)),
-        }
-        try:
-            va = path_a.eval(pt, params)
-            vb = path_b.eval(pt, params)
-        except ArithmeticError:
-            continue
-        scale = max(1.0, abs(va), abs(vb))
-        worst = max(worst, abs(va - vb) / scale)
-        done += 1
-    rec.update({"skipped": False, "samples": done, "max_residual": worst,
-                "pass": bool(done > 0 and worst < tol)})
-    return rec
+    return _Diamonds(cartan).check(fam, a, xk, xi, yk, yi, params, samples, tol, rng)
 
 
 def consistency_suite(cartan: CartanData, params: ParamTower, samples: int = 20,
                       tol: float = 1e-9, seed: int = 37) -> list[dict]:
-    """All triples over the generator set; delta-bearing ones are skipped."""
+    """All triples over the generator set; delta-bearing ones are skipped.
+
+    The records are those of ``verify_consistency`` per triple on one
+    stream; each distinct diamond is built once per call.
+    """
     rng = np.random.default_rng(seed)
     r = cartan.rank
+    diamonds = _Diamonds(cartan)
     out = []
     currents = [(k, i) for k in ("H+", "H-", "E", "F") for i in cartan.nodes()]
     for fam in VERTEX_KINDS:
         for a in range(0, r + 1):
             for xk, xi in currents:
                 for yk, yi in currents:
-                    rec = verify_consistency(fam, a, xk, xi, yk, yi, cartan,
-                                             params, samples, tol, rng)
+                    rec = diamonds.check(fam, a, xk, xi, yk, yi, params, samples, tol, rng)
                     rec.update({"family": fam, "component": a,
                                 "x": f"{xk}_{xi}", "y": f"{yk}_{yi}"})
                     out.append(rec)
@@ -347,8 +402,9 @@ def variant_report(r: int, params: ParamTower) -> dict:
                 "normalized_on_denominator_zero": bool(on_pole),
                 "printed_l_unbound": True,
             }
+        on_every_pole = all(c["normalized_on_denominator_zero"] for c in checks.values())
         out[f"{fam}.{cur}.{dcase}"] = {
-            "self_consistent_variant": "normalized",
+            "self_consistent_variant": "normalized" if on_every_pole else None,
             "cases": checks,
         }
     return out

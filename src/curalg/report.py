@@ -407,8 +407,11 @@ def _suite_intertwine(cfg: RunConfig, rng) -> list[dict]:
             fails.append(rec["triple"])
     out.append({"id": "consistency_triples", "pass": not fails, "run": run,
                 "skipped": skipped, "max_residual": worst, "failures": fails})
-    out.append({"id": "variant_report", "pass": True, "max_residual": 0.0,
-                "report": intertwine.variant_report(cd.rank, params)})
+    variants = intertwine.variant_report(cd.rank, params)
+    on_pole = all(case["normalized_on_denominator_zero"]
+                  for entry in variants.values() for case in entry["cases"].values())
+    out.append({"id": "variant_report", "pass": on_pole, "max_residual": 0.0,
+                "report": variants})
     deg = intertwine.degeneration_report(cd.rank, hbar=cfg.hbar)
     deg["id"] = "degeneration"
     out.append(_jsonable(deg))

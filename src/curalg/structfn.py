@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+
 from .liealg import CartanData
 from .params import ParamTower
 from .trigcalc import DistExpr, ShiftExpr, Term, TrigFactor
@@ -41,8 +43,9 @@ class StructureRatio:
     num: tuple[TrigFactor, ...]
     den: tuple[TrigFactor, ...]
 
-    @property
+    @cached_property
     def ratio(self) -> DistExpr:
+        """num / den as one DistExpr, built once per instance."""
         inv = tuple(TrigFactor(f.period, f.arg, -1) for f in self.den)
         return DistExpr((Term(1.0, self.num + inv),))
 

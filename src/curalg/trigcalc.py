@@ -401,11 +401,18 @@ def _canonical_term(scalar: complex, factors: Iterable[TrigFactor],
 
 
 class DistExpr:
-    """Finite sum of trig-factor/delta/matrix terms, canonical on build."""
+    """Finite sum of trig-factor/delta/matrix terms, canonical on build.
 
-    __slots__ = ("terms",)
+    ``eval`` runs from a plan built at the first evaluation under a
+    ParamTower and kept (in ``_plan``) until an evaluation under another
+    tower: per factor the constants of ``TrigFactor.eval`` and
+    ``ShiftExpr.eval`` already floated, per term its scalar and matrix.
+    """
+
+    __slots__ = ("terms", "_plan")
 
     def __init__(self, terms: Sequence[Term] = (), *, _canonical: bool = False):
+        self._plan: Optional[tuple] = None
         if _canonical:
             self.terms: tuple[Term, ...] = tuple(terms)
             return
@@ -533,26 +540,82 @@ class DistExpr:
 
     def eval(self, assignment: Mapping[str, complex], params: ParamTower,
              eps_pole: float = 1e-6):
-        """Numeric value; complex scalar, or complex matrix if any term has one."""
+        """Numeric value; complex scalar, or complex matrix if any term has one.
+
+        Term by term and factor by factor, the float operations of
+        ``ShiftExpr.eval`` and ``TrigFactor.eval`` (the references) on the
+        plan's constants, so the value is bitwise theirs.  A period the
+        tower does not materialize raises when the plan is built.
+        """
+        plan = self._plan
+        if plan is None or (plan[0] is not params and plan[0] != params):
+            plan = self._plan = self._build_plan(params)
+        _, shape, terms = plan
+        acc_mat = np.zeros(shape, dtype=complex) if shape else None
+        acc_sc = 0.0 + 0.0j
+        for val, factors, mat in terms:
+            for scale, arg, vars_, shift, exponent in factors:
+                for name, c in vars_:
+                    try:
+                        z = assignment[name]
+                    except KeyError:
+                        raise KeyError(f"unassigned variable {name!r}") from None
+                    arg += c * complex(z)
+                x = scale * (arg + shift)
+                s = cmath.sinh(x)
+                if exponent == 1:
+                    val *= s
+                elif abs(s) < eps_pole:
+                    raise PoleProximityError(f"sh({x}) = {s} too close to zero")
+                else:
+                    val *= 1.0 / s
+            if mat is None:
+                acc_sc += val
+            else:
+                acc_mat += val * mat
+        return acc_mat if acc_mat is not None else acc_sc
+
+    def _build_plan(self, params: ParamTower) -> tuple:
+        """(params, matrix shape or None, per term (scalar, factors, matrix)).
+
+        A factor is (pi*eta_p, t, vars, i*imag_shift, exponent); a scalar
+        term of a matrix expression carries one shared identity matrix.
+        """
         shape = None
         for t in self.terms:
             if t.deltas:
                 raise DeltaPresentError("use residue/delta APIs for delta terms")
             if t.mat is not None:
                 shape = t.mat.shape
-        acc_mat = np.zeros(shape, dtype=complex) if shape else None
-        acc_sc = 0.0 + 0.0j
-        for t in self.terms:
-            val = t.scalar
-            for f in t.factors:
-                val *= f.eval(assignment, params, eps_pole)
-            if t.mat is not None:
-                acc_mat += val * t.mat
-            elif acc_mat is not None:
-                acc_mat += val * np.eye(shape[0], dtype=complex)
-            else:
-                acc_sc += val
-        return acc_mat if acc_mat is not None else acc_sc
+        eye = _mat_tuple(np.eye(shape[0], dtype=complex)) if shape else None
+        terms = tuple(
+            (t.scalar,
+             tuple((math.pi * params.eta_at(f.period), complex(f.arg.t, 0.0), f.arg.vars,
+                    1j * f.arg.imag_shift(params), f.exponent) for f in t.factors),
+             eye if t.mat is None else t.mat)
+            for t in self.terms
+        )
+        return params, shape, terms
+
+    def key(self) -> tuple:
+        """Hashable contents, term by term; equal keys give equal values."""
+        return tuple((t.scalar, t.factors, t.deltas,
+                      None if t.mat is None else (t.mat.shape, t.mat.tobytes()))
+                     for t in self.terms)
+
+    def reciprocal(self) -> "DistExpr":
+        """Every term's 1/scalar with each factor exponent flipped.
+
+        The reciprocal of a single term, or of a sum whose matrices are
+        distinct diagonal matrix units (the H currents of the evaluation
+        module).  Boundary-value tags are dropped.
+        """
+        return DistExpr(tuple(
+            Term(1.0 / t.scalar,
+                 tuple(TrigFactor(f.period, f.arg, -f.exponent) for f in t.factors),
+                 t.deltas, t.mat)
+            for t in self.terms
+        ))
 
     # -- reductions --------------------------------------------------------
 

@@ -5,9 +5,10 @@ import pathlib
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from curalg import intertwine
+from curalg import intertwine, report
 from curalg.intertwine import (
     DeltaBearingMove,
     catalog,
@@ -22,6 +23,7 @@ from curalg.intertwine import (
 )
 from curalg.liealg import cartan
 from curalg.params import ParamTower
+from curalg.trigcalc import DistExpr, Term, TrigFactor
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "catalog_A2.json"
 
@@ -145,6 +147,144 @@ def test_consistency_suite(label, params):
     assert max(r["max_residual"] for r in ran) < 1e-9
     skipped = [r for r in out if r.get("skipped")]
     assert all(r["reason"] for r in skipped)
+
+
+def _triples(cd):
+    currents = [(k, i) for k in ("H+", "H-", "E", "F") for i in cd.nodes()]
+    for fam in intertwine.VERTEX_KINDS:
+        for a in range(0, cd.rank + 1):
+            for xk, xi in currents:
+                for yk, yi in currents:
+                    yield fam, a, xk, xi, yk, yi
+
+
+@pytest.mark.parametrize("rank,samples", [(2, 10), (3, 4)])
+def test_suite_memo_gives_the_records_of_fresh_triples(rank, samples, params):
+    cd = cartan("A", rank)
+    got = consistency_suite(cd, params, samples=samples, seed=11)
+    rng = np.random.default_rng(11)
+    want = []
+    for fam, a, xk, xi, yk, yi in _triples(cd):
+        rec = verify_consistency(fam, a, xk, xi, yk, yi, cd, params, samples, 1e-9, rng)
+        rec.update({"family": fam, "component": a, "x": f"{xk}_{xi}", "y": f"{yk}_{yi}"})
+        want.append(rec)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g == w
+        if not g["skipped"]:
+            assert (g["samples"], g["max_residual"]) == (w["samples"], w["max_residual"])
+
+
+def _scalar_draw_residual(path_a, path_b, params, samples, rng):
+    """Both paths at every try, one scalar uniform per coordinate."""
+    worst = 0.0
+    done = tries = 0
+    while done < samples and tries < samples + 200:
+        tries += 1
+        pt = {"u": complex(rng.uniform(-2, 2), rng.uniform(-0.2, 0.2)),
+              "v": complex(rng.uniform(-2, 2), rng.uniform(-0.2, 0.2)),
+              "z": complex(rng.uniform(-2, 2), rng.uniform(-0.2, 0.2))}
+        try:
+            va = path_a.eval(pt, params)
+            vb = path_b.eval(pt, params)
+        except ArithmeticError:
+            continue
+        worst = max(worst, abs(va - vb) / max(1.0, abs(va), abs(vb)))
+        done += 1
+    return done, worst
+
+
+def test_triples_match_evaluating_both_paths_with_scalar_draws(params):
+    cd = cartan("A", 2)
+    rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
+    for fam, a, xk, xi, yk, yi in _triples(cd):
+        rec = verify_consistency(fam, a, xk, xi, yk, yi, cd, params, 6, 1e-9, rng_a)
+        try:
+            cx = vertex_move_coeff(fam, a, xk, xi, 2, "u")
+            cy = vertex_move_coeff(fam, a, yk, yi, 2, "v")
+            rxy = exchange_fn(xk, xi, yk, yi, cd, "u", "v")
+            ryx = exchange_fn(yk, yi, xk, xi, cd, "v", "u")
+        except DeltaBearingMove as exc:
+            assert rec["skipped"] and rec["reason"] == str(exc)
+            continue
+        done, worst = _scalar_draw_residual(cx * cy, rxy * cy * cx * ryx, params, 6, rng_b)
+        assert (rec["samples"], rec["max_residual"]) == (done, worst)
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+class _RejectingPath:
+    """Stands in for a path expression: rejects every point with Re u > 0."""
+
+    def __init__(self, offset=0.0):
+        self.offset = offset
+
+    def eval(self, pt, params):
+        if pt["u"].real > 0:
+            raise ArithmeticError("rejected")
+        return pt["u"] * pt["z"] + self.offset
+
+
+@pytest.mark.parametrize("offset,samples", [(0.0, 20), (1e-3, 20), (0.0, 300)])
+def test_batched_draws_follow_the_scalar_stream_through_rejections(offset, samples, params):
+    # about half the points are rejected; samples=300 exhausts the
+    # samples + 200 tries before reaching its count
+    diamonds = intertwine._Diamonds(cartan("A", 1))
+    path_a, path_b = _RejectingPath(), _RejectingPath(offset)
+    diamonds.paths = lambda *triple: (path_a, path_b)
+    rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
+    rec = diamonds.check("Phi", 0, "H+", 1, "H+", 1, params, samples, 1e-9, rng_a)
+    done, worst = _scalar_draw_residual(path_a, path_b, params, samples, rng_b)
+    assert (rec["samples"], rec["max_residual"]) == (done, worst)
+    assert 0 < done <= samples and (done < samples) == (samples == 300)
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+def test_memo_builds_each_exchange_once(params, monkeypatch):
+    calls = []
+    real = intertwine.exchange_fn
+
+    def counted(*args):
+        calls.append(args[:4] + args[5:])
+        return real(*args)
+
+    monkeypatch.setattr(intertwine, "exchange_fn", counted)
+    out = consistency_suite(cartan("A", 2), params, samples=2)
+    assert len(calls) == len(set(calls))
+    assert any(r["skipped"] for r in out) and all(r["pass"] for r in out)
+
+
+def test_suite_catches_an_unflipped_reverse_exchange(params, monkeypatch):
+    real = intertwine.exchange_fn
+
+    def one_factor_unflipped(xk, xi, yk, yi, cd, u_name, v_name):
+        expr = real(xk, xi, yk, yi, cd, u_name, v_name)
+        if (xk, yk) in intertwine._CURRENT_REL or not expr.terms[0].factors:
+            return expr   # printed orientation, or a trivial exchange
+        (t,) = expr.terms
+        f = t.factors[0]
+        return DistExpr((Term(t.scalar, (TrigFactor(f.period, f.arg, -f.exponent),)
+                              + t.factors[1:]),))
+
+    monkeypatch.setattr(intertwine, "exchange_fn", one_factor_unflipped)
+    ran = [r for r in consistency_suite(cartan("A", 2), params, samples=5)
+           if not r["skipped"]]
+    assert any(not r["pass"] for r in ran)
+
+
+def test_variant_report_fails_off_the_pole(params, monkeypatch):
+    # the Phi/F embedded delta moved a quarter period off its denominator zero
+    monkeypatch.setitem(intertwine.EXTRAS["Phi"], "F", Fraction(1, 4))
+    rep = variant_report(2, params)
+    entry = rep["Phi.F.j"]
+    assert entry["self_consistent_variant"] is None
+    assert not any(c["normalized_on_denominator_zero"] for c in entry["cases"].values())
+    assert rep["Psi.E.j-1"]["self_consistent_variant"] == "normalized"
+    cfg = report.RunConfig(algebra="A1", suites=("intertwine",), samples=30)
+    checks = {c["id"]: c for c in report.run(cfg)["suites"][0]["checks"]}
+    assert checks["variant_report"]["pass"] is False
+    monkeypatch.undo()
+    checks = {c["id"]: c for c in report.run(cfg)["suites"][0]["checks"]}
+    assert checks["variant_report"]["pass"] is True
 
 
 def test_exchange_fn_delta_pair_raises(params):

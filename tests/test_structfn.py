@@ -134,3 +134,9 @@ def test_b_zero_cancellation_structural():
 def test_unknown_relation():
     with pytest.raises(ValueError):
         structfn.ratio("XX", 1, 1, cartan("A", 1))
+
+
+def test_ratio_expression_built_once(params):
+    sr = structfn.ratio("HE", 1, 2, cartan("A", 2), c=1)
+    assert sr.ratio is sr.ratio
+    assert sr.eval(0.3 + 0.1j, params) == sr.ratio.eval({"w": 0.3 + 0.1j}, params)

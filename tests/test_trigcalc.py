@@ -137,6 +137,137 @@ def test_product_eval_property(params):
 
 
 # ---------------------------------------------------------------------------
+# Evaluation plan: DistExpr.eval against the per-factor reference
+# ---------------------------------------------------------------------------
+
+
+def _reference_eval(expr, pt, params, eps_pole=1e-6):
+    """Term by term, the product of ``TrigFactor.eval`` over the factors."""
+    shape = None
+    for t in expr.terms:
+        if t.mat is not None:
+            shape = t.mat.shape
+    acc_mat = np.zeros(shape, dtype=complex) if shape else None
+    acc_sc = 0.0 + 0.0j
+    for t in expr.terms:
+        val = t.scalar
+        for f in t.factors:
+            val *= f.eval(pt, params, eps_pole)
+        if t.mat is not None:
+            acc_mat += val * t.mat
+        elif acc_mat is not None:
+            acc_mat += val * np.eye(shape[0], dtype=complex)
+        else:
+            acc_sc += val
+    return acc_mat if acc_mat is not None else acc_sc
+
+
+def _bits(value) -> bytes:
+    return np.asarray(value, dtype=complex).tobytes()
+
+
+def _assert_plan_matches_reference(expr, pt, params):
+    try:
+        want = _reference_eval(expr, pt, params)
+    except PoleProximityError:
+        with pytest.raises(PoleProximityError):
+            expr.eval(pt, params)
+        return
+    for _ in range(2):   # the first call builds the plan, the second reuses it
+        got = expr.eval(pt, params)
+        assert isinstance(got, np.ndarray) == isinstance(want, np.ndarray)
+        if isinstance(want, np.ndarray):
+            assert np.array_equal(got, want)
+        else:
+            assert got == want
+        assert _bits(got) == _bits(want)
+
+
+def _tower(levels=(0.5,)):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return ParamTower(0.1, 1.0, levels)
+
+
+factor_strategy = st.builds(TrigFactor, st.integers(0, 1), shift_strategy,
+                            st.sampled_from((1, -1)))
+term_strategy = st.builds(
+    lambda re, im, fs, mat: Term(complex(re, im), tuple(fs), (),
+                                 None if mat is None else np.array(mat, dtype=complex)),
+    st.floats(-3, 3), st.floats(-3, 3),
+    st.lists(factor_strategy, max_size=3),
+    st.none() | st.lists(st.lists(st.integers(-2, 2), min_size=2, max_size=2),
+                         min_size=2, max_size=2),
+)
+point_strategy = st.builds(
+    lambda ur, ui, vr, vi: {"u": complex(ur, ui), "v": complex(vr, vi)},
+    st.floats(-2, 2), st.floats(-0.3, 0.3), st.floats(-2, 2), st.floats(-0.3, 0.3),
+)
+
+
+@given(st.lists(term_strategy, min_size=1, max_size=3), point_strategy)
+@settings(max_examples=150, deadline=None)
+def test_eval_plan_bitwise_equals_reference(terms, pt):
+    _assert_plan_matches_reference(DistExpr(terms), pt, _tower())
+
+
+def test_eval_plan_scalar_matrix_and_mixed():
+    params = _tower()
+    f = TrigFactor(1, var("u") - ShiftExpr.hbar_units(Fraction(1, 2)), -1)
+    g = TrigFactor(0, var("v") + ShiftExpr.lattice_units(1, 1), 1)
+    mat = np.array([[1, 2j], [0, -1]], dtype=complex)
+    scalar = DistExpr((Term(0.5 - 1j, (f, g)), Term(2.0, (g,))))
+    matrix = DistExpr.from_factors(1.5, (f,), mat=mat)
+    mixed = scalar + matrix
+    assert {t.mat is None for t in mixed.terms} == {True, False}
+    pt = {"u": 0.4 + 0.1j, "v": -1.3 + 0.05j}
+    for expr in (scalar, matrix, mixed):
+        _assert_plan_matches_reference(expr, pt, params)
+    assert isinstance(mixed.eval(pt, params), np.ndarray)
+
+
+def test_eval_plan_pole_and_unassigned_variable():
+    params = _tower()
+    expr = DistExpr.from_factors(1.0, (TrigFactor(0, var("u"), 1), TrigFactor(0, var("v"), -1)))
+    with pytest.raises(PoleProximityError):
+        expr.eval({"u": 0.3, "v": 1e-9}, params)
+    with pytest.raises(KeyError, match="unassigned variable 'v'"):
+        expr.eval({"u": 0.3}, params)
+    # a failed evaluation leaves the plan usable
+    _assert_plan_matches_reference(expr, {"u": 0.3, "v": 0.7}, params)
+
+
+def test_eval_plan_is_keyed_on_the_tower():
+    expr = DistExpr.from_factors(1.0, (TrigFactor(1, var("u") + ShiftExpr.hbar_units(1), 1),))
+    pt = {"u": 0.25 + 0.1j}
+    low, high = _tower(levels=(0.5,)), _tower(levels=(2.0,))
+    a, b = expr.eval(pt, low), expr.eval(pt, high)
+    assert a != b
+    assert a == _reference_eval(expr, pt, low)
+    assert b == _reference_eval(expr, pt, high)
+    assert expr.eval(pt, low) == a
+    # an equal tower built separately reuses the plan and gives the same value
+    assert expr.eval(pt, _tower(levels=(2.0,))) == b
+
+
+def test_reciprocal_flips_every_factor(params):
+    f = TrigFactor(0, var("u") - ShiftExpr.hbar_units(1), 1)
+    g = TrigFactor(0, var("u") + ShiftExpr.hbar_units(1), -1)
+    expr = DistExpr.from_factors(0.5 + 0.25j, (f, g))
+    inv = expr.reciprocal()
+    assert inv.terms[0].scalar == 1.0 / expr.terms[0].scalar
+    assert (sorted((str(h.arg), h.exponent) for h in inv.terms[0].factors)
+            == sorted((str(h.arg), -h.exponent) for h in expr.terms[0].factors))
+    pt = {"u": 0.3 + 0.05j}
+    assert abs(expr.eval(pt, params) * inv.eval(pt, params) - 1.0) < 1e-12
+    # diagonal matrix units invert entrywise
+    diag = DistExpr((Term(2.0, (f,), (), np.diag([1, 0]).astype(complex)),
+                     Term(-4.0, (g,), (), np.diag([0, 1]).astype(complex))))
+    prod = diag * diag.reciprocal()
+    assert np.allclose(prod.eval(pt, params), np.eye(2))
+
+
+# ---------------------------------------------------------------------------
 # Plemelj reduction
 # ---------------------------------------------------------------------------
 
