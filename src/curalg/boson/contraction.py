@@ -19,8 +19,9 @@ Reduction rules (coefficients stay integers by construction):
   Bose(beta2)] after absorbing sh(d/2); this is what untangles the
   H-current pairs whose two Bose scales differ by the level shift.
 
-Anything that fails to land on the catalog falls back to direct contour
-quadrature (convergence permitting) or raises ``UnsupportedPairError``.
+Anything that fails to land on the catalog raises ``UnsupportedPairError``;
+``quadrature_exponent`` integrates the undecomposed integrand directly and
+is the oracle the closed forms are validated against.
 """
 
 from __future__ import annotations
@@ -329,49 +330,16 @@ def _beta_eq(a: Optional[ParamLin], b: Optional[ParamLin]) -> bool:
     return (a - b).is_zero()
 
 
-class QuadratureFallback:
-    """Exponent evaluated by direct contour quadrature per call.
-
-    Produced when an integrand fails to land on the primitive catalog;
-    carries the same value/exp_value interface as ClosedForm but no
-    symbolic pole bookkeeping, and is only valid where the contour
-    integral converges.
-    """
-
-    def __init__(self, kernel: Kernel, g1: ExponentFn, g2: ExponentFn):
-        self.kernel = kernel
-        self.g1 = g1
-        self.g2 = g2
-        self.primitives = ()
-        self.gamma_power = 0
-
-    def value(self, assignment, params: ParamTower) -> complex:
-        return quadrature_exponent(self.kernel, self.g1, self.g2, assignment, params)
-
-    def exp_value(self, assignment, params: ParamTower) -> complex:
-        return cmath.exp(self.value(assignment, params))
-
-
 def contraction_exponent(g1: ExponentFn, g2: ExponentFn, kernel: Kernel,
-                         params: ParamTower,
-                         probe: Optional[dict] = None):
+                         params: ParamTower) -> ClosedForm:
     """The normal-ordering exponent for the ordered pair (g1, g2).
 
-    Returns a ClosedForm when the integrand decomposes onto the
-    primitive catalog; otherwise falls back to direct contour quadrature
-    (validated at the ``probe`` assignment) and returns a
-    QuadratureFallback, or raises UnsupportedPairError when that
-    diverges too.
+    Returns a ClosedForm on the primitive catalog; raises
+    UnsupportedPairError when the integrand does not decompose onto it.
     """
     if g1.is_zero() or g2.is_zero() or kernel.coeff == 0:
         return ClosedForm(())
-    try:
-        return product_exponent(kernel, g1, g2, params)
-    except UnsupportedPairError:
-        fb = QuadratureFallback(kernel, g1, g2)
-        if probe is not None:
-            fb.value(probe, params)  # raises if divergent
-        return fb
+    return product_exponent(kernel, g1, g2, params)
 
 
 def quadrature_exponent(kernel: Kernel, g1: ExponentFn, g2: ExponentFn,
@@ -381,7 +349,7 @@ def quadrature_exponent(kernel: Kernel, g1: ExponentFn, g2: ExponentFn,
 
     Only converges when the spectral arguments keep every exponential
     decaying along the positive axis; used as the oracle for the closed
-    forms and as a last-resort fallback.
+    forms.
     """
     g2n = g2.negated_lambda(params)
 
@@ -397,5 +365,5 @@ def quadrature_exponent(kernel: Kernel, g1: ExponentFn, g2: ExponentFn,
 
     tail = abs(f(complex(lam_max, 0.0)))
     if not (tail < 1e-10):
-        raise UnsupportedPairError("quadrature fallback divergent along the contour")
+        raise UnsupportedPairError("quadrature divergent along the contour")
     return _contour_quadrature(f, 0.0, rho, lam_max, 240)

@@ -28,7 +28,7 @@ from .boson.contraction import ClosedForm
 from .boson.currents import BosonCurrent
 from .liealg import CartanData
 from .params import ParamTower
-from .trigcalc import DistExpr, ShiftExpr, equal_numeric, var
+from .trigcalc import DistExpr, ShiftExpr, equal_numeric, sample_max, var
 
 GEN_KINDS = ("E", "F", "H+", "H-")
 LETTER_KINDS = GEN_KINDS + ("H+inv", "H-inv", "one", "c")
@@ -536,14 +536,10 @@ def verify_homomorphism(cartan: CartanData, params: ParamTower,
     """
     rng = np.random.default_rng(seed)
     if relations is None:
-        relations = ("HH_pm", "HH_same", "HE", "HF", "EE", "FF")
-    pairs_for = {
-        "HH_pm": ("H+", "H-"), "HH_same": ("H+", "H+"), "HE": ("H+", "E"),
-        "HF": ("H+", "F"), "EE": ("E", "E"), "FF": ("F", "F"),
-    }
+        relations = structfn.RELATIONS
     out = []
     for rel in relations:
-        kx, ky = pairs_for[rel]
+        kx, ky = structfn.exchange_kinds(rel)
         for i in cartan.nodes():
             for j in cartan.nodes():
                 x2 = level_k_currents(kx, i, 2, params)
@@ -591,17 +587,10 @@ def _exchange_residual(x2: CurrentExpr, y2: CurrentExpr, sr: structfn.StructureR
         return float("inf")
     lhs_forms = _signature_forms(lhs_words, cartan, params)
     rhs_forms = _signature_forms(rhs_words, cartan, params)
-    worst = 0.0
-    done = 0
-    tries = 0
-    while done < samples and tries < samples + 200:
-        tries += 1
-        pt = {
-            "u": complex(rng.uniform(-2, 2), rng.uniform(-0.15, 0.15)),
-            "v": complex(rng.uniform(-2, 2), rng.uniform(-0.15, 0.15)),
-        }
+
+    def residual(pt):
         if lhs_forms is None or rhs_forms is None:
-            continue
+            return None
         try:
             ratio_val = sr.eval(pt["u"] - pt["v"], params)
             res_here = 0.0
@@ -610,10 +599,12 @@ def _exchange_residual(x2: CurrentExpr, y2: CurrentExpr, sr: structfn.StructureR
                 rv = sum(c * _word_value(fs, params, pt) for c, fs in rhs_forms[sig])
                 scale = max(1.0, abs(lv), abs(ratio_val * rv))
                 res_here = max(res_here, abs(lv - ratio_val * rv) / scale)
-        except (ArithmeticError, OverflowError, ValueError):
-            continue
-        worst = max(worst, res_here)
-        done += 1
+        except ValueError:
+            return None
+        return res_here
+
+    window = ((-2.0, 2.0), (-0.15, 0.15))
+    worst, done = sample_max(residual, {"u": window, "v": window}, samples, rng)
     return worst if done else float("inf")
 
 
@@ -649,25 +640,22 @@ def verify_serre_level2(cartan: CartanData, params: ParamTower, i: int, j: int,
                     coeff = weight * w1.coeff * w2.coeff * w3.coeff
                     groups.setdefault(_signature(cs), []).append((coeff, cs))
     forms = _signature_forms(groups, cartan, params)
-    worst = 0.0
-    done = 0
-    tries = 0
-    while done < samples and tries < samples + 200:
-        tries += 1
-        pt = {n: complex(rng.uniform(-2, 2), rng.uniform(-0.1, 0.1))
-              for n in ("u1", "u2", "v")}
+
+    def residual(pt):
         if forms is None:
-            continue
+            return None
         try:
             res_here = 0.0
             for entries in forms.values():
                 vals = [c * _word_value(fs, params, pt) for c, fs in entries]
                 scale = max(1.0, max(abs(v) for v in vals))
                 res_here = max(res_here, abs(sum(vals)) / scale)
-        except (ArithmeticError, OverflowError, ValueError):
-            continue
-        worst = max(worst, res_here)
-        done += 1
+        except ValueError:
+            return None
+        return res_here
+
+    window = ((-2.0, 2.0), (-0.1, 0.1))
+    worst, done = sample_max(residual, {n: window for n in ("u1", "u2", "v")}, samples, rng)
     return {"pair": (i, j), "k": 2, "signatures": len(groups), "samples": done,
             "max_residual": worst, "tol": tol,
             "pass": bool(done > 0 and worst < tol)}

@@ -31,7 +31,7 @@ import numpy as np
 from . import structfn
 from .liealg import CartanData
 from .params import ParamTower
-from .trigcalc import DistExpr, ShiftExpr, Term, TrigFactor, var
+from .trigcalc import DistExpr, ShiftExpr, Term, TrigFactor, sample_max, var
 
 VERTEX_KINDS = ("Phi", "PhiStar", "PsiStar", "Psi")
 
@@ -220,15 +220,6 @@ def vertex_move_coeff(fam: str, a: int, cur: str, i: int, r: int,
     return expr if vertex_left else expr.reciprocal()
 
 
-_CURRENT_REL = {
-    ("H+", "H+"): ("HH_same", +1), ("H-", "H-"): ("HH_same", +1),
-    ("H+", "H-"): ("HH_pm", +1),
-    ("H+", "E"): ("HE", +1), ("H-", "E"): ("HE", -1),
-    ("H+", "F"): ("HF", +1), ("H-", "F"): ("HF", -1),
-    ("E", "E"): ("EE", +1), ("F", "F"): ("FF", +1),
-}
-
-
 def exchange_fn(xk: str, xi: int, yk: str, yi: int, cartan: CartanData,
                 u_name: str, v_name: str) -> DistExpr:
     """R with X(u) Y(v) = R * Y(v) X(u) at level 1; raises on delta pairs."""
@@ -237,20 +228,21 @@ def exchange_fn(xk: str, xi: int, yk: str, yi: int, cartan: CartanData,
         if xi == yi:
             raise DeltaBearingMove(f"{xk}_{xi} against {yk}_{yi}")
         return DistExpr.scalar(1.0)
-    if (xk, yk) in _CURRENT_REL:
-        rel, sign = _CURRENT_REL[(xk, yk)]
+    forward = structfn.exchange_relation(xk, yk)
+    if forward is not None:
+        rel, sign = forward
         return structfn.ratio(rel, xi, yi, cartan, c=1, sign=sign).ratio.subs("w", w_fwd)
-    if (yk, xk) in _CURRENT_REL:
+    backward = structfn.exchange_relation(yk, xk)
+    if backward is not None:
         # printed orientation is Y X; invert it at the swapped argument
-        rel, sign = _CURRENT_REL[(yk, xk)]
+        rel, sign = backward
         printed = structfn.ratio(rel, yi, xi, cartan, c=1, sign=sign).ratio
         return printed.subs("w", -w_fwd).reciprocal()
     raise DeltaBearingMove(f"no delta-free exchange for {xk},{yk}")
 
 
-# (re, im) of u, v and z, in the order each try draws them
-_DRAW_LO = np.array([-2.0, -0.2, -2.0, -0.2, -2.0, -0.2])
-_DRAW_HI = -_DRAW_LO
+# u, v and z, in the order each try draws them
+_DIAMOND_WINDOWS = {n: ((-2.0, 2.0), (-0.2, 0.2)) for n in ("u", "v", "z")}
 
 
 class _Diamonds:
@@ -311,27 +303,13 @@ class _Diamonds:
             rec.update({"skipped": True, "reason": str(paths), "pass": True})
             return rec
         path_a, path_b = paths
-        worst = 0.0
-        done = 0
-        tries = 0
-        while done < samples and tries < samples + 200:
-            # the tries left if none is rejected, drawn at once: the same
-            # stream as one (re, im) pair of uniforms per variable per try
-            n = min(samples - done, samples + 200 - tries)
-            flat = rng.uniform(np.tile(_DRAW_LO, n), np.tile(_DRAW_HI, n)).tolist()
-            for k in range(0, 6 * n, 6):
-                tries += 1
-                pt = {"u": complex(flat[k], flat[k + 1]),
-                      "v": complex(flat[k + 2], flat[k + 3]),
-                      "z": complex(flat[k + 4], flat[k + 5])}
-                try:
-                    va = path_a.eval(pt, params)
-                    vb = va if path_b is None else path_b.eval(pt, params)
-                except ArithmeticError:
-                    continue
-                scale = max(1.0, abs(va), abs(vb))
-                worst = max(worst, abs(va - vb) / scale)
-                done += 1
+
+        def residual(pt):
+            va = path_a.eval(pt, params)
+            vb = va if path_b is None else path_b.eval(pt, params)
+            return abs(va - vb) / max(1.0, abs(va), abs(vb))
+
+        worst, done = sample_max(residual, _DIAMOND_WINDOWS, samples, rng)
         rec.update({"skipped": False, "samples": done, "max_residual": worst,
                     "pass": bool(done > 0 and worst < tol)})
         return rec
@@ -416,25 +394,26 @@ def degeneration_report(r: int, hbar: float = 0.1, eta_small: float = 1e-4,
     rng = np.random.default_rng(seed)
     params = ParamTower(hbar, eta_small, (1.0,))
     cat = catalog(r, params)
-    worst = 0.0
+
+    def residual(expr, pt):
+        trig = expr.eval(pt, params)
+        rational = 1.0 + 0.0j
+        for t in expr.terms:
+            for f in t.factors:
+                rational *= f.arg.eval(pt, params) ** f.exponent
+        return abs(trig - rational) / max(1.0, abs(rational))
+
+    windows = {"u": ((-2.0, 2.0), None), "z": ((-2.0, 2.0), None)}
+    worst, done = 0.0, 0
     for rec in cat:
         if rec.vertex_case not in ("j", "j-1"):
             continue
         for j in range(1, r + 1):
             expr = rec.coeff(r, j)
-            for _ in range(points // 4 + 1):
-                pt = {"u": complex(rng.uniform(-2, 2), 0.0),
-                      "z": complex(rng.uniform(-2, 2), 0.0)}
-                try:
-                    trig = expr.eval(pt, params)
-                except ArithmeticError:
-                    continue
-                rational = 1.0 + 0.0j
-                for t in expr.terms:
-                    for f in t.factors:
-                        rational *= f.arg.eval(pt, params) ** f.exponent
-                worst = max(worst, abs(trig - rational) / max(1.0, abs(rational)))
-    return {"max_residual": worst, "tol": tol, "pass": worst < tol}
+            w, d = sample_max(lambda pt: residual(expr, pt), windows, points // 4 + 1, rng,
+                              retries=0)
+            worst, done = max(worst, w), done + d
+    return {"max_residual": worst, "tol": tol, "pass": bool(done > 0 and worst < tol)}
 
 
 def export_catalog(cat: list[InterRelation], r: int,

@@ -28,6 +28,36 @@ from .trigcalc import DistExpr, ShiftExpr, Term, TrigFactor
 
 RELATIONS = ("HH_pm", "HH_same", "HE", "HF", "EE", "FF")
 
+# (x kind, y kind, relation, sign) of each delta-free exchange
+# X_i(u) Y_j(v) = R_ij(u - v) Y_j(v) X_i(u), in report order; the sign
+# picks H^+ (+1) or H^- (-1) in the HE and HF rows, as ``ratio`` does.
+EXCHANGES = (
+    ("E", "E", "EE", +1),
+    ("F", "F", "FF", +1),
+    ("H+", "E", "HE", +1),
+    ("H-", "E", "HE", -1),
+    ("H+", "F", "HF", +1),
+    ("H-", "F", "HF", -1),
+    ("H+", "H-", "HH_pm", +1),
+    ("H+", "H+", "HH_same", +1),
+    ("H-", "H-", "HH_same", +1),
+)
+
+
+def exchange_kinds(relation: str, sign: int = +1) -> tuple[str, str]:
+    """(x kind, y kind) of the first ``EXCHANGES`` row of ``relation`` with
+    ``sign``, or of its first row when the relation has no such sign."""
+    rows = [row for row in EXCHANGES if row[2] == relation]
+    if not rows:
+        raise ValueError(f"unknown relation {relation!r}; expected one of {RELATIONS}")
+    xk, yk, _rel, _sign = next((row for row in rows if row[3] == sign), rows[0])
+    return xk, yk
+
+
+def exchange_relation(xk: str, yk: str) -> tuple[str, int] | None:
+    """(relation, sign) of the printed exchange X Y, None when not in ``EXCHANGES``."""
+    return next(((rel, sign) for x, y, rel, sign in EXCHANGES if (x, y) == (xk, yk)), None)
+
 ETA = 0        # period index of eta
 ETA_PRIME = 1  # period index of eta'
 

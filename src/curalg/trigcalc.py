@@ -34,7 +34,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -857,12 +857,51 @@ def eval_extended(expr: DistExpr, assignment: Mapping[str, complex],
         return complex(acc_sc)
 
 
-def sample_assignment(names: Sequence[str], rng: np.random.Generator,
-                      imag_window: tuple[float, float]) -> dict[str, complex]:
-    lo, hi = imag_window
-    return {
-        n: complex(rng.uniform(-2.0, 2.0), rng.uniform(lo, hi)) for n in sorted(names)
-    }
+Window = tuple[tuple[float, float], Optional[tuple[float, float]]]
+
+
+def sample_max(residual: Callable[[dict[str, complex]], Optional[float]],
+               windows: Mapping[str, Window], samples: int,
+               rng: np.random.Generator, retries: int = 200) -> tuple[float, int]:
+    """Largest residual over up to ``samples`` accepted random points.
+
+    ``windows`` maps each variable, in draw order, to its (real range,
+    imaginary range); an imaginary range of None draws a real point.  A
+    try draws every variable, real part then imaginary part, and all the
+    tries of a batch come from one ``rng.uniform`` call: the same doubles
+    as one scalar call per coordinate.  A try whose ``residual`` returns
+    None or raises ArithmeticError is rejected; at most ``samples +
+    retries`` tries are made.  Returns (worst, accepted count).
+    """
+    lo: list[float] = []
+    hi: list[float] = []
+    slots = []   # (name, offset of the real part, offset of the imaginary part or None)
+    for name, (re_range, im_range) in windows.items():
+        slots.append((name, len(lo), None if im_range is None else len(lo) + 1))
+        for lo_hi in (re_range,) if im_range is None else (re_range, im_range):
+            lo.append(lo_hi[0])
+            hi.append(lo_hi[1])
+    width = len(lo)
+    worst = 0.0
+    done = tries = 0
+    while done < samples and tries < samples + retries:
+        # the tries left if none is rejected
+        n = min(samples - done, samples + retries - tries)
+        flat = rng.uniform(np.tile(lo, n), np.tile(hi, n)).tolist()
+        for k in range(n):
+            tries += 1
+            base = k * width
+            pt = {name: complex(flat[base + re], 0.0 if im is None else flat[base + im])
+                  for name, re, im in slots}
+            try:
+                r = residual(pt)
+            except ArithmeticError:
+                continue
+            if r is None:
+                continue
+            worst = max(worst, r)
+            done += 1
+    return worst, done
 
 
 def _value_scale(v) -> float:
@@ -883,27 +922,20 @@ def _value_diff(a, b) -> float:
 
 def compare_numeric(a: DistExpr, b: DistExpr, params: ParamTower,
                     samples: int, rng: np.random.Generator,
-                    imag_window: Optional[tuple[float, float]] = None,
-                    eps_pole: float = 1e-6, max_retries: int = 200) -> dict:
+                    imag_window: Optional[tuple[float, float]] = None) -> dict:
     """Sampled comparison of two delta-free expressions (relative residual)."""
-    names = sorted(a.free_vars() | b.free_vars())
     if imag_window is None:
         w = 0.35 / params.eta
         imag_window = (-w, w)
-    max_res = 0.0
-    done = 0
-    tries = 0
-    while done < samples and tries < samples + max_retries:
-        tries += 1
-        pt = sample_assignment(names, rng, imag_window)
-        try:
-            va = a.eval(pt, params, eps_pole)
-            vb = b.eval(pt, params, eps_pole)
-        except PoleProximityError:
-            continue
+
+    def residual(pt):
+        va = a.eval(pt, params)
+        vb = b.eval(pt, params)
         scale = max(1.0, _value_scale(va), _value_scale(vb))
-        max_res = max(max_res, _value_diff(va, vb) / scale)
-        done += 1
+        return _value_diff(va, vb) / scale
+
+    windows = {n: ((-2.0, 2.0), imag_window) for n in sorted(a.free_vars() | b.free_vars())}
+    max_res, done = sample_max(residual, windows, samples, rng)
     return {
         "samples": done,
         "max_residual": max_res,

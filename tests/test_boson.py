@@ -364,6 +364,14 @@ def test_ef_delta_audit(params, a2):
         assert sorted(rep["poles"]) == ["-1/2*h", "1/2*h"]
 
 
+def test_ef_delta_pole_mismatch_fails_the_record(params, a2, monkeypatch):
+    double = [(ParamLin.hbar(Fraction(1, 2)), 2, None)]
+    monkeypatch.setattr(contraction.ClosedForm, "pole_catalog", lambda self, *args: double)
+    rep = checks.ef_delta_check(1, a2, params)
+    assert rep["pass"] is False and rep["max_residual"] == float("inf")
+    assert rep["poles"] == ["1/2*h"] and "pole structure mismatch" in rep["error"]
+
+
 def test_h_merge_identities(params, a2):
     # :E(u + ih/4) F(u - ih/4): carries exactly the H+ mode function
     for sgn, hk in ((+1, "H+"), (-1, "H-")):
@@ -465,10 +473,10 @@ def test_exchange_invariant_a3():
         assert rec["pass"], rec
 
 
-def test_quadrature_fallback_for_uncatalogued_pair():
-    """A contrived two-Bose integrand with no matching sh numerator falls
-    back to direct contour quadrature."""
-    from curalg.boson.contraction import QuadratureFallback, contraction_exponent
+def test_uncatalogued_pair_raises_unsupported():
+    """A contrived two-Bose integrand with no matching sh numerator has no
+    closed form; the quadrature oracle still integrates it."""
+    from curalg.boson.contraction import UnsupportedPairError, contraction_exponent
     from curalg.boson.kernel import Kernel
 
     params = tower(1.0, 1.0)
@@ -476,12 +484,10 @@ def test_quadrature_fallback_for_uncatalogued_pair():
     g1 = ExponentFn(weight=1.0, vars=(("u", 1),), bose=(ParamLin.inv_eta(0),))
     g2 = ExponentFn(weight=1.0, vars=(("v", 1),),
                     bose=(ParamLin.inv_eta(0, Fraction(5, 7)),))
+    with pytest.raises(UnsupportedPairError):
+        contraction_exponent(g1, g2, ker, params)
     pt = {"u": 0.2 + 2.8j, "v": 0.0}
-    cf = contraction_exponent(g1, g2, ker, params, probe=pt)
-    assert isinstance(cf, QuadratureFallback)
-    val = cf.value(pt, params)
-    quad = quadrature_exponent(ker, g1, g2, pt, params)
-    assert abs(val - quad) < 1e-12
+    assert cmath.isfinite(quadrature_exponent(ker, g1, g2, pt, params))
 
 
 def test_exchange_d_series_fork_node():

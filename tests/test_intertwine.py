@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from curalg import intertwine, report
+from curalg import intertwine, report, structfn
 from curalg.intertwine import (
     DeltaBearingMove,
     catalog,
@@ -258,7 +258,7 @@ def test_suite_catches_an_unflipped_reverse_exchange(params, monkeypatch):
 
     def one_factor_unflipped(xk, xi, yk, yi, cd, u_name, v_name):
         expr = real(xk, xi, yk, yi, cd, u_name, v_name)
-        if (xk, yk) in intertwine._CURRENT_REL or not expr.terms[0].factors:
+        if structfn.exchange_relation(xk, yk) is not None or not expr.terms[0].factors:
             return expr   # printed orientation, or a trivial exchange
         (t,) = expr.terms
         f = t.factors[0]

@@ -140,3 +140,15 @@ def test_ratio_expression_built_once(params):
     sr = structfn.ratio("HE", 1, 2, cartan("A", 2), c=1)
     assert sr.ratio is sr.ratio
     assert sr.eval(0.3 + 0.1j, params) == sr.ratio.eval({"w": 0.3 + 0.1j}, params)
+
+
+def test_exchange_table_covers_every_delta_free_pair():
+    kinds = ("E", "F", "H+", "H-")
+    for xk in kinds:
+        for yk in kinds:
+            found = structfn.exchange_relation(xk, yk) or structfn.exchange_relation(yk, xk)
+            assert (found is None) == ({xk, yk} == {"E", "F"}), (xk, yk)
+    assert [structfn.exchange_kinds(rel) for rel in structfn.RELATIONS] == [
+        ("H+", "H-"), ("H+", "H+"), ("H+", "E"), ("H+", "F"), ("E", "E"), ("F", "F")]
+    assert structfn.exchange_kinds("HE", -1) == ("H-", "E")
+    assert structfn.exchange_kinds("EE", -1) == ("E", "E")   # the sign selects only H^-

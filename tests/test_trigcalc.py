@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curalg import evalrep, intertwine, report
 from curalg.params import ParamTower
 from curalg.trigcalc import (
     BV_MINUS,
@@ -21,6 +22,7 @@ from curalg.trigcalc import (
     Term,
     TrigFactor,
     equal_numeric,
+    sample_max,
     var,
 )
 
@@ -447,3 +449,104 @@ def test_extended_precision_pass(params):
     fast = expr.eval(pt, params)
     slow = eval_extended(expr, pt, params)
     assert abs(fast - slow) < 1e-10 * max(1.0, abs(slow))
+
+
+# ---------------------------------------------------------------------------
+# The sampler
+# ---------------------------------------------------------------------------
+
+
+def _scalar_sample_max(residual, windows, samples, rng, retries):
+    """Reference loop: one scalar uniform per coordinate per try."""
+    worst, done, tries = 0.0, 0, 0
+    while done < samples and tries < samples + retries:
+        tries += 1
+        pt = {}
+        for name, (re_range, im_range) in windows.items():
+            x = rng.uniform(*re_range)
+            pt[name] = complex(x, 0.0 if im_range is None else rng.uniform(*im_range))
+        try:
+            r = residual(pt)
+        except ArithmeticError:
+            continue
+        if r is None:
+            continue
+        worst = max(worst, r)
+        done += 1
+    return worst, done
+
+
+def _rejecting_residual(seen):
+    """Records each point; rejects about half of them, both ways."""
+    def residual(pt):
+        seen.append(dict(pt))
+        if pt["u"].real > 0.5:
+            return None
+        if pt["z"].real < -0.5:
+            raise PoleProximityError("near a pole")
+        return abs(pt["u"] * pt["v"] + pt["z"])
+    return residual
+
+
+# mixed ranges, a real-only variable, not in sorted order
+_WINDOWS = {"u": ((-2.0, 2.0), (-0.3, 0.3)), "z": ((-1.0, 1.0), None),
+            "v": ((-3.0, 3.0), (-0.05, 0.05))}
+
+
+@pytest.mark.parametrize("samples,retries", [(20, 200), (300, 200), (40, 0), (5, 3)])
+def test_sampler_matches_the_scalar_loop(samples, retries):
+    # samples=300 exhausts its samples + retries tries before its count
+    rng_a, rng_b = np.random.default_rng(4), np.random.default_rng(4)
+    seen_a, seen_b = [], []
+    got = sample_max(_rejecting_residual(seen_a), _WINDOWS, samples, rng_a, retries)
+    want = _scalar_sample_max(_rejecting_residual(seen_b), _WINDOWS, samples, rng_b, retries)
+    assert got == want and seen_a == seen_b
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+    assert all(p["z"].imag == 0.0 for p in seen_a)
+    # the count is reached, or else every allowed try was made
+    assert 0 < got[1] <= samples
+    assert got[1] == samples or len(seen_a) == samples + retries
+    assert (samples == 300) <= (got[1] < samples)
+
+
+def test_sampler_without_retries_makes_exactly_samples_tries():
+    seen = []
+    worst, done = sample_max(lambda pt: seen.append(pt), _WINDOWS, 7, np.random.default_rng(0),
+                             retries=0)
+    assert (worst, done, len(seen)) == (0.0, 0, 7)
+    # no variable: every try evaluates the empty point and draws nothing
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    seen = []
+    assert sample_max(lambda pt: seen.append(pt) or 0.5, {}, 4, rng) == (0.5, 4)
+    assert seen == [{}] * 4 and rng.bit_generator.state == state
+
+
+def test_sampler_propagates_other_errors():
+    def residual(pt):
+        return pt["missing"]
+
+    with pytest.raises(KeyError):
+        sample_max(residual, _WINDOWS, 3, np.random.default_rng(0))
+
+
+def _reject_every_point(*_args, **_kwargs):
+    raise PoleProximityError("every point rejected")
+
+
+def test_records_fail_when_every_point_is_rejected(monkeypatch):
+    cfg = report.RunConfig(algebra="A2", samples=10, pairs="E1:E2")
+    rng = np.random.default_rng(0)
+    monkeypatch.setattr(TrigFactor, "eval", _reject_every_point)
+    failed = {r["id"]: r for r in report._suite_trigcalc(cfg, rng) if not r["pass"]}
+    assert list(failed) == ["half_period_flip"]
+    monkeypatch.setattr(report, "kernel_value", _reject_every_point)
+    assert report._suite_boson(cfg, rng)[0] == {
+        "id": "kernel_symmetries", "pass": False, "max_residual": 0.0}
+    monkeypatch.setattr(DistExpr, "eval", _reject_every_point)
+    failed = [r["id"] for r in report._suite_structfn(cfg, rng) if not r["pass"]]
+    assert failed == ["inversion", "hh_pm_level0_trivial", "degeneration"]
+    for deg in (evalrep.degeneration_report(2), intertwine.degeneration_report(2)):
+        assert deg["pass"] is False and deg["max_residual"] == 0.0
+    triples = intertwine.consistency_suite(cfg.cartan(), cfg.tower(), samples=2)
+    assert not any(r["pass"] for r in triples if not r["skipped"])
