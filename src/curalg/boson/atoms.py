@@ -89,9 +89,9 @@ class ParamLin:
                 out += float(v) * params.inv_eta_at(k[1])
         return out
 
-    def integer_ratio(self, other: "ParamLin", max_m: int = 8) -> int | None:
-        """m >= 1 with self == m * other exactly, if any."""
-        for m in range(1, max_m + 1):
+    def integer_ratio(self, other: "ParamLin") -> int | None:
+        """m in 1..8 with self == m * other exactly, if any."""
+        for m in range(1, 9):
             if (self - other * m).is_zero():
                 return m
         return None
@@ -145,10 +145,6 @@ class ExponentFn:
     def is_zero(self) -> bool:
         return self.weight == 0
 
-    def scaled(self, c: complex) -> "ExponentFn":
-        return ExponentFn(self.weight * c, self.vars, self.rshift,
-                          self.num_sh, self.den_sh, self.bose)
-
     def negated_lambda(self, params: ParamTower) -> "ExponentFn":
         """g(-lambda), renormalized back to the canonical atom forms."""
         w = self.weight
@@ -164,16 +160,6 @@ class ExponentFn:
             bose.append(beta)
         return ExponentFn(w, tuple((n, -c) for n, c in self.vars), rs,
                           self.num_sh, self.den_sh, tuple(bose))
-
-    def shifted_arg(self, shift_vars: tuple[tuple[str, int], ...],
-                    shift_imag: ParamLin) -> "ExponentFn":
-        v = dict(self.vars)
-        for n, c in shift_vars:
-            v[n] = v.get(n, 0) + c
-        return ExponentFn(self.weight,
-                          tuple(sorted((n, c) for n, c in v.items() if c)),
-                          self.rshift + shift_imag,
-                          self.num_sh, self.den_sh, self.bose)
 
     def eval_at(self, lam: complex, assignment: Mapping[str, complex],
                 params: ParamTower) -> complex:

@@ -24,7 +24,7 @@ from ..liealg import CartanData
 from ..params import ParamTower
 from ..structfn import StructureRatio
 from ..trigcalc import sample_max
-from .atoms import ExponentFn, ParamLin
+from .atoms import ParamLin
 from .contraction import ClosedForm, contraction_exponent
 from .currents import BosonCurrent, current, word_phase
 from .kernel import kernel
@@ -125,9 +125,9 @@ def exchange_check(x: BosonCurrent, y: BosonCurrent, expected: StructureRatio,
 
 def merged_exponent_matches(pair: tuple[BosonCurrent, BosonCurrent],
                             target: BosonCurrent, params: ParamTower,
-                            rng: Optional[np.random.Generator] = None,
-                            n_lambda: int = 40, tol: float = 1e-9) -> dict:
-    """Pointwise check that g_X + g_Y equals g_target as mode functions."""
+                            rng: Optional[np.random.Generator] = None) -> dict:
+    """Pointwise check that g_X + g_Y equals g_target as mode functions,
+    at 40 sampled (lambda, vars) points to 1e-9."""
     if rng is None:
         rng = np.random.default_rng(5)
     gx, gy, gt = pair[0].g(), pair[1].g(), target.g()
@@ -143,12 +143,12 @@ def merged_exponent_matches(pair: tuple[BosonCurrent, BosonCurrent],
 
     windows = {"lambda": ((-3.0, 3.0), (-0.4, 0.4))}
     windows.update((n, ((-1.0, 1.0), None)) for n in names)
-    worst, done = sample_max(residual, windows, n_lambda, rng)
-    return {"samples": done, "max_residual": worst, "pass": bool(done and worst < tol)}
+    worst, done = sample_max(residual, windows, 40, rng)
+    return {"samples": done, "max_residual": worst, "pass": bool(done and worst < 1e-9)}
 
 
 def ef_delta_check(i: int, cartan: CartanData, params: ParamTower,
-                   tol: float = 1e-8) -> dict:
+                   tol: float = 1e-8, rng: Optional[np.random.Generator] = None) -> dict:
     """Pole/residue audit of E_i(u) F_i(v) against the H payloads.
 
     Checks, in order: the contraction factor has simple poles exactly at
@@ -157,7 +157,8 @@ def ef_delta_check(i: int, cartan: CartanData, params: ParamTower,
     the two currents) equal +-2*pi/hbar; and the merged mode function on
     each support equals the corresponding H coefficient function with
     the quarter-shifted argument.  Any other pole structure gives a
-    failing record that carries the mismatch under ``error``.
+    failing record that carries the mismatch under ``error``.  Both
+    payload checks draw from ``rng`` (a fresh seed-5 stream each when None).
     """
     e_cur = current("E", i, "u")
     f_cur = current("F", i, "v")
@@ -192,7 +193,7 @@ def ef_delta_check(i: int, cartan: CartanData, params: ParamTower,
         h_cur = current(hkind, i, "u", Fraction(-sgn, 4))
         f_shift = current("F", i, "u", Fraction(-sgn, 2))
         payload = merged_exponent_matches((current("E", i, "u"), f_shift),
-                                          h_cur, params)
+                                          h_cur, params, rng)
         residual = max(residual, payload["max_residual"])
         report[f"payload_{hkind}"] = payload["max_residual"]
     report["max_residual"] = residual
@@ -245,43 +246,3 @@ def serre_check(i: int, j: int, cartan: CartanData, params: ParamTower,
         "tol": tol,
         "pass": bool(done > 0 and worst < tol),
     }
-
-
-# ---------------------------------------------------------------------------
-# Fock pairing prescriptions
-# ---------------------------------------------------------------------------
-
-
-def pairing(g_left: ExponentFn, f_right: ExponentFn, i: int, j: int,
-            cartan: CartanData, params: ParamTower, assignment=None,
-            slot: int = 0) -> complex:
-    """Two-point pairing <a_i(g) a_j(f)>: the log-weighted contour integral."""
-    if assignment is None:
-        assignment = {}
-    ker = kernel(cartan, i, j, slot)
-    cform = contraction_exponent(g_left, f_right, ker, params)
-    return cform.value(assignment, params)
-
-
-def wick_pairing(factors: Sequence[tuple[ExponentFn, int]], cartan: CartanData,
-                 params: ParamTower, assignment=None, slot: int = 0) -> complex:
-    """Vacuum expectation of a product of modes by pair-partition expansion.
-
-    ``factors`` is the ordered list of (mode function, node index); the
-    value is the sum over perfect matchings of products of two-point
-    pairings taken in word order.  Odd length gives 0; the empty product
-    is the vacuum-vacuum pairing 1.
-    """
-    n = len(factors)
-    if n == 0:
-        return 1.0 + 0.0j
-    if n % 2:
-        return 0.0 + 0.0j
-    (g0, i0) = factors[0]
-    total = 0.0 + 0.0j
-    for k in range(1, n):
-        gk, ik = factors[k]
-        rest = [factors[m] for m in range(1, n) if m != k]
-        total += pairing(g0, gk, i0, ik, cartan, params, assignment, slot) \
-            * wick_pairing(rest, cartan, params, assignment, slot)
-    return total

@@ -175,12 +175,6 @@ class ClosedForm:
     primitives: tuple[Primitive, ...]
     gamma_power: int = 0  # e^{gamma * power} prefactor carried symbolically
 
-    def free_vars(self) -> frozenset[str]:
-        out: frozenset[str] = frozenset()
-        for p in self.primitives:
-            out |= frozenset(n for n, _ in p.vars)
-        return out
-
     def value(self, assignment: Mapping[str, complex], params: ParamTower) -> complex:
         """The exponent itself (principal branches; may raise off-domain)."""
         total = complex(self.gamma_power * EULER_GAMMA)
@@ -204,10 +198,6 @@ class ClosedForm:
     def __add__(self, other: "ClosedForm") -> "ClosedForm":
         return ClosedForm(self.primitives + other.primitives,
                           self.gamma_power + other.gamma_power)
-
-    def negated(self) -> "ClosedForm":
-        return ClosedForm(tuple(replace(p, coeff=-p.coeff) for p in self.primitives),
-                          -self.gamma_power)
 
     def describe(self) -> list[str]:
         """Audit strings, one per primitive: coeff * kind(x = -i*w - s)."""
@@ -258,10 +248,10 @@ class ClosedForm:
         out.sort(key=lambda rec: rec[2])
         return out
 
-    def residue_at(self, w0: complex, params: ParamTower,
-                   var_plus: str = "u", var_minus: str = "v",
-                   radius: float = 1e-3, npts: int = 64) -> complex:
-        """Numeric residue of exp(C) at w = w0 (simple pole), circle rule."""
+    def residue_at(self, w0: complex, params: ParamTower, var_plus: str,
+                   var_minus: str, radius: float) -> complex:
+        """Numeric residue of exp(C) at w = w0 (simple pole), 64-point circle rule."""
+        npts = 64
         acc = 0.0 + 0.0j
         for k in range(npts):
             th = 2.0 * math.pi * k / npts
@@ -343,14 +333,15 @@ def contraction_exponent(g1: ExponentFn, g2: ExponentFn, kernel: Kernel,
 
 
 def quadrature_exponent(kernel: Kernel, g1: ExponentFn, g2: ExponentFn,
-                        assignment: Mapping[str, complex], params: ParamTower,
-                        rho: float = 0.3, lam_max: float = 400.0) -> complex:
-    """Direct keyhole quadrature of the undecomposed integrand.
+                        assignment: Mapping[str, complex], params: ParamTower) -> complex:
+    """Direct keyhole quadrature of the undecomposed integrand (circle
+    radius 0.3, legs cut at 400).
 
     Only converges when the spectral arguments keep every exponential
     decaying along the positive axis; used as the oracle for the closed
     forms.
     """
+    lam_max = 400.0
     g2n = g2.negated_lambda(params)
 
     def f(lam: complex) -> complex:
@@ -366,4 +357,4 @@ def quadrature_exponent(kernel: Kernel, g1: ExponentFn, g2: ExponentFn,
     tail = abs(f(complex(lam_max, 0.0)))
     if not (tail < 1e-10):
         raise UnsupportedPairError("quadrature divergent along the contour")
-    return _contour_quadrature(f, 0.0, rho, lam_max, 240)
+    return _contour_quadrature(f, 0.3, lam_max)

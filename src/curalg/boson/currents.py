@@ -115,10 +115,6 @@ class BosonCurrent:
     arg: ShiftExpr
     slot: int = 0
 
-    @property
-    def gamma_power(self) -> int:
-        return 1 if self.kind in ("E", "F") else 0
-
     def charge(self, rank: int) -> tuple[int, ...]:
         xi = [0] * rank
         if self.kind == "E":

@@ -59,16 +59,3 @@ def kernel_value(cartan: CartanData, i: int, j: int, lam: complex,
     return (4.0 / lam) * cmath.sinh(params.hbar * lam / 2.0) \
         * cmath.sinh(params.hbar * b * lam) \
         * cmath.sinh(lam / (2.0 * eta)) / cmath.sinh(lam / (2.0 * eta_p))
-
-
-def kernel_value_primed(cartan: CartanData, i: int, j: int, lam: complex,
-                        params: ParamTower, slot: int = 0) -> complex:
-    """The primed-mode variant (eta and eta' swapped in the last ratio)."""
-    b = float(cartan.b_entry(i, j))
-    if b == 0.0:
-        return 0.0
-    eta = params.eta_at(slot)
-    eta_p = params.eta_at(slot + 1)
-    return (4.0 / lam) * cmath.sinh(params.hbar * lam / 2.0) \
-        * cmath.sinh(params.hbar * b * lam) \
-        * cmath.sinh(lam / (2.0 * eta_p)) / cmath.sinh(lam / (2.0 * eta))

@@ -61,9 +61,10 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _contour_quadrature(g: Callable[[complex], complex], x: complex,
-                        rho: float, lam_max: float, circle_n: int) -> complex:
-    """Keyhole quadrature of ln(-lambda)/(2*pi*i) * g(lambda)."""
+def _contour_quadrature(g: Callable[[complex], complex], rho: float,
+                        lam_max: float) -> complex:
+    """Keyhole quadrature of ln(-lambda)/(2*pi*i) * g(lambda): adaptive legs
+    on [rho, lam_max], 240 Gauss-Legendre nodes on the circle of radius rho."""
     def g_real(t: float) -> complex:
         return g(complex(t, 0.0))
 
@@ -73,7 +74,7 @@ def _contour_quadrature(g: Callable[[complex], complex], x: complex,
 
     # The ln weight jumps by 2*pi*i across theta = 0, so the circle
     # integrand is smooth but not periodic: Gauss-Legendre, not trapezoid.
-    nodes, weights = _leggauss(circle_n)
+    nodes, weights = _leggauss(240)
     theta = math.pi * (nodes + 1.0)
     wq = math.pi * weights
     lam = rho * np.exp(1j * theta)
@@ -84,36 +85,27 @@ def _contour_quadrature(g: Callable[[complex], complex], x: complex,
     return legs + complex(circle)
 
 
-def master_integral_quadrature(x: complex, eta_p: float, rho: float | None = None,
-                               lam_max: float | None = None,
-                               circle_n: int = 240) -> complex:
+def master_integral_quadrature(x: complex, eta_p: float) -> complex:
     """Oracle for master_integral; agreement ~1e-7 on the principal domain."""
     xr = complex(x).real
     if eta_p * xr <= 0:
         raise BranchError("quadrature oracle needs Re(eta*x) > 0")
-    if rho is None:
-        rho = 0.5 * min(1.0, math.pi * eta_p)
-    if lam_max is None:
-        lam_max = 60.0 / xr
 
     def g(lam: complex) -> complex:
         return cmath.exp(-x * lam) / (lam * (1.0 - cmath.exp(-lam / eta_p)))
 
-    return _contour_quadrature(g, x, rho, lam_max, circle_n)
+    return _contour_quadrature(g, 0.5 * min(1.0, math.pi * eta_p), 60.0 / xr)
 
 
-def i0_quadrature(x: complex, rho: float = 0.5, lam_max: float | None = None,
-                  circle_n: int = 240) -> complex:
+def i0_quadrature(x: complex) -> complex:
     xr = complex(x).real
     if xr <= 0:
         raise BranchError("quadrature oracle needs Re(x) > 0")
-    if lam_max is None:
-        lam_max = 60.0 / xr
 
     def g(lam: complex) -> complex:
         return cmath.exp(-x * lam) / lam
 
-    return _contour_quadrature(g, x, rho, lam_max, circle_n)
+    return _contour_quadrature(g, 0.5, 60.0 / xr)
 
 
 def gamma_reflection_defect(x: float) -> float:

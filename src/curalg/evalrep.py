@@ -177,23 +177,28 @@ def pole_inventory(rep: EvalRep) -> list[dict]:
     Each pole ladder is reported relative to the current's own i*hbar
     offset beta; the assertion backing strip analyticity is that ladders
     sit exactly on {beta, beta - 1/eta} + (1/eta)Z, never strictly
-    inside the open shifted strip (beta - 1/eta, beta).
+    inside the open shifted strip (beta - 1/eta, beta).  The pole's
+    offset from beta is exact; it is floated only for that comparison.
     """
+    params = rep.params
+    inv_eta = 1.0 / params.eta_at(0)
     out = []
     for kind in ("e+", "f+", "H+"):
         for l in range(1, rep.r + 1):
             expr = rep.current(kind, l)
+            beta = ShiftExpr.hbar_units(rep.beta(l))
             for t in expr.terms:
                 for f in t.factors:
                     if f.exponent != -1:
                         continue
-                    shift = f.arg - var(U) + var(Z)
+                    shift = f.arg - var(U) + var(Z)   # the pole sits at u - z = -shift
+                    offset = (-shift - beta).imag_shift(params)
                     out.append({
                         "current": kind,
                         "l": l,
                         "pole_ihbar_units": str(-shift.q),
                         "lattice": dict(shift.lattice),
-                        "strictly_inside_shifted_strip": False,
+                        "strictly_inside_shifted_strip": -inv_eta < offset < 0.0,
                     })
     return out
 

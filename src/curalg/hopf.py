@@ -41,11 +41,6 @@ class Letter:
     arg: Optional[ShiftExpr]  # spectral argument; None for 'one'/'c'
     tag: int                  # family index n
 
-    def shifted(self, q: Fraction) -> "Letter":
-        if self.arg is None:
-            return self
-        return replace(self, arg=self.arg + ShiftExpr.hbar_units(q))
-
     def retagged(self, tag: int) -> "Letter":
         return replace(self, tag=tag)
 
@@ -65,12 +60,10 @@ class CurrentExpr:
         self.words = tuple(w for w in words if w.coeff != 0)
 
     @staticmethod
-    def generator(kind: str, i: int, tag: int, var_name: str = "u") -> "CurrentExpr":
-        arg = None if kind in ("one", "c") else ShiftExpr.of_var(var_name)
+    def generator(kind: str, i: int, tag: int) -> "CurrentExpr":
+        """The generator letter at argument u (no argument for 'one'/'c')."""
+        arg = None if kind in ("one", "c") else ShiftExpr.of_var("u")
         return CurrentExpr((Word(1.0, ((Letter(kind, i, arg, tag),),)),))
-
-    def __add__(self, other: "CurrentExpr") -> "CurrentExpr":
-        return CurrentExpr(self.words + other.words)
 
     def scaled(self, c: complex) -> "CurrentExpr":
         return CurrentExpr(tuple(Word(w.coeff * c, w.slots) for w in self.words))
@@ -382,8 +375,8 @@ def verify_axioms(rep: evalrep.EvalRep, params: ParamTower, samples: int = 30,
 # ---------------------------------------------------------------------------
 
 
-def minus_equals_shifted_plus(params: ParamTower, rank: int, tag: int = 1) -> dict:
-    """Delta^-_n on member n versus Delta^+_{n-1} on member n-1.
+def minus_equals_shifted_plus(params: ParamTower, rank: int) -> dict:
+    """Delta^-_1 on member 1 versus Delta^+_0 on member 0.
 
     The two maps must produce identical letter lists once the n-th
     generators are identified with their (n-1)-family namesakes.
@@ -391,8 +384,8 @@ def minus_equals_shifted_plus(params: ParamTower, rank: int, tag: int = 1) -> di
     mism = []
     for kind in GEN_KINDS + ("c", "one"):
         for i in ([1] if kind in ("c", "one") else range(1, rank + 1)):
-            xm = CurrentExpr.generator(kind, i, tag)
-            xp = CurrentExpr.generator(kind, i, tag - 1)
+            xm = CurrentExpr.generator(kind, i, 1)
+            xp = CurrentExpr.generator(kind, i, 0)
             a = coproduct_minus(xm, params)
             b = coproduct_plus(xp, params)
             if _words_key(a) != _words_key(b):
@@ -549,11 +542,11 @@ def verify_homomorphism(cartan: CartanData, params: ParamTower,
                 # total level 2: the primed scale of the image algebra is
                 # eta^(2) (1/eta^(2) - 1/eta^(0) = 2*hbar for unit levels)
                 sr = structfn.ratio(rel, i, j, cartan, c=2, prime_period=2)
-                res = _exchange_residual(x2, y2, sr, cartan, params, samples, rng)
+                res, done = _exchange_residual(x2, y2, sr, cartan, params, samples, rng)
                 out.append({
                     "relation": rel, "i": i, "j": j, "k": 2,
                     "max_residual": res, "pass": bool(res < tol),
-                    "samples": samples,
+                    "samples": done,
                 })
     return out
 
@@ -572,7 +565,8 @@ def _rename_var(x: CurrentExpr, name: str) -> CurrentExpr:
 
 def _exchange_residual(x2: CurrentExpr, y2: CurrentExpr, sr: structfn.StructureRatio,
                        cartan: CartanData, params: ParamTower,
-                       samples: int, rng: np.random.Generator) -> float:
+                       samples: int, rng: np.random.Generator) -> tuple[float, int]:
+    """(worst residual, accepted points); inf when no point was accepted."""
     lhs_words: dict = {}
     rhs_words: dict = {}
     for wx in x2.words:
@@ -584,7 +578,7 @@ def _exchange_residual(x2: CurrentExpr, y2: CurrentExpr, sr: structfn.StructureR
             cs = _word_to_boson(wy) + _word_to_boson(wx)
             rhs_words.setdefault(_signature(cs), []).append((wy.coeff * wx.coeff, cs))
     if set(lhs_words) != set(rhs_words):
-        return float("inf")
+        return float("inf"), 0
     lhs_forms = _signature_forms(lhs_words, cartan, params)
     rhs_forms = _signature_forms(rhs_words, cartan, params)
 
@@ -605,7 +599,7 @@ def _exchange_residual(x2: CurrentExpr, y2: CurrentExpr, sr: structfn.StructureR
 
     window = ((-2.0, 2.0), (-0.15, 0.15))
     worst, done = sample_max(residual, {"u": window, "v": window}, samples, rng)
-    return worst if done else float("inf")
+    return (worst if done else float("inf")), done
 
 
 def verify_serre_level2(cartan: CartanData, params: ParamTower, i: int, j: int,

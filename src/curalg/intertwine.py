@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -361,14 +362,19 @@ def variant_report(r: int, params: ParamTower) -> dict:
 
     An embedded delta can only arise from the pole of the accompanying
     exchange ratio; the report checks whether each variant's support
-    sits on the zero of that ratio's denominator.
+    sits on the zero of that ratio's denominator, and whether the
+    catalog's printed support (its bracketed note aside) names the index
+    l, which the j-indexed relation leaves unbound.
     """
+    printed = {rec.rid: rec.delta_support_printed for rec in catalog(r, params)}
     out = {}
     for fam in VERTEX_KINDS:
         _vl, period = FAMILY[fam]
         dcase, _payload = EMBEDDED_DELTA[fam]
         cur = "E" if fam in ("PsiStar", "Psi") else "F"
         extra = EXTRAS[fam][cur]
+        rid = f"{fam}.{cur}.{dcase}"
+        l_unbound = re.search(r"\bl\b", printed[rid].split("[")[0]) is not None
         checks = {}
         for j in range(1, r + 1):
             ratio = _ratio_expr(period, r, j, _CASE_OFFSETS[dcase], extra)
@@ -378,10 +384,10 @@ def variant_report(r: int, params: ParamTower) -> dict:
             on_pole = any((arg - support_norm).is_zero() for arg in den_args)
             checks[f"j={j}"] = {
                 "normalized_on_denominator_zero": bool(on_pole),
-                "printed_l_unbound": True,
+                "printed_l_unbound": l_unbound,
             }
         on_every_pole = all(c["normalized_on_denominator_zero"] for c in checks.values())
-        out[f"{fam}.{cur}.{dcase}"] = {
+        out[rid] = {
             "self_consistent_variant": "normalized" if on_every_pole else None,
             "cases": checks,
         }

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 
 class CartanError(ValueError):
@@ -107,10 +106,3 @@ def adjacent_pairs(cd: CartanData) -> list[tuple[int, int]]:
         for j in cd.nodes()
         if i != j and cd.a_entry(i, j) == -1
     ]
-
-
-def node_pairs(cd: CartanData) -> Iterator[tuple[int, int]]:
-    """All ordered node pairs, adjacency or not."""
-    for i in cd.nodes():
-        for j in cd.nodes():
-            yield (i, j)

@@ -101,9 +101,6 @@ class ParamTower:
         """eta^(n) from the exact telescoped recursion; idempotent."""
         return 1.0 / self.inv_eta_at(n)
 
-    def with_levels(self, levels: tuple[float, ...]) -> "ParamTower":
-        return ParamTower(self.hbar, self.eta, tuple(levels))
-
 
 def eta_double_prime(tower: ParamTower, c: float) -> float:
     """The half-current shift scale: 1/eta'' = 1/eta + hbar*c/2.

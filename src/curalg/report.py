@@ -230,7 +230,7 @@ def _suite_evalrep(cfg: RunConfig, rng) -> list[dict]:
         rec["id"] = f"{rec['relation']}_{rec['i']}{rec['j']}" + \
             (f"_s{rec['sign']}" if "sign" in rec else "")
         out.append(_jsonable(rec))
-    deg = evalrep.degeneration_report(cd.rank, hbar=cfg.hbar)
+    deg = evalrep.degeneration_report(cd.rank, hbar=cfg.hbar, seed=cfg.seed)
     deg["id"] = "degeneration"
     out.append(_jsonable(deg))
     inv = evalrep.pole_inventory(rep)
@@ -305,7 +305,7 @@ def _suite_boson(cfg: RunConfig, rng) -> list[dict]:
         rec["closed_form"] = bchecks.word_exponent((x, y), cd, params).describe()
         out.append(_jsonable(rec))
     for i in cd.nodes():
-        rec = bchecks.ef_delta_check(i, cd, params, tol=cfg.tol)
+        rec = bchecks.ef_delta_check(i, cd, params, tol=cfg.tol, rng=rng)
         rec["id"] = f"ef_delta_{i}"
         out.append(_jsonable(rec))
     for i, j in adjacent_pairs(cd):
@@ -354,7 +354,8 @@ def _suite_hopf(cfg: RunConfig, rng) -> list[dict]:
             out.append(_jsonable(hrec))
         for i, j in adjacent_pairs(cd):
             srec = hopf.verify_serre_level2(cd, tower, i, j,
-                                            samples=max(6, cfg.samples // 8), tol=1e-7)
+                                            samples=max(6, cfg.samples // 8), tol=1e-7,
+                                            rng=rng)
             srec["id"] = f"hom_k2_serre_{i}{j}"
             out.append(_jsonable(srec))
     if "audit" in parts:
@@ -398,11 +399,11 @@ def _suite_intertwine(cfg: RunConfig, rng) -> list[dict]:
     out.append({"id": "consistency_triples", "pass": not fails, "run": run,
                 "skipped": skipped, "max_residual": worst, "failures": fails})
     variants = intertwine.variant_report(cd.rank, params)
-    on_pole = all(case["normalized_on_denominator_zero"]
-                  for entry in variants.values() for case in entry["cases"].values())
-    out.append({"id": "variant_report", "pass": on_pole, "max_residual": 0.0,
+    ok = all(case["normalized_on_denominator_zero"] and case["printed_l_unbound"]
+             for entry in variants.values() for case in entry["cases"].values())
+    out.append({"id": "variant_report", "pass": ok, "max_residual": 0.0,
                 "report": variants})
-    deg = intertwine.degeneration_report(cd.rank, hbar=cfg.hbar)
+    deg = intertwine.degeneration_report(cd.rank, hbar=cfg.hbar, seed=cfg.seed)
     deg["id"] = "degeneration"
     out.append(_jsonable(deg))
     return out

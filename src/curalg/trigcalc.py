@@ -45,6 +45,10 @@ BV_PLUS = 1   # +i0: limit from above
 BV_MINUS = -1  # -i0: limit from below
 
 
+# |sh| below which evaluating a reciprocal factor raises PoleProximityError
+EPS_POLE = 1e-6
+
+
 class PoleProximityError(ArithmeticError):
     """Evaluation point too close to a pole of a reciprocal sh factor."""
 
@@ -110,13 +114,6 @@ class ShiftExpr:
 
     def __sub__(self, other: "ShiftExpr") -> "ShiftExpr":
         return self + (-other)
-
-    def shifted(self, q: Fraction | int = 0, period: Optional[int] = None,
-                n: int = 0, t: float = 0.0) -> "ShiftExpr":
-        extra = ShiftExpr(q=Fraction(q), t=t)
-        if period is not None and n:
-            extra = extra + ShiftExpr.lattice_units(period, n)
-        return self + extra
 
     def is_zero(self) -> bool:
         return not self.vars and self.q == 0 and not self.lattice and self.t == 0.0
@@ -242,13 +239,12 @@ class TrigFactor:
     def subs(self, name: str, repl: ShiftExpr) -> "TrigFactor":
         return TrigFactor(self.period, self.arg.subs(name, repl), self.exponent, self.bv)
 
-    def eval(self, assignment: Mapping[str, complex], params: ParamTower,
-             eps_pole: float = 1e-6) -> complex:
+    def eval(self, assignment: Mapping[str, complex], params: ParamTower) -> complex:
         x = math.pi * params.eta_at(self.period) * self.arg.eval(assignment, params)
         s = cmath.sinh(x)
         if self.exponent == 1:
             return s
-        if abs(s) < eps_pole:
+        if abs(s) < EPS_POLE:
             raise PoleProximityError(f"sh({x}) = {s} too close to zero")
         return 1.0 / s
 
@@ -482,9 +478,6 @@ class DistExpr:
                                 a.deltas + b.deltas, mat))
         return DistExpr(out)
 
-    def commutator(self, other: "DistExpr") -> "DistExpr":
-        return self * other - other * self
-
     def subs(self, name: str, repl: ShiftExpr) -> "DistExpr":
         return DistExpr(tuple(
             Term(t.scalar,
@@ -506,23 +499,11 @@ class DistExpr:
             out.append(Term(t.scalar, fs, t.deltas, t.mat))
         return DistExpr(out)
 
-    def untagged(self) -> "DistExpr":
-        return DistExpr(tuple(
-            Term(t.scalar, tuple(f.untagged() for f in t.factors), t.deltas, t.mat)
-            for t in self.terms
-        ))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def free_vars(self) -> frozenset[str]:
         out: frozenset[str] = frozenset()
         for t in self.terms:
             out |= t.free_vars()
         return out
-
-    def has_deltas(self) -> bool:
-        return any(t.deltas for t in self.terms)
 
     def delta_free_part(self) -> "DistExpr":
         return DistExpr(tuple(t for t in self.terms if not t.deltas), _canonical=True)
@@ -538,8 +519,7 @@ class DistExpr:
 
     # -- evaluation --------------------------------------------------------
 
-    def eval(self, assignment: Mapping[str, complex], params: ParamTower,
-             eps_pole: float = 1e-6):
+    def eval(self, assignment: Mapping[str, complex], params: ParamTower):
         """Numeric value; complex scalar, or complex matrix if any term has one.
 
         Term by term and factor by factor, the float operations of
@@ -565,7 +545,7 @@ class DistExpr:
                 s = cmath.sinh(x)
                 if exponent == 1:
                     val *= s
-                elif abs(s) < eps_pole:
+                elif abs(s) < EPS_POLE:
                     raise PoleProximityError(f"sh({x}) = {s} too close to zero")
                 else:
                     val *= 1.0 / s
@@ -745,30 +725,6 @@ class DistExpr:
                        [[[z.real, z.imag] for z in row] for row in t.mat.tolist()],
             })
         return {"terms": terms}
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "DistExpr":
-        def shift_u(e: dict) -> ShiftExpr:
-            return _mk_shift(
-                {n: c for n, c in e["vars"]},
-                Fraction(e["q"][0], e["q"][1]),
-                {p: n for p, n in e["lattice"]},
-                e["t"],
-            )
-
-        terms = []
-        for td in d["terms"]:
-            mat = None
-            if td["mat"] is not None:
-                mat = np.array([[complex(re, im) for re, im in row] for row in td["mat"]])
-            terms.append(Term(
-                complex(*td["scalar"]),
-                tuple(TrigFactor(f["period"], shift_u(f["arg"]), f["exp"], f["bv"])
-                      for f in td["factors"]),
-                tuple(DeltaAtom(shift_u(a)) for a in td["deltas"]),
-                mat,
-            ))
-        return DistExpr(terms)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)

@@ -105,6 +105,27 @@ def test_default_config_full_run():
         "hopf", "intertwine"]
 
 
+@pytest.mark.parametrize("algebra", ["A5", "D5", "E6", "E7"])
+def test_full_run_passes_on_the_larger_algebras(algebra):
+    rep = run(RunConfig(algebra=algebra, seed=0))
+    failed = [c["id"] for s in rep["suites"] for c in s["checks"] if not c.get("pass")]
+    assert rep["pass"] and not failed, failed
+
+
+def test_seed_resamples_every_sampled_record():
+    def records(seed):
+        rep = run(RunConfig(algebra="A2", samples=10, seed=seed,
+                            suites=("evalrep", "boson", "hopf", "intertwine")))
+        return {(s["suite"], c["id"]): c for s in rep["suites"] for c in s["checks"]}
+
+    r0, r1 = records(0), records(1)
+    for key in (("boson", "ef_delta_1"), ("hopf", "hom_k2_serre_12"),
+                ("evalrep", "degeneration"), ("intertwine", "degeneration")):
+        assert r0[key]["pass"] and r1[key]["pass"], key
+        assert r0[key]["max_residual"] != r1[key]["max_residual"], key
+    assert r0["boson", "ef_delta_1"]["payload_H+"] != r1["boson", "ef_delta_1"]["payload_H+"]
+
+
 def test_boson_pair_filter():
     cfg = RunConfig(algebra="A2", samples=10, seed=6, suites=("boson",),
                     pairs="E1:E2,H+1:F1")

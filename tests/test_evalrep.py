@@ -1,13 +1,15 @@
 import cmath
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from curalg import evalrep
+from curalg import evalrep, report
 from curalg.liealg import adjacent_pairs
 from curalg.params import ParamTower
+from curalg.trigcalc import ShiftExpr, TrigFactor
 
 
 @pytest.fixture(scope="module")
@@ -159,6 +161,24 @@ def test_pole_inventory(rep2):
     # after canonicalization every reciprocal factor sits at its own
     # shifted position with no stray lattice offsets
     assert all(p["lattice"] == {} for p in inv)
+
+
+def test_pole_inside_the_shifted_strip_fails_the_record(monkeypatch):
+    # every pole moved down by hbar/2, into the open strip (beta - 1/eta, beta)
+    pole = evalrep._pole_factor
+    monkeypatch.setattr(evalrep, "_pole_factor", lambda r, l: TrigFactor(
+        0, pole(r, l).arg + ShiftExpr.hbar_units(Fraction(1, 2)), -1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rep = evalrep.build(2, ParamTower(0.1, 1.0, (0.0,)))
+    inv = evalrep.pole_inventory(rep)
+    assert inv and all(p["strictly_inside_shifted_strip"] for p in inv)
+    cfg = report.RunConfig(algebra="A1", suites=("evalrep",), samples=10)
+    checks = {c["id"]: c for c in report.run(cfg)["suites"][0]["checks"]}
+    assert checks["pole_inventory"]["pass"] is False
+    monkeypatch.undo()
+    checks = {c["id"]: c for c in report.run(cfg)["suites"][0]["checks"]}
+    assert checks["pole_inventory"]["pass"] is True
 
 
 def test_h_asymptotics(rep2, params):

@@ -221,3 +221,22 @@ def test_unbuildable_level2_words_fail_the_record(params, monkeypatch):
     assert rec["samples"] == 0 and not rec["pass"]
     out = hopf.verify_homomorphism(cd, params, samples=4, relations=("EE",))
     assert out and all(r["max_residual"] == float("inf") and not r["pass"] for r in out)
+
+
+def test_hom_k2_records_count_accepted_points(monkeypatch):
+    sample_max = hopf.sample_max
+
+    def reject_every_other(residual, windows, samples, rng, retries=200):
+        tries = []
+
+        def half(pt):
+            tries.append(pt)
+            return None if len(tries) % 2 else residual(pt)
+
+        return sample_max(half, windows, samples, rng, retries=0)
+
+    monkeypatch.setattr(hopf, "sample_max", reject_every_other)
+    recs = hopf.verify_homomorphism(cartan("A", 1), tower(1.0, 1.0, 1.0), samples=6,
+                                    relations=("EE", "HE"))
+    assert [r["samples"] for r in recs] == [3, 3]
+    assert all(r["pass"] for r in recs)

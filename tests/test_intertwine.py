@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import json
 import math
 import pathlib
@@ -279,6 +280,26 @@ def test_variant_report_fails_off_the_pole(params, monkeypatch):
     assert entry["self_consistent_variant"] is None
     assert not any(c["normalized_on_denominator_zero"] for c in entry["cases"].values())
     assert rep["Psi.E.j-1"]["self_consistent_variant"] == "normalized"
+    cfg = report.RunConfig(algebra="A1", suites=("intertwine",), samples=30)
+    checks = {c["id"]: c for c in report.run(cfg)["suites"][0]["checks"]}
+    assert checks["variant_report"]["pass"] is False
+    monkeypatch.undo()
+    checks = {c["id"]: c for c in report.run(cfg)["suites"][0]["checks"]}
+    assert checks["variant_report"]["pass"] is True
+
+
+def test_printed_support_in_j_fails_the_record(params, monkeypatch):
+    # the Phi/F embedded delta transcribed in the bound index j instead of l
+    build = intertwine.catalog
+
+    def rewritten(r, p):
+        return [dataclasses.replace(rec, delta_support_printed="u - z - (r-j)/2*ih - 1/2*ih")
+                if rec.rid == "Phi.F.j" else rec for rec in build(r, p)]
+
+    monkeypatch.setattr(intertwine, "catalog", rewritten)
+    rep = variant_report(2, params)
+    assert not any(c["printed_l_unbound"] for c in rep["Phi.F.j"]["cases"].values())
+    assert all(c["printed_l_unbound"] for c in rep["Psi.E.j-1"]["cases"].values())
     cfg = report.RunConfig(algebra="A1", suites=("intertwine",), samples=30)
     checks = {c["id"]: c for c in report.run(cfg)["suites"][0]["checks"]}
     assert checks["variant_report"]["pass"] is False

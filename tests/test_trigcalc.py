@@ -143,7 +143,7 @@ def test_product_eval_property(params):
 # ---------------------------------------------------------------------------
 
 
-def _reference_eval(expr, pt, params, eps_pole=1e-6):
+def _reference_eval(expr, pt, params):
     """Term by term, the product of ``TrigFactor.eval`` over the factors."""
     shape = None
     for t in expr.terms:
@@ -154,7 +154,7 @@ def _reference_eval(expr, pt, params, eps_pole=1e-6):
     for t in expr.terms:
         val = t.scalar
         for f in t.factors:
-            val *= f.eval(pt, params, eps_pole)
+            val *= f.eval(pt, params)
         if t.mat is not None:
             acc_mat += val * t.mat
         elif acc_mat is not None:
@@ -413,27 +413,6 @@ def test_structural_equality_of_delta_groups(params):
                                  DeltaAtom(var("v") - var("z")))),))
     rep = equal_numeric(a, b, params, samples=5, tol=1e-12)
     assert rep["pass"]
-
-
-def test_json_round_trip(params):
-    expr = DistExpr((Term(1.5 - 0.5j,
-                          (TrigFactor(0, var("u") - ShiftExpr.hbar_units(Fraction(1, 2)), -1),),
-                          (DeltaAtom(var("v") - var("z")),),
-                          np.array([[1, 0], [0, -1]], dtype=complex)),))
-    back = DistExpr.from_json_dict(expr.to_json_dict())
-    assert back.to_json() == expr.to_json()
-    pt = {"u": 0.3 + 0.2j, "z": 0.1}
-    got = back.delta_groups()[back.terms[0].deltas].eval(pt, params)
-    want = expr.delta_groups()[expr.terms[0].deltas].eval(pt, params)
-    assert np.allclose(got, want)
-
-
-def test_commutator_antisymmetry(params):
-    a = DistExpr.matrix(np.array([[0, 1], [0, 0]], dtype=complex))
-    b = DistExpr.matrix(np.array([[0, 0], [1, 0]], dtype=complex))
-    c1 = a.commutator(b)
-    c2 = b.commutator(a)
-    assert np.allclose(c1.eval({}, params), -c2.eval({}, params))
 
 
 def test_extended_precision_pass(params):
