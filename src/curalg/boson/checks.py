@@ -16,10 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from .. import structfn
 from ..liealg import CartanData
 from ..params import ParamTower
 from ..structfn import StructureRatio
@@ -80,6 +81,104 @@ def word_exponent(word: Sequence[BosonCurrent], cartan: CartanData,
         for b in range(a + 1, len(word)):
             total = total + pair_exponent(word[a], word[b], cartan, params)
     return total
+
+
+# A slot word is a word's currents, each tagged with its tensor slot;
+# an image is a list of (coefficient, slot word) terms.
+SlotWord = list[tuple[int, BosonCurrent]]
+
+
+def _signature(cs: SlotWord) -> tuple:
+    """The normal-ordered monomial of a slot word: its letters, unordered."""
+    return tuple(sorted(
+        (slot, c.kind, c.j, str(c.arg), c.slot) for slot, c in cs
+    ))
+
+
+def monomial_groups(terms: Iterable[tuple[complex, SlotWord]]) -> dict:
+    """(coefficient, slot word) terms grouped by normal-ordered monomial."""
+    groups: dict = {}
+    for coeff, cs in terms:
+        groups.setdefault(_signature(cs), []).append((coeff, cs))
+    return groups
+
+
+def _word_forms(cs: SlotWord, cartan: CartanData,
+                params: ParamTower) -> list[tuple[complex, ClosedForm]]:
+    """(phase, contraction exponent) of each tensor slot's word, slot by slot."""
+    out = []
+    for s in sorted({s for s, _ in cs}):
+        word = [c for sl, c in cs if sl == s]
+        out.append((word_phase(word, cartan), word_exponent(word, cartan, params)))
+    return out
+
+
+def group_forms(groups: dict, cartan: CartanData,
+                params: ParamTower) -> Optional[dict]:
+    """Each monomial's (coefficient, slot forms) list, or None when a form
+    cannot be built: then no sample point can be evaluated."""
+    try:
+        return {sig: [(c, _word_forms(cs, cartan, params)) for c, cs in entries]
+                for sig, entries in groups.items()}
+    except (ArithmeticError, OverflowError, ValueError):
+        return None
+
+
+def group_values(entries: list, params: ParamTower, pt) -> list[complex]:
+    """Value at ``pt`` of each (coefficient, slot forms) entry of one monomial."""
+    out = []
+    for c, forms in entries:
+        val = 1.0 + 0.0j
+        for phase, form in forms:
+            val *= phase
+            val *= form.exp_value(pt, params)
+        out.append(c * val)
+    return out
+
+
+def cubic_residual(u1: list, u2: list, v: list, cartan: CartanData,
+                   params: ParamTower, imag_window: float, samples: int,
+                   rng: np.random.Generator, retries: int = 200) -> tuple[float, int, int]:
+    """Sampled cubic relation of the images of E_i(u1), E_i(u2), E_j(v).
+
+    Each image is a list of (coefficient, slot word) terms in its own
+    variable u1, u2 or v.  The symmetrized orderings, weighted 1,
+    -2cos(pi*eta*hbar), 1, expand into words grouped by normal-ordered
+    monomial, and every monomial's coefficient must vanish.  A point with
+    a non-finite word value is rejected.  Returns (worst residual,
+    accepted points, monomials).
+    """
+    coef = structfn.serre_coefficient(params, "E")
+    images = {"u1": u1, "u2": u2, "v": v}
+
+    def orderings(a, b):
+        return [((a, b, "v"), 1.0), ((a, "v", b), -coef), (("v", a, b), 1.0)]
+
+    groups = monomial_groups(
+        (weight * c1 * c2 * c3, cs1 + cs2 + cs3)
+        for (n1, n2, n3), weight in orderings("u1", "u2") + orderings("u2", "u1")
+        for c1, cs1 in images[n1] for c2, cs2 in images[n2] for c3, cs3 in images[n3])
+    forms = group_forms(groups, cartan, params)
+
+    def residual(pt):
+        if forms is None:
+            return None
+        res_here = 0.0
+        try:
+            for entries in forms.values():
+                vals = group_values(entries, params, pt)
+                if not all(np.isfinite(abs(x)) for x in vals):
+                    return None
+                scale = max(1.0, max(abs(x) for x in vals))
+                res_here = max(res_here, abs(sum(vals)) / scale)
+        except ValueError:
+            return None
+        return res_here
+
+    window = ((-2.0, 2.0), (-imag_window, imag_window))
+    worst, done = sample_max(residual, {n: window for n in images}, samples, rng,
+                             retries=retries)
+    return worst, done, len(groups)
 
 
 def exchange_check(x: BosonCurrent, y: BosonCurrent, expected: StructureRatio,
@@ -147,6 +246,21 @@ def merged_exponent_matches(pair: tuple[BosonCurrent, BosonCurrent],
     return {"samples": done, "max_residual": worst, "pass": bool(done and worst < 1e-9)}
 
 
+def strip_poles(cform: ClosedForm, params: ParamTower) -> list[tuple[ParamLin, int, float]]:
+    """(position, order, height) of each pole of exp(cform) in w = u - v
+    with |Im w| <= 0.45/eta."""
+    return [p for p in cform.pole_catalog("u", "v", params, 0.45 / params.eta) if p[1] > 0]
+
+
+def delta_coefficient(cform: ClosedForm, phase: complex, w0: complex,
+                      params: ParamTower) -> complex:
+    """Commutator delta coefficient at the simple pole w = w0 of an E-F word:
+    -2*pi*i * residue (radius hbar/8) * e^{2 gamma} (e^gamma from each of
+    E and F) * the word's phase."""
+    res = cform.residue_at(w0, params, "u", "v", radius=params.hbar / 8.0)
+    return -2j * math.pi * res * math.exp(2.0 * EULER_GAMMA) * phase
+
+
 def ef_delta_check(i: int, cartan: CartanData, params: ParamTower,
                    tol: float = 1e-8, rng: Optional[np.random.Generator] = None) -> dict:
     """Pole/residue audit of E_i(u) F_i(v) against the H payloads.
@@ -165,9 +279,7 @@ def ef_delta_check(i: int, cartan: CartanData, params: ParamTower,
     cform = word_exponent((e_cur, f_cur), cartan, params)
     phase = word_phase((e_cur, f_cur), cartan)
 
-    strip_bound = 0.45 / params.eta
-    catalog = cform.pole_catalog("u", "v", params, strip_bound)
-    poles = [(pos, order) for pos, order, _h in catalog if order > 0]
+    poles = [(pos, order) for pos, order, _h in strip_poles(cform, params)]
     want = [ParamLin.hbar(Fraction(-1, 2)), ParamLin.hbar(Fraction(1, 2))]
     structure_ok = (
         len(poles) == 2
@@ -181,13 +293,9 @@ def ef_delta_check(i: int, cartan: CartanData, params: ParamTower,
                      f"{[(str(p), o) for p, o in poles]}",
             "max_residual": float("inf"), "tol": tol, "pass": False})
         return report
-    gamma_pref = math.exp(2.0 * EULER_GAMMA)  # e^gamma from each of E and F
-
     residual = 0.0
     for sgn, hkind in ((+1, "H+"), (-1, "H-")):
-        w0 = 1j * sgn * params.hbar / 2.0
-        res = cform.residue_at(w0, params, "u", "v", radius=params.hbar / 8.0)
-        coeff = -2j * math.pi * res * gamma_pref * phase
+        coeff = delta_coefficient(cform, phase, 1j * sgn * params.hbar / 2.0, params)
         target = sgn * 2.0 * math.pi / params.hbar
         residual = max(residual, abs(coeff - target) / abs(target))
         h_cur = current(hkind, i, "u", Fraction(-sgn, 4))
@@ -210,35 +318,12 @@ def serre_check(i: int, j: int, cartan: CartanData, params: ParamTower,
         raise ValueError("cubic relation applies to adjacent pairs only")
     if rng is None:
         rng = np.random.default_rng(23)
-    coef = 2.0 * math.cos(math.pi * params.eta * params.hbar)
 
-    def words(u1: str, u2: str):
-        a = current("E", i, u1)
-        b = current("E", i, u2)
-        c = current("E", j, "v")
-        return [((a, b, c), 1.0), ((a, c, b), -coef), ((c, a, b), 1.0)]
+    def image(node: int, name: str) -> list:
+        return [(1.0, [(0, current("E", node, name))])]
 
-    try:
-        terms = [(wt, word_phase(word, cartan), word_exponent(word, cartan, params))
-                 for word, wt in words("u1", "u2") + words("u2", "u1")]
-    except (ArithmeticError, OverflowError, ValueError):
-        terms = None  # no point can be evaluated: the loop rejects every sample
-
-    def residual(pt):
-        if terms is None:
-            return None
-        try:
-            vals = [wt * (phase * form.exp_value(pt, params)) for wt, phase, form in terms]
-        except ValueError:
-            return None
-        if not all(np.isfinite(abs(v)) for v in vals):
-            return None
-        scale = max(1.0, max(abs(v) for v in vals))
-        return abs(sum(vals)) / scale
-
-    window = ((-2.0, 2.0), (-0.15, 0.15))
-    worst, done = sample_max(residual, {"u1": window, "u2": window, "v": window},
-                             samples, rng, retries=300)
+    worst, done, _ = cubic_residual(image(i, "u1"), image(i, "u2"), image(j, "v"),
+                                    cartan, params, 0.15, samples, rng, retries=300)
     return {
         "pair": (i, j),
         "samples": done,

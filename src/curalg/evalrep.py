@@ -81,6 +81,7 @@ class EvalRep:
     e_minus: dict[int, DistExpr] = field(default_factory=dict)
     f_minus: dict[int, DistExpr] = field(default_factory=dict)
     h_minus: dict[int, DistExpr] = field(default_factory=dict)
+    _ops: dict[tuple[str, int], DistExpr] = field(default_factory=dict, init=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -93,11 +94,25 @@ class EvalRep:
     def beta(self, l: int) -> Fraction:
         return Fraction(self.r - l, 2)
 
-    def current(self, kind: str, l: int) -> DistExpr:
-        return {
-            "e+": self.e_plus, "f+": self.f_plus, "H+": self.h_plus,
-            "e-": self.e_minus, "f-": self.f_minus, "H-": self.h_minus,
-        }[kind][l]
+    def op(self, kind: str, l: int) -> DistExpr:
+        """The operator of ``kind`` at node l, in u; each is built once.
+
+        Kinds: the half currents e+, f+, H+, e-, f-, H- (H+ and H- are
+        also the total Cartan currents), the normalized total currents E
+        and F, and the reciprocals H+inv and H-inv.
+        """
+        key = (kind, l)
+        if key not in self._ops:
+            if kind in ("E", "F"):
+                self._ops[key] = total_current(self, kind, l)
+            elif kind in ("H+inv", "H-inv"):
+                self._ops[key] = self.op(kind[:2], l).reciprocal()
+            else:
+                self._ops[key] = {
+                    "e+": self.e_plus, "f+": self.f_plus, "H+": self.h_plus,
+                    "e-": self.e_minus, "f-": self.f_minus, "H-": self.h_minus,
+                }[kind][l]
+        return self._ops[key]
 
 
 def _pole_factor(r: int, l: int) -> TrigFactor:
@@ -185,7 +200,7 @@ def pole_inventory(rep: EvalRep) -> list[dict]:
     out = []
     for kind in ("e+", "f+", "H+"):
         for l in range(1, rep.r + 1):
-            expr = rep.current(kind, l)
+            expr = rep.op(kind, l)
             beta = ShiftExpr.hbar_units(rep.beta(l))
             for t in expr.terms:
                 for f in t.factors:
@@ -210,20 +225,6 @@ def _rel_vars_ratio(sr: structfn.StructureRatio) -> tuple[DistExpr, DistExpr]:
     return num, den
 
 
-def _operand(rep: EvalRep, kind: str, l: int, at: str) -> DistExpr:
-    if kind in ("H+", "H-"):
-        expr = rep.h_plus[l] if kind == "H+" else rep.h_minus[l]
-    elif kind == "E":
-        expr = total_current(rep, "E", l)
-    elif kind == "F":
-        expr = total_current(rep, "F", l)
-    else:
-        raise ValueError(kind)
-    if at != U:
-        expr = expr.subs(U, var(at))
-    return expr
-
-
 def verify_relation(rep: EvalRep, relation: str, i: int, j: int,
                     samples: int = 50, tol: float = 1e-9,
                     rng: Optional[np.random.Generator] = None,
@@ -243,8 +244,8 @@ def verify_relation(rep: EvalRep, relation: str, i: int, j: int,
 
     if relation in structfn.RELATIONS:
         kx, ky = structfn.exchange_kinds(relation, sign)
-        x = _operand(rep, kx, i, U)
-        y = _operand(rep, ky, j, "v")
+        x = rep.op(kx, i)
+        y = rep.op(ky, j).subs(U, var("v"))
         sr = structfn.ratio(relation, i, j, cd, c=0, sign=sign)
         num, den = _rel_vars_ratio(sr)
         lhs = den * (x * y)
@@ -254,8 +255,8 @@ def verify_relation(rep: EvalRep, relation: str, i: int, j: int,
         return report
 
     if relation == "EF":
-        e_tot = total_current(rep, "E", i)
-        f_tot = total_current(rep, "F", j).subs(U, var("v"))
+        e_tot = rep.op("E", i)
+        f_tot = rep.op("F", j).subs(U, var("v"))
         lhs = e_tot * f_tot - f_tot * e_tot
         if i != j:
             rep_cmp = equal_numeric(lhs, DistExpr.zero(), params, samples=samples,
@@ -305,10 +306,9 @@ def verify_serre(rep: EvalRep, i: int, j: int, tol: float = 1e-9) -> dict:
     if rep.cartan.a_entry(i, j) != -1:
         raise ValueError("serre relation only applies to adjacent pairs")
     coef = structfn.serre_coefficient(rep.params, "E")
-    e_i1 = total_current(rep, "E", i)
-    e_i2 = e_i1.subs(U, var("u2"))
-    e_i1 = e_i1.subs(U, var("u1"))
-    e_j = total_current(rep, "E", j).subs(U, var("v"))
+    e_i1 = rep.op("E", i).subs(U, var("u1"))
+    e_i2 = rep.op("E", i).subs(U, var("u2"))
+    e_j = rep.op("E", j).subs(U, var("v"))
     total = DistExpr.zero()
     for a, b in ((e_i1, e_i2), (e_i2, e_i1)):
         total = total + (a * b * e_j) - (a * e_j * b).scaled(coef) + (e_j * a * b)

@@ -15,17 +15,18 @@ difference to right iteration is reported, not asserted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from . import evalrep, structfn
+from .boson import checks as bchecks
 from .boson.atoms import _rational_level
-from .boson.checks import word_exponent, word_phase
-from .boson.contraction import ClosedForm
-from .boson.currents import BosonCurrent
+from .boson.currents import BosonCurrent, word_phase
+from .boson.currents import current as bcur
 from .liealg import CartanData
 from .params import ParamTower
 from .trigcalc import DistExpr, ShiftExpr, equal_numeric, sample_max, var
@@ -40,9 +41,6 @@ class Letter:
     i: int                    # node; 0 for 'one'/'c'
     arg: Optional[ShiftExpr]  # spectral argument; None for 'one'/'c'
     tag: int                  # family index n
-
-    def retagged(self, tag: int) -> "Letter":
-        return replace(self, tag=tag)
 
 
 @dataclass(frozen=True)
@@ -124,46 +122,36 @@ def coproduct_letter(letter: Letter, params: ParamTower, direction: int) -> list
     raise ValueError(f"no coproduct for letter kind {k!r}")
 
 
+def _single_slot(x: CurrentExpr, what: str) -> CurrentExpr:
+    if any(len(w.slots) != 1 for w in x.words):
+        raise ValueError(f"{what} acts on single-slot expressions")
+    return x
+
+
 def coproduct_plus(x: CurrentExpr, params: ParamTower) -> CurrentExpr:
     """Delta_n^+ extended multiplicatively to words (slot count 1 -> 2)."""
-    return _coproduct(x, params, +1)
+    return coproduct_slot(_single_slot(x, "coproduct"), params, 0)
 
 
 def coproduct_minus(x: CurrentExpr, params: ParamTower) -> CurrentExpr:
-    return _coproduct(x, params, -1)
+    return coproduct_slot(_single_slot(x, "coproduct"), params, 0, direction=-1)
 
 
-def _coproduct(x: CurrentExpr, params: ParamTower, direction: int) -> CurrentExpr:
+def coproduct_slot(x: CurrentExpr, params: ParamTower, slot: int,
+                   direction: int = +1) -> CurrentExpr:
+    """Apply Delta^+ (or Delta^-) to one tensor slot of every word."""
     out: list[Word] = []
     for w in x.words:
-        if len(w.slots) != 1:
-            raise ValueError("coproduct acts on single-slot expressions")
         expansion: list[Word] = [Word(w.coeff, ((), ()))]
-        for letter in w.slots[0]:
+        for letter in w.slots[slot]:
             images = coproduct_letter(letter, params, direction)
             expansion = [
                 Word(e.coeff * im.coeff,
                      (e.slots[0] + im.slots[0], e.slots[1] + im.slots[1]))
                 for e in expansion for im in images
             ]
-        out.extend(expansion)
-    return CurrentExpr(out)
-
-
-def coproduct_slot(x: CurrentExpr, params: ParamTower, slot: int) -> CurrentExpr:
-    """Apply Delta^+ to one tensor slot of a multi-slot expression."""
-    out: list[Word] = []
-    for w in x.words:
-        expansion: list[Word] = [Word(w.coeff, ((), ()))]
-        for letter in w.slots[slot]:
-            images = coproduct_letter(letter, params, +1)
-            expansion = [
-                Word(e.coeff * im.coeff,
-                     (e.slots[0] + im.slots[0], e.slots[1] + im.slots[1]))
-                for e in expansion for im in images
-            ]
         out.extend(
-            Word(e.coeff, w.slots[:slot] + (e.slots[0], e.slots[1]) + w.slots[slot + 1:])
+            Word(e.coeff, w.slots[:slot] + e.slots + w.slots[slot + 1:])
             for e in expansion
         )
     return CurrentExpr(out)
@@ -177,16 +165,17 @@ def counit_letter(letter: Letter) -> complex:
     raise ValueError(letter.kind)
 
 
+def _counit_product(letters: Iterable[Letter]) -> complex:
+    val = 1.0 + 0.0j
+    for letter in letters:
+        val *= counit_letter(letter)
+    return val
+
+
 def counit(x: CurrentExpr) -> complex:
     """Morphism extension of the counit table to sums of words."""
-    total = 0.0 + 0.0j
-    for w in x.words:
-        val = w.coeff
-        for slot in w.slots:
-            for letter in slot:
-                val *= counit_letter(letter)
-        total += val
-    return total
+    return sum((w.coeff * _counit_product(l for slot in w.slots for l in slot)
+                for w in x.words), 0.0 + 0.0j)
 
 
 def antipode_letter(letter: Letter, params: ParamTower, sign: int) -> list[Letter]:
@@ -220,9 +209,7 @@ _ANTIPODE_SIGNS = {"c": -1.0, "E": -1.0, "F": -1.0}
 def antipode(x: CurrentExpr, params: ParamTower, sign: int) -> CurrentExpr:
     """Anti-morphism extension: S(xy) = S(y) S(x)."""
     out = []
-    for w in x.words:
-        if len(w.slots) != 1:
-            raise ValueError("antipode acts on single-slot expressions")
+    for w in _single_slot(x, "antipode").words:
         coeff = w.coeff
         letters: list[Letter] = []
         for letter in reversed(w.slots[0]):
@@ -257,13 +244,9 @@ def map_slot(x: CurrentExpr, slot: int, fn: Callable[[CurrentExpr], CurrentExpr]
 
 def counit_slot(x: CurrentExpr, slot: int) -> CurrentExpr:
     """(.. (x) eps (x) ..): evaluate the counit on one slot."""
-    out = []
-    for w in x.words:
-        val = 1.0 + 0.0j
-        for letter in w.slots[slot]:
-            val *= counit_letter(letter)
-        out.append(Word(w.coeff * val, w.slots[:slot] + w.slots[slot + 1:]))
-    return CurrentExpr(out)
+    return CurrentExpr(tuple(
+        Word(w.coeff * _counit_product(w.slots[slot]), w.slots[:slot] + w.slots[slot + 1:])
+        for w in x.words))
 
 
 # ---------------------------------------------------------------------------
@@ -271,51 +254,22 @@ def counit_slot(x: CurrentExpr, slot: int) -> CurrentExpr:
 # ---------------------------------------------------------------------------
 
 
-class EvalBackend:
-    """Evaluate single-slot words in the level-0 module (all tags equal)."""
-
-    def __init__(self, rep: evalrep.EvalRep):
-        self.rep = rep
-        self._hinv_plus: dict[int, DistExpr] = {}
-        self._hinv_minus: dict[int, DistExpr] = {}
-        for l in range(1, rep.r + 1):
-            self._hinv_plus[l] = rep.h_plus[l].reciprocal()
-            self._hinv_minus[l] = rep.h_minus[l].reciprocal()
-
-    def letter_expr(self, letter: Letter) -> DistExpr:
-        rep = self.rep
-        k = letter.kind
-        if k == "one":
-            return DistExpr.matrix(np.eye(rep.dim, dtype=complex))
-        if k == "c":
-            return DistExpr.zero()  # the central element acts by 0 at level 0
-        table = {
-            "H+": rep.h_plus, "H-": rep.h_minus,
-            "H+inv": self._hinv_plus, "H-inv": self._hinv_minus,
-        }
-        if k in table:
-            base = table[k][letter.i]
-        elif k == "E":
-            base = evalrep.total_current(rep, "E", letter.i)
-        elif k == "F":
-            base = evalrep.total_current(rep, "F", letter.i)
-        else:
-            raise ValueError(k)
-        return base.subs(evalrep.U, letter.arg)
-
-    def word_expr(self, w: Word) -> DistExpr:
-        if len(w.slots) != 1:
-            raise ValueError("backend evaluates single-slot words")
-        acc = DistExpr.matrix(np.eye(self.rep.dim, dtype=complex)).scaled(w.coeff)
-        for letter in w.slots[0]:
-            acc = acc * self.letter_expr(letter)
-        return acc
-
-    def expr(self, x: CurrentExpr) -> DistExpr:
-        acc = DistExpr.zero()
-        for w in x.words:
-            acc = acc + self.word_expr(w)
-        return acc
+def module_expr(rep: evalrep.EvalRep, x: CurrentExpr) -> DistExpr:
+    """A single-slot expression in the level-0 module (all tags equal):
+    each word is the product of its letters' operators."""
+    one = DistExpr.matrix(np.eye(rep.dim, dtype=complex))
+    acc = DistExpr.zero()
+    for w in _single_slot(x, "the level-0 module").words:
+        term = one.scaled(w.coeff)
+        for l in w.slots[0]:
+            if l.kind == "one":
+                term = term * one
+            elif l.kind == "c":
+                term = term * DistExpr.zero()  # the central element acts by 0 at level 0
+            else:
+                term = term * rep.op(l.kind, l.i).subs(evalrep.U, l.arg)
+        acc = acc + term
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -326,42 +280,34 @@ class EvalBackend:
 def _axiom_sides(kind: str, i: int, tag: int, params: ParamTower):
     """The four axiom (lhs, rhs) pairs as single-slot CurrentExpr."""
     x = CurrentExpr.generator(kind, i, tag)
-    ident_plus = CurrentExpr(tuple(
-        Word(w.coeff, ((tuple(l.retagged(tag + 1) for l in w.slots[0]),)))
-        for w in x.words))
-    ident_minus = CurrentExpr(tuple(
-        Word(w.coeff, ((tuple(l.retagged(tag - 1) for l in w.slots[0]),)))
-        for w in x.words))
+    # the identity side is x itself, retagged to the neighbouring member
+    ident = {s: CurrentExpr.generator(kind, i, tag + s) for s in (+1, -1)}
     eps_value = counit(x)
-    one_plus = CurrentExpr.generator("one", 0, tag + 1).scaled(eps_value)
-    one_minus = CurrentExpr.generator("one", 0, tag - 1).scaled(eps_value)
-
+    one = {s: CurrentExpr.generator("one", 0, tag + s).scaled(eps_value) for s in (+1, -1)}
     dplus = coproduct_plus(x, params)
     dminus = coproduct_minus(x, params)
     return [
-        ("counit_plus", counit_slot(dplus, 0), ident_plus),
-        ("counit_minus", counit_slot(dminus, 1), ident_minus),
+        ("counit_plus", counit_slot(dplus, 0), ident[+1]),
+        ("counit_minus", counit_slot(dminus, 1), ident[-1]),
         ("antipode_plus",
          multiply_slots(map_slot(dplus, 0, lambda s: antipode(s, params, +1))),
-         one_plus),
+         one[+1]),
         ("antipode_minus",
          multiply_slots(map_slot(dminus, 1, lambda s: antipode(s, params, -1))),
-         one_minus),
+         one[-1]),
     ]
 
 
 def verify_axioms(rep: evalrep.EvalRep, params: ParamTower, samples: int = 30,
                   tol: float = 1e-9, seed: int = 17) -> list[dict]:
     """All four axioms on every generator, in the level-0 backend."""
-    backend = EvalBackend(rep)
     rng = np.random.default_rng(seed)
     out = []
     gens = [("c", 0)] + [(k, i) for k in GEN_KINDS for i in range(1, rep.r + 1)]
     for kind, i in gens:
         for name, lhs, rhs in _axiom_sides(kind, i, tag=0, params=params):
-            le = backend.expr(lhs)
-            re_ = backend.expr(rhs)
-            cmp = equal_numeric(le, re_, params, samples=samples, tol=tol, rng=rng)
+            cmp = equal_numeric(module_expr(rep, lhs), module_expr(rep, rhs), params,
+                                samples=samples, tol=tol, rng=rng)
             out.append({
                 "axiom": name, "generator": f"{kind}_{i}" if i else kind,
                 "max_residual": cmp["max_residual"], "pass": cmp["pass"],
@@ -468,53 +414,20 @@ def _pretty_words(x: CurrentExpr) -> list[str]:
     return sorted(out)
 
 
-def _word_to_boson(w: Word) -> list[tuple[int, BosonCurrent]]:
-    """Letters of a tensor word as slot-tagged free-field currents."""
+def _slot_words(x: CurrentExpr) -> list[tuple[complex, bchecks.SlotWord]]:
+    """Each tensor word as (coefficient, its letters as slot-tagged free-field currents)."""
     out = []
-    for slot_idx, slot in enumerate(w.slots):
-        for l in slot:
-            if l.kind == "one":
-                continue
-            if l.kind not in GEN_KINDS:
-                raise ValueError(f"free-field backend cannot realize {l.kind}")
-            out.append((slot_idx, BosonCurrent(l.kind, l.i, l.arg, slot=l.tag)))
+    for w in x.words:
+        cs = []
+        for slot_idx, slot in enumerate(w.slots):
+            for l in slot:
+                if l.kind == "one":
+                    continue
+                if l.kind not in GEN_KINDS:
+                    raise ValueError(f"free-field backend cannot realize {l.kind}")
+                cs.append((slot_idx, BosonCurrent(l.kind, l.i, l.arg, slot=l.tag)))
+        out.append((w.coeff, cs))
     return out
-
-
-def _signature(cs: list[tuple[int, BosonCurrent]]):
-    return tuple(sorted(
-        (slot, c.kind, c.j, str(c.arg), c.slot) for slot, c in cs
-    ))
-
-
-def _word_forms(cs: list[tuple[int, BosonCurrent]], cartan: CartanData,
-                params: ParamTower) -> list[tuple[complex, ClosedForm]]:
-    """(phase, contraction exponent) of each tensor slot's word, slot by slot."""
-    out = []
-    for s in sorted({s for s, _ in cs}):
-        word = [c for sl, c in cs if sl == s]
-        out.append((word_phase(word, cartan), word_exponent(word, cartan, params)))
-    return out
-
-
-def _word_value(forms: list[tuple[complex, ClosedForm]], params: ParamTower,
-                pt) -> complex:
-    val = 1.0 + 0.0j
-    for phase, form in forms:
-        val *= phase
-        val *= form.exp_value(pt, params)
-    return val
-
-
-def _signature_forms(groups: dict, cartan: CartanData,
-                     params: ParamTower) -> Optional[dict]:
-    """Each signature's (coefficient, slot forms) list, or None when a form
-    cannot be built: then no sample point can be evaluated."""
-    try:
-        return {sig: [(c, _word_forms(cs, cartan, params)) for c, cs in entries]
-                for sig, entries in groups.items()}
-    except (ArithmeticError, OverflowError, ValueError):
-        return None
 
 
 def verify_homomorphism(cartan: CartanData, params: ParamTower,
@@ -567,20 +480,15 @@ def _exchange_residual(x2: CurrentExpr, y2: CurrentExpr, sr: structfn.StructureR
                        cartan: CartanData, params: ParamTower,
                        samples: int, rng: np.random.Generator) -> tuple[float, int]:
     """(worst residual, accepted points); inf when no point was accepted."""
-    lhs_words: dict = {}
-    rhs_words: dict = {}
-    for wx in x2.words:
-        for wy in y2.words:
-            cs = _word_to_boson(wx) + _word_to_boson(wy)
-            lhs_words.setdefault(_signature(cs), []).append((wx.coeff * wy.coeff, cs))
-    for wy in y2.words:
-        for wx in x2.words:
-            cs = _word_to_boson(wy) + _word_to_boson(wx)
-            rhs_words.setdefault(_signature(cs), []).append((wy.coeff * wx.coeff, cs))
+    xs, ys = _slot_words(x2), _slot_words(y2)
+    lhs_words = bchecks.monomial_groups(
+        (cx * cy, csx + csy) for cx, csx in xs for cy, csy in ys)
+    rhs_words = bchecks.monomial_groups(
+        (cy * cx, csy + csx) for cy, csy in ys for cx, csx in xs)
     if set(lhs_words) != set(rhs_words):
         return float("inf"), 0
-    lhs_forms = _signature_forms(lhs_words, cartan, params)
-    rhs_forms = _signature_forms(rhs_words, cartan, params)
+    lhs_forms = bchecks.group_forms(lhs_words, cartan, params)
+    rhs_forms = bchecks.group_forms(rhs_words, cartan, params)
 
     def residual(pt):
         if lhs_forms is None or rhs_forms is None:
@@ -589,8 +497,8 @@ def _exchange_residual(x2: CurrentExpr, y2: CurrentExpr, sr: structfn.StructureR
             ratio_val = sr.eval(pt["u"] - pt["v"], params)
             res_here = 0.0
             for sig in lhs_forms:
-                lv = sum(c * _word_value(fs, params, pt) for c, fs in lhs_forms[sig])
-                rv = sum(c * _word_value(fs, params, pt) for c, fs in rhs_forms[sig])
+                lv = sum(bchecks.group_values(lhs_forms[sig], params, pt))
+                rv = sum(bchecks.group_values(rhs_forms[sig], params, pt))
                 scale = max(1.0, abs(lv), abs(ratio_val * rv))
                 res_here = max(res_here, abs(lv - ratio_val * rv) / scale)
         except ValueError:
@@ -616,41 +524,11 @@ def verify_serre_level2(cartan: CartanData, params: ParamTower, i: int, j: int,
         raise ValueError("cubic relation applies to adjacent pairs only")
     if rng is None:
         rng = np.random.default_rng(43)
-    coef = structfn.serre_coefficient(params, "E")
-    imgs = {
-        name: _rename_var(level_k_currents("E", node, 2, params), name)
-        for name, node in (("u1", i), ("u2", i), ("v", j))
-    }
-
-    def orderings(a, b):
-        return [((a, b, "v"), 1.0), ((a, "v", b), -coef), (("v", a, b), 1.0)]
-
-    groups: dict = {}
-    for names, weight in orderings("u1", "u2") + orderings("u2", "u1"):
-        for w1 in imgs[names[0]].words:
-            for w2 in imgs[names[1]].words:
-                for w3 in imgs[names[2]].words:
-                    cs = _word_to_boson(w1) + _word_to_boson(w2) + _word_to_boson(w3)
-                    coeff = weight * w1.coeff * w2.coeff * w3.coeff
-                    groups.setdefault(_signature(cs), []).append((coeff, cs))
-    forms = _signature_forms(groups, cartan, params)
-
-    def residual(pt):
-        if forms is None:
-            return None
-        try:
-            res_here = 0.0
-            for entries in forms.values():
-                vals = [c * _word_value(fs, params, pt) for c, fs in entries]
-                scale = max(1.0, max(abs(v) for v in vals))
-                res_here = max(res_here, abs(sum(vals)) / scale)
-        except ValueError:
-            return None
-        return res_here
-
-    window = ((-2.0, 2.0), (-0.1, 0.1))
-    worst, done = sample_max(residual, {n: window for n in ("u1", "u2", "v")}, samples, rng)
-    return {"pair": (i, j), "k": 2, "signatures": len(groups), "samples": done,
+    u1, u2, v = (_slot_words(_rename_var(level_k_currents("E", node, 2, params), name))
+                 for name, node in (("u1", i), ("u2", i), ("v", j)))
+    worst, done, signatures = bchecks.cubic_residual(u1, u2, v, cartan, params, 0.1,
+                                                     samples, rng)
+    return {"pair": (i, j), "k": 2, "signatures": signatures, "samples": done,
             "max_residual": worst, "tol": tol,
             "pass": bool(done > 0 and worst < tol)}
 
@@ -667,40 +545,28 @@ def ef_pole_audit_level2(cartan: CartanData, params: ParamTower, i: int,
     word), and that the surviving supports are exactly w = +-i*hbar with
     delta coefficients +-2*pi/hbar.
     """
-    from .boson.currents import current as bcur
-    from .boson.master import EULER_GAMMA
-    import math
-
     h = params.hbar
     # monomial A: (E(u) (x) 1) * (F(v + ih c1/2) (x) H+(v + ih c1/4)), slots (0, 1)
     word_a = [bcur("E", i, "u", 0, slot=0), bcur("F", i, "v", Fraction(1, 2), slot=0)]
     # monomial B: (H-(u + ih c0/4) (x) E(u + ih c0/2)) * (1 (x) F(v)), slot 1 pair
     word_b = [bcur("E", i, "u", Fraction(1, 2), slot=1), bcur("F", i, "v", 0, slot=1)]
-    cform_a = word_exponent(word_a, cartan, params)
-    cform_b = word_exponent(word_b, cartan, params)
-    strip_bound = 0.45 / params.eta
-    poles_a = sorted(hh for _p, o, hh in cform_a.pole_catalog("u", "v", params, strip_bound) if o > 0)
-    poles_b = sorted(hh for _p, o, hh in cform_b.pole_catalog("u", "v", params, strip_bound) if o > 0)
+    cform_a = bchecks.word_exponent(word_a, cartan, params)
+    cform_b = bchecks.word_exponent(word_b, cartan, params)
+    poles_a = sorted(hh for _p, _o, hh in bchecks.strip_poles(cform_a, params))
+    poles_b = sorted(hh for _p, _o, hh in bchecks.strip_poles(cform_b, params))
     inventory_ok = (
         [round(x / h, 9) for x in poles_a] == [0.0, 1.0]
         and [round(x / h, 9) for x in poles_b] == [-1.0, 0.0]
     )
-    gamma_pref = math.exp(2.0 * EULER_GAMMA)
     ph_a = word_phase(word_a, cartan)
     ph_b = word_phase(word_b, cartan)
-    radius = h / 8.0
-
-    def delta_coeff(cform, phase, w0):
-        res = cform.residue_at(w0, params, "u", "v", radius=radius)
-        return -2j * math.pi * res * gamma_pref * phase
-
     # w = 0: the two monomials share the H-(x)H+ payload; residues cancel.
-    c0a = delta_coeff(cform_a, ph_a, 0.0 + 0.0j)
-    c0b = delta_coeff(cform_b, ph_b, 0.0 + 0.0j)
+    c0a = bchecks.delta_coefficient(cform_a, ph_a, 0.0 + 0.0j, params)
+    c0b = bchecks.delta_coefficient(cform_b, ph_b, 0.0 + 0.0j, params)
     cancel_res = abs(c0a + c0b) / max(1.0, abs(c0a))
     # surviving supports: +-i*hbar with coefficients +-2*pi/hbar
-    cp = delta_coeff(cform_a, ph_a, 1j * h)
-    cm = delta_coeff(cform_b, ph_b, -1j * h)
+    cp = bchecks.delta_coefficient(cform_a, ph_a, 1j * h, params)
+    cm = bchecks.delta_coefficient(cform_b, ph_b, -1j * h, params)
     target = 2.0 * math.pi / h
     surv_res = max(abs(cp - target), abs(cm + target)) / target
     worst = max(cancel_res, surv_res)

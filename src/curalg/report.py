@@ -226,13 +226,12 @@ def _suite_evalrep(cfg: RunConfig, rng) -> list[dict]:
     out = []
     recs = evalrep.verify_all(rep, samples=cfg.samples, tol=1e-9, seed=cfg.seed)
     for rec in recs:
-        rec = dict(rec)
         rec["id"] = f"{rec['relation']}_{rec['i']}{rec['j']}" + \
             (f"_s{rec['sign']}" if "sign" in rec else "")
-        out.append(_jsonable(rec))
+        out.append(rec)
     deg = evalrep.degeneration_report(cd.rank, hbar=cfg.hbar, seed=cfg.seed)
     deg["id"] = "degeneration"
-    out.append(_jsonable(deg))
+    out.append(deg)
     inv = evalrep.pole_inventory(rep)
     out.append({"id": "pole_inventory",
                 "pass": not any(p["strictly_inside_shifted_strip"] for p in inv),
@@ -303,16 +302,16 @@ def _suite_boson(cfg: RunConfig, rng) -> list[dict]:
                                      tol=cfg.tol, rng=rng)
         rec["id"] = f"exchange_{xk}{xi}_{yk}{yj}"
         rec["closed_form"] = bchecks.word_exponent((x, y), cd, params).describe()
-        out.append(_jsonable(rec))
+        out.append(rec)
     for i in cd.nodes():
         rec = bchecks.ef_delta_check(i, cd, params, tol=cfg.tol, rng=rng)
         rec["id"] = f"ef_delta_{i}"
-        out.append(_jsonable(rec))
+        out.append(rec)
     for i, j in adjacent_pairs(cd):
         rec = bchecks.serre_check(i, j, cd, params, samples=max(10, cfg.samples // 3),
                                   tol=1e-7, rng=rng)
         rec["id"] = f"serre_{i}{j}"
-        out.append(_jsonable(rec))
+        out.append(rec)
     return out
 
 
@@ -326,7 +325,7 @@ def _suite_hopf(cfg: RunConfig, rng) -> list[dict]:
         for rec in hopf.verify_axioms(rep, params0, samples=max(20, cfg.samples // 2),
                                       tol=1e-9, seed=cfg.seed):
             rec["id"] = f"axiom_{rec['axiom']}_{rec['generator']}"
-            out.append(_jsonable(rec))
+            out.append(rec)
     tower = cfg.tower()
     if "structural" in parts:
         rec = hopf.minus_equals_shifted_plus(tower, cd.rank)
@@ -351,18 +350,18 @@ def _suite_hopf(cfg: RunConfig, rng) -> list[dict]:
         for hrec in hopf.verify_homomorphism(cd, tower, samples=max(8, cfg.samples // 6),
                                              tol=1e-7, seed=cfg.seed):
             hrec["id"] = f"hom_k2_{hrec['relation']}_{hrec['i']}{hrec['j']}"
-            out.append(_jsonable(hrec))
+            out.append(hrec)
         for i, j in adjacent_pairs(cd):
             srec = hopf.verify_serre_level2(cd, tower, i, j,
                                             samples=max(6, cfg.samples // 8), tol=1e-7,
                                             rng=rng)
             srec["id"] = f"hom_k2_serre_{i}{j}"
-            out.append(_jsonable(srec))
+            out.append(srec)
     if "audit" in parts:
         for i in cd.nodes():
             arec = hopf.ef_pole_audit_level2(cd, tower, i)
             arec["id"] = f"ef_pole_audit_k2_{i}"
-            out.append(_jsonable(arec))
+            out.append(arec)
     return out
 
 
@@ -405,7 +404,7 @@ def _suite_intertwine(cfg: RunConfig, rng) -> list[dict]:
                 "report": variants})
     deg = intertwine.degeneration_report(cd.rank, hbar=cfg.hbar, seed=cfg.seed)
     deg["id"] = "degeneration"
-    out.append(_jsonable(deg))
+    out.append(deg)
     return out
 
 

@@ -895,7 +895,6 @@ def compare_numeric(a: DistExpr, b: DistExpr, params: ParamTower,
     return {
         "samples": done,
         "max_residual": max_res,
-        "pass": done > 0,
     }
 
 
@@ -925,7 +924,7 @@ def equal_numeric(a: DistExpr, b: DistExpr, params: ParamTower,
             "max_residual": rep["max_residual"],
             "samples": rep["samples"],
         })
-    ok = max_res < tol and all(p["samples"] > 0 or not pieces for p in pieces)
+    ok = max_res < tol and all(p["samples"] > 0 for p in pieces)
     return {
         "max_residual": max_res,
         "tol": tol,

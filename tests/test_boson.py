@@ -314,8 +314,20 @@ def test_unbuildable_serre_words_fail_the_record(params, a2, monkeypatch):
         raise contraction.UnsupportedPairError("no closed form")
 
     monkeypatch.setattr(checks, "word_exponent", unsupported)
+    tries = []
+    sample_max = checks.sample_max
+
+    def counted(residual, windows, samples, rng, retries=200):
+        def tried(pt):
+            tries.append(pt)
+            return residual(pt)
+
+        return sample_max(tried, windows, samples, rng, retries=retries)
+
+    monkeypatch.setattr(checks, "sample_max", counted)
     rec = checks.serre_check(1, 2, a2, params, samples=5)
     assert rec["samples"] == 0 and not rec["pass"]
+    assert len(tries) == 5 + 300  # the level-1 check's own retry budget
 
 
 @pytest.mark.parametrize("rel,xk,yk,i,j,sign", [
@@ -377,6 +389,24 @@ def test_serre_combination_vanishes(params, a2):
     for i, j in ((1, 2), (2, 1)):
         rep = checks.serre_check(i, j, a2, params, samples=15, tol=1e-7)
         assert rep["pass"], rep
+
+
+def test_cubic_engine_judges_every_monomial(params, a2):
+    # E_2(v) in a second tensor slot is a monomial of its own, where the
+    # three orderings add up to (2 - 2cos(pi*eta*hbar)) times one value and
+    # so cannot cancel; the all-slot-0 monomial cancels.  The check must
+    # fail with that monomial first or last.
+    def term(slot, node, name):
+        return (1.0, [(slot, current("E", node, name))])
+
+    u1, u2 = [term(0, 1, "u1")], [term(0, 1, "u2")]
+    for v in ([term(0, 2, "v"), term(1, 2, "v")], [term(1, 2, "v"), term(0, 2, "v")]):
+        worst, done, monomials = checks.cubic_residual(
+            u1, u2, v, a2, params, 0.15, 5, np.random.default_rng(1))
+        assert (monomials, done) == (2, 5) and worst > 1e-3, (v, worst)
+    worst, _, monomials = checks.cubic_residual(
+        u1, u2, [term(0, 2, "v")], a2, params, 0.15, 5, np.random.default_rng(1))
+    assert monomials == 1 and worst < 1e-7
 
 
 def test_serre_needs_adjacency(params):

@@ -211,3 +211,24 @@ def test_smeared_total_current_slow_oracle(params):
     rep = evalrep.build(2, params)
     rec = evalrep.smeared_total_current_check(rep, 1, n_grid=48001)
     assert rec["pass"], rec
+
+
+def test_each_total_current_is_built_once_per_module(monkeypatch):
+    # the A4 module run: every relation and every axiom reads the same
+    # 2r normalized total currents of its module
+    built = []
+    total = evalrep.total_current
+
+    def counted(rep, which, l, normalized=True):
+        if normalized:
+            built.append(rep)
+        return total(rep, which, l, normalized)
+
+    monkeypatch.setattr(evalrep, "total_current", counted)
+    cfg = report.RunConfig(algebra="A4", samples=8, hopf_parts=("axioms",))
+    rng = np.random.default_rng(0)
+    report._suite_evalrep(cfg, rng)
+    report._suite_hopf(cfg, rng)
+    reps = {id(rep): rep for rep in built}
+    assert len(reps) == 2
+    assert all(sum(r is rep for r in built) <= 2 * 4 for rep in reps.values())

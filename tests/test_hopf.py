@@ -4,11 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from curalg import evalrep, hopf
+from curalg import evalrep, hopf, structfn
+from curalg.boson import checks
 from curalg.boson.contraction import UnsupportedPairError
 from curalg.hopf import (
     CurrentExpr,
-    EvalBackend,
     Letter,
     Word,
     antipode,
@@ -161,10 +161,9 @@ def test_ef_pole_audit_level2(params):
 def test_backend_h_inverse(params):
     params0 = tower(0.0)
     rep = evalrep.build(1, params0)
-    backend = EvalBackend(rep)
     x = Letter("H+inv", 1, var("u"), 0)
     y = Letter("H+", 1, var("u"), 0)
-    prod = backend.word_expr(Word(1.0, ((x, y),)))
+    prod = hopf.module_expr(rep, CurrentExpr((Word(1.0, ((x, y),)),)))
     val = prod.eval({"u": 0.37 + 0.11j, "z": 0.0}, params0)
     assert np.allclose(val, np.eye(2), atol=1e-12)
 
@@ -215,12 +214,24 @@ def test_unbuildable_level2_words_fail_the_record(params, monkeypatch):
     def unsupported(*_args):
         raise UnsupportedPairError("no closed form")
 
-    monkeypatch.setattr(hopf, "word_exponent", unsupported)
+    monkeypatch.setattr(checks, "word_exponent", unsupported)
     cd = cartan("A", 2)
     rec = hopf.verify_serre_level2(cd, params, 1, 2, samples=4)
     assert rec["samples"] == 0 and not rec["pass"]
     out = hopf.verify_homomorphism(cd, params, samples=4, relations=("EE",))
     assert out and all(r["max_residual"] == float("inf") and not r["pass"] for r in out)
+
+
+def test_wrong_cubic_coefficient_fails_both_levels(params, monkeypatch):
+    true_coefficient = structfn.serre_coefficient
+    monkeypatch.setattr(structfn, "serre_coefficient",
+                        lambda p, side: true_coefficient(p, side) + 1e-3)
+    cd = cartan("A", 2)
+    level1 = checks.serre_check(1, 2, cd, params, samples=6)
+    level2 = hopf.verify_serre_level2(cd, params, 1, 2, samples=6)
+    for rec in (level1, level2):
+        assert rec["samples"] == 6 and not rec["pass"], rec
+        assert rec["max_residual"] > 1e-6, rec
 
 
 def test_hom_k2_records_count_accepted_points(monkeypatch):
