@@ -6,9 +6,12 @@ A coefficient function is a finite product of atoms
            * prod sh(a_k lambda)^{+-1} * prod (1 - e^{-beta_m lambda})^{-1}
 
 where the scales a_k, beta_m, s live on the exact two-parameter lattice
-Q*hbar + sum_n Q*(1/eta^(n)) (``ParamLin``).  Keeping them exact is what
-lets the contraction engine recognize integer-ratio sh cancellations and
-matching Bose denominators without any numeric tolerance.
+Q*hbar + Q*(1/eta) (``ParamLin``).  The tower recursion 1/eta^(n+1) =
+1/eta^(n) + hbar*c_n puts every 1/eta^(n) on that lattice once the levels
+are rational, so a scale is resolved into (hbar, 1/eta) coordinates when
+it is built.  Keeping the coordinates exact is what lets the contraction
+engine recognize integer-ratio sh cancellations and matching Bose
+denominators by plain equality, without any numeric tolerance.
 """
 
 from __future__ import annotations
@@ -16,16 +19,11 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping
 
 from ..params import ParamTower
 from ..trigcalc import ShiftExpr
-
-_H = ("h",)
-
-
-def _eta_key(n: int) -> tuple:
-    return ("e", n)
 
 
 def _rational_level(params: ParamTower, m: int) -> Fraction:
@@ -38,91 +36,69 @@ def _rational_level(params: ParamTower, m: int) -> Fraction:
     return frac
 
 
+_ZERO = Fraction(0)
+
+
 @dataclass(frozen=True)
 class ParamLin:
-    """Exact scalar p*hbar + sum_n q_n/eta^(n)."""
+    """Exact scalar h*hbar + e/eta, with eta = eta^(0) of the tower.
 
-    entries: tuple[tuple[tuple, Fraction], ...] = ()
+    Two scalars are equal exactly when both coordinates are; every
+    1/eta^(n) is resolved into these coordinates by ``inv_eta``.
+    """
+
+    h: Fraction = _ZERO
+    e: Fraction = _ZERO
 
     @staticmethod
     def hbar(q: Fraction | int = 1) -> "ParamLin":
-        return ParamLin._make({_H: Fraction(q)})
+        return ParamLin(Fraction(q), _ZERO)
 
     @staticmethod
-    def inv_eta(n: int, q: Fraction | int = 1) -> "ParamLin":
-        return ParamLin._make({_eta_key(n): Fraction(q)})
+    def inv_eta(n: int, params: ParamTower, q: Fraction | int = 1) -> "ParamLin":
+        """q/eta^(n) = q/eta + q*hbar*(c_0 + ... + c_{n-1}).
 
-    @staticmethod
-    def _make(d: Mapping[tuple, Fraction]) -> "ParamLin":
-        return ParamLin(tuple(sorted((k, v) for k, v in d.items() if v != 0)))
-
-    def _d(self) -> dict[tuple, Fraction]:
-        return dict(self.entries)
+        Raises ValueError when a traversed level is not exactly rational.
+        """
+        q = Fraction(q)
+        return ParamLin(q * sum((_rational_level(params, m) for m in range(n)), _ZERO), q)
 
     def __add__(self, other: "ParamLin") -> "ParamLin":
-        d = self._d()
-        for k, v in other.entries:
-            d[k] = d.get(k, Fraction(0)) + v
-        return ParamLin._make(d)
+        return ParamLin(self.h + other.h, self.e + other.e)
 
     def __sub__(self, other: "ParamLin") -> "ParamLin":
-        return self + (-other)
+        return ParamLin(self.h - other.h, self.e - other.e)
 
     def __neg__(self) -> "ParamLin":
-        return ParamLin(tuple((k, -v) for k, v in self.entries))
+        return ParamLin(-self.h, -self.e)
 
     def __mul__(self, c: Fraction | int) -> "ParamLin":
-        c = Fraction(c)
-        return ParamLin._make({k: v * c for k, v in self.entries})
+        return ParamLin(self.h * c, self.e * c)
 
     __rmul__ = __mul__
 
-    def is_zero(self) -> bool:
-        return not self.entries
+    @cached_property
+    def _floats(self) -> tuple[float, float]:
+        return float(self.e), float(self.h)
 
     def value(self, params: ParamTower) -> float:
-        out = 0.0
-        for k, v in self.entries:
-            if k == _H:
-                out += float(v) * params.hbar
-            else:
-                out += float(v) * params.inv_eta_at(k[1])
-        return out
+        """The float value, 1/eta term first: every residual the reports
+        print depends on these bits."""
+        e, h = self._floats
+        return e * params.inv_eta_at(0) + h * params.hbar
 
     def integer_ratio(self, other: "ParamLin") -> int | None:
-        """m in 1..8 with self == m * other exactly, if any."""
-        for m in range(1, 9):
-            if (self - other * m).is_zero():
-                return m
+        """m in 1..8 with self == m * other exactly, if any (other nonzero)."""
+        if not (other.h or other.e):
+            return None
+        m = self.h / other.h if other.h else self.e / other.e
+        if m.denominator == 1 and 1 <= m <= 8 and self == other * m:
+            return int(m)
         return None
 
-    def resolved(self, params: ParamTower) -> "ParamLin":
-        """Rewrite every 1/eta^(n) as 1/eta^(0) + hbar*sum_{m<n} c_m.
-
-        The tower recursion makes the scales linearly dependent; the
-        contraction engine needs that dependence resolved so that exact
-        matching happens in the two-dimensional (hbar, 1/eta) basis.
-        Requires every traversed level to be exactly rational.
-        """
-        d: dict[tuple, Fraction] = {}
-        for k, v in self.entries:
-            if k == _H:
-                d[_H] = d.get(_H, Fraction(0)) + v
-                continue
-            n = k[1]
-            base = _eta_key(0)
-            d[base] = d.get(base, Fraction(0)) + v
-            acc = Fraction(0)
-            for m in range(n):
-                acc += _rational_level(params, m)
-            if acc:
-                d[_H] = d.get(_H, Fraction(0)) + v * acc
-        return ParamLin._make(d)
-
     def __str__(self) -> str:
-        bits = []
-        for k, v in self.entries:
-            bits.append(f"{v}*h" if k == _H else f"{v}/eta{k[1]}")
+        """The reports' text for a scale; zero coordinates are omitted."""
+        bits = ([f"{self.e}/eta0"] if self.e else []) + ([f"{self.h}*h"] if self.h else [])
         return " + ".join(bits) if bits else "0"
 
 
@@ -142,24 +118,19 @@ class ExponentFn:
     den_sh: tuple[ParamLin, ...] = ()
     bose: tuple[ParamLin, ...] = ()
 
-    def is_zero(self) -> bool:
-        return self.weight == 0
-
-    def negated_lambda(self, params: ParamTower) -> "ExponentFn":
+    def negated_lambda(self) -> "ExponentFn":
         """g(-lambda), renormalized back to the canonical atom forms."""
         w = self.weight
         # sh(-x) = -sh(x) for every sh atom (arguments stay canonical).
         if (len(self.num_sh) + len(self.den_sh)) % 2:
             w = -w
         rs = -self.rshift
-        bose = []
         for beta in self.bose:
             # (1 - e^{+beta*lambda})^{-1} = -e^{-beta*lambda} (1 - e^{-beta*lambda})^{-1}
             w = -w
             rs = rs - beta
-            bose.append(beta)
         return ExponentFn(w, tuple((n, -c) for n, c in self.vars), rs,
-                          self.num_sh, self.den_sh, tuple(bose))
+                          self.num_sh, self.den_sh, self.bose)
 
     def eval_at(self, lam: complex, assignment: Mapping[str, complex],
                 params: ParamTower) -> complex:
@@ -176,7 +147,8 @@ class ExponentFn:
         return out
 
 
-def spectral_exponent(arg: ShiftExpr) -> tuple[tuple[tuple[str, int], ...], ParamLin]:
+def spectral_exponent(arg: ShiftExpr,
+                      params: ParamTower) -> tuple[tuple[tuple[str, int], ...], ParamLin]:
     """Split e^{i*lambda*arg} into variable part and exact real shift.
 
     arg = vars + i*(q*hbar + sum n_p/eta_p) turns into e^{i*lambda*vars}
@@ -187,5 +159,5 @@ def spectral_exponent(arg: ShiftExpr) -> tuple[tuple[tuple[str, int], ...], Para
         raise ValueError("spectral arguments with float offsets are not supported")
     shift = ParamLin.hbar(-arg.q)
     for p, n in arg.lattice:
-        shift = shift + ParamLin.inv_eta(p, -n)
+        shift = shift + ParamLin.inv_eta(p, params, -n)
     return arg.vars, shift

@@ -26,7 +26,7 @@ from ..params import ParamTower
 from ..structfn import StructureRatio
 from ..trigcalc import sample_max
 from .atoms import ParamLin
-from .contraction import ClosedForm, contraction_exponent
+from .contraction import ClosedForm, product_exponent
 from .currents import BosonCurrent, current, word_phase
 from .kernel import kernel
 from .master import EULER_GAMMA
@@ -68,7 +68,8 @@ def pair_exponent(x: BosonCurrent, y: BosonCurrent, cartan: CartanData,
     cached = _PAIR_CACHE.get(key)
     if cached is not None:
         return _relabeled(cached, {p: n for n, p in placeholders.items()})
-    form = contraction_exponent(x.g(), y.g(), kernel(cartan, x.j, y.j, x.slot), params)
+    form = product_exponent(kernel(cartan, x.j, y.j, params, x.slot), x.g(params), y.g(params),
+                            params)
     _PAIR_CACHE[key] = _relabeled(form, placeholders)
     return form
 
@@ -229,7 +230,7 @@ def merged_exponent_matches(pair: tuple[BosonCurrent, BosonCurrent],
     at 40 sampled (lambda, vars) points to 1e-9."""
     if rng is None:
         rng = np.random.default_rng(5)
-    gx, gy, gt = pair[0].g(), pair[1].g(), target.g()
+    gx, gy, gt = pair[0].g(params), pair[1].g(params), target.g(params)
     names = sorted({n for g in (gx, gy, gt) for n, _ in g.vars})
 
     def residual(pt):
@@ -280,11 +281,11 @@ def ef_delta_check(i: int, cartan: CartanData, params: ParamTower,
     phase = word_phase((e_cur, f_cur), cartan)
 
     poles = [(pos, order) for pos, order, _h in strip_poles(cform, params)]
-    want = [ParamLin.hbar(Fraction(-1, 2)), ParamLin.hbar(Fraction(1, 2))]
+    want = {ParamLin.hbar(Fraction(-1, 2)), ParamLin.hbar(Fraction(1, 2))}
     structure_ok = (
         len(poles) == 2
         and all(order == 1 for _p, order in poles)
-        and all(any((pos - wpos).is_zero() for pos, _o in poles) for wpos in want)
+        and {pos for pos, _o in poles} == want
     )
     report: dict = {"i": i, "poles": [str(p) for p, _ in poles], "pass": True}
     if not structure_ok:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
@@ -94,7 +94,7 @@ def _reduce(work: _Work, params: ParamTower) -> list[_Work]:
     # identical num/den cancellation
     for a in list(work.num_sh):
         for b in list(work.den_sh):
-            if (a - b).is_zero():
+            if a == b:
                 work.num_sh.remove(a)
                 work.den_sh.remove(b)
                 return [work]
@@ -115,7 +115,7 @@ def _reduce(work: _Work, params: ParamTower) -> list[_Work]:
     # sh(a) against Bose(2a)
     for a in list(work.num_sh):
         for beta in list(work.bose):
-            if (beta - a * 2).is_zero():
+            if beta == a * 2:
                 work.num_sh.remove(a)
                 work.bose.remove(beta)
                 work.coeff *= 0.5
@@ -132,11 +132,11 @@ def _reduce(work: _Work, params: ParamTower) -> list[_Work]:
     if len(work.bose) >= 2:
         bs = sorted(work.bose, key=lambda b: b.value(params))
         b1, b2 = bs[0], bs[1]
-        d = b2 - b1
-        if d.is_zero():
+        if b1 == b2:
             raise UnsupportedPairError("repeated Bose scale without matching sh")
+        d = b2 - b1
         half = d * Fraction(1, 2)
-        match = next((a for a in work.num_sh if (a - half).is_zero()), None)
+        match = next((a for a in work.num_sh if a == half), None)
         if match is None:
             raise UnsupportedPairError(
                 f"Bose scales {b1}, {b2} differ by {d} with no sh({half}) numerator")
@@ -223,13 +223,8 @@ class ClosedForm:
         ladder: dict[ParamLin, int] = {}
 
         def add(pos: ParamLin, order: int) -> None:
-            if abs(pos.value(params)) > imag_bound + 1e-12:
-                return
-            for known in ladder:
-                if (known - pos).is_zero():
-                    ladder[known] += order
-                    return
-            ladder[pos] = order
+            if abs(pos.value(params)) <= imag_bound + 1e-12:
+                ladder[pos] = ladder.get(pos, 0) + order
 
         for p in self.primitives:
             expect = tuple(sorted(((wvar_plus, 1), (wvar_minus, -1))))
@@ -264,28 +259,22 @@ class ClosedForm:
 def product_exponent(kernel: Kernel, g1: ExponentFn, g2: ExponentFn,
                      params: ParamTower) -> ClosedForm:
     """Decompose kernel * g1(lambda) * g2(-lambda) (kernel carries 1/lambda)."""
-    g2n = g2.negated_lambda(params)
+    g2n = g2.negated_lambda()
     coeff = kernel.coeff * g1.weight * g2n.weight
     if coeff == 0:
         return ClosedForm(())
-
-    def res(seq):
-        return [a.resolved(params) for a in seq]
-
-    sign_n, num = _normalize_sh_list(
-        res(tuple(kernel.num_sh) + g1.num_sh + g2n.num_sh), params)
-    sign_d, den = _normalize_sh_list(
-        res(tuple(kernel.den_sh) + g1.den_sh + g2n.den_sh), params)
+    sign_n, num = _normalize_sh_list(kernel.num_sh + g1.num_sh + g2n.num_sh, params)
+    sign_d, den = _normalize_sh_list(kernel.den_sh + g1.den_sh + g2n.den_sh, params)
     v = dict(g1.vars)
     for n, c in g2n.vars:
         v[n] = v.get(n, 0) + c
     work = _Work(
         coeff=coeff * sign_n * sign_d,
         vars=tuple(sorted((n, c) for n, c in v.items() if c)),
-        rshift=(g1.rshift + g2n.rshift).resolved(params),
+        rshift=g1.rshift + g2n.rshift,
         num_sh=num,
         den_sh=den,
-        bose=res(list(g1.bose) + list(g2n.bose)),
+        bose=list(g1.bose + g2n.bose),
     )
     queue = [work]
     prims: list[Primitive] = []
@@ -303,33 +292,11 @@ def product_exponent(kernel: Kernel, g1: ExponentFn, g2: ExponentFn,
             prims.append(Primitive(int(ci), w.vars, w.rshift, w.bose[0] if w.bose else None))
         else:
             queue.extend(nxt)
-    merged: list[Primitive] = []
+    merged: dict[tuple, int] = {}
     for p in prims:
-        for i, q in enumerate(merged):
-            if p.vars == q.vars and (p.s - q.s).is_zero() and _beta_eq(p.beta, q.beta):
-                merged[i] = replace(q, coeff=q.coeff + p.coeff)
-                break
-        else:
-            merged.append(p)
-    return ClosedForm(tuple(p for p in merged if p.coeff != 0))
-
-
-def _beta_eq(a: Optional[ParamLin], b: Optional[ParamLin]) -> bool:
-    if a is None or b is None:
-        return a is None and b is None
-    return (a - b).is_zero()
-
-
-def contraction_exponent(g1: ExponentFn, g2: ExponentFn, kernel: Kernel,
-                         params: ParamTower) -> ClosedForm:
-    """The normal-ordering exponent for the ordered pair (g1, g2).
-
-    Returns a ClosedForm on the primitive catalog; raises
-    UnsupportedPairError when the integrand does not decompose onto it.
-    """
-    if g1.is_zero() or g2.is_zero() or kernel.coeff == 0:
-        return ClosedForm(())
-    return product_exponent(kernel, g1, g2, params)
+        key = (p.vars, p.s, p.beta)
+        merged[key] = merged.get(key, 0) + p.coeff
+    return ClosedForm(tuple(Primitive(c, *key) for key, c in merged.items() if c != 0))
 
 
 def quadrature_exponent(kernel: Kernel, g1: ExponentFn, g2: ExponentFn,
@@ -342,7 +309,7 @@ def quadrature_exponent(kernel: Kernel, g1: ExponentFn, g2: ExponentFn,
     forms.
     """
     lam_max = 400.0
-    g2n = g2.negated_lambda(params)
+    g2n = g2.negated_lambda()
 
     def f(lam: complex) -> complex:
         val = kernel.coeff * lam ** kernel.lambda_power

@@ -126,22 +126,24 @@ class BosonCurrent:
     def zero_mode(self) -> ZeroModeWord:
         return ZeroModeWord.for_current(self.kind, self.j)
 
-    def g(self) -> ExponentFn:
-        """The mode coefficient function g(lambda) of this letter."""
-        vars_, shift = spectral_exponent(self.arg)
+    def g(self, params: ParamTower) -> ExponentFn:
+        """The mode coefficient function g(lambda) of this letter, its
+        scales resolved on ``params``."""
+        vars_, shift = spectral_exponent(self.arg, params)
         m = self.slot
         if self.kind == "E":
             return ExponentFn(
                 weight=0.5, vars=vars_, rshift=shift,
-                num_sh=(ParamLin.inv_eta(m + 1, Fraction(1, 2)),),
-                den_sh=(ParamLin.inv_eta(m, Fraction(1, 2)), ParamLin.hbar(Fraction(1, 2))),
+                num_sh=(ParamLin.inv_eta(m + 1, params, Fraction(1, 2)),),
+                den_sh=(ParamLin.inv_eta(m, params, Fraction(1, 2)),
+                        ParamLin.hbar(Fraction(1, 2))),
             )
         if self.kind == "F":
             return ExponentFn(
                 weight=-0.5, vars=vars_, rshift=shift,
                 den_sh=(ParamLin.hbar(Fraction(1, 2)),),
             )
-        beta = ParamLin.inv_eta(m)
+        beta = ParamLin.inv_eta(m, params)
         if self.kind == "H+":
             # -e^{-hbar/4} / (1 - e^{+lambda/eta}) = +e^{-hbar/4 - 1/eta} Bose
             return ExponentFn(

@@ -32,8 +32,9 @@ class Kernel:
     lambda_power: int = -1
 
 
-def kernel(cartan: CartanData, i: int, j: int, slot: int = 0) -> Kernel:
-    """alpha_ij atoms at family slot ``slot``; zero kernel for B_ij = 0."""
+def kernel(cartan: CartanData, i: int, j: int, params: ParamTower, slot: int = 0) -> Kernel:
+    """alpha_ij atoms at family slot ``slot``, resolved on ``params``; zero
+    kernel for B_ij = 0."""
     b = cartan.b_entry(i, j)
     if b == 0:
         return Kernel(0.0, (), ())
@@ -42,9 +43,9 @@ def kernel(cartan: CartanData, i: int, j: int, slot: int = 0) -> Kernel:
         num_sh=(
             ParamLin.hbar(Fraction(1, 2)),
             ParamLin.hbar(b),
-            ParamLin.inv_eta(slot, Fraction(1, 2)),
+            ParamLin.inv_eta(slot, params, Fraction(1, 2)),
         ),
-        den_sh=(ParamLin.inv_eta(slot + 1, Fraction(1, 2)),),
+        den_sh=(ParamLin.inv_eta(slot + 1, params, Fraction(1, 2)),),
     )
 
 

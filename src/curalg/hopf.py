@@ -15,6 +15,7 @@ difference to right iteration is reported, not asserted.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -443,19 +444,21 @@ def verify_homomorphism(cartan: CartanData, params: ParamTower,
     rng = np.random.default_rng(seed)
     if relations is None:
         relations = structfn.RELATIONS
+
+    @functools.cache
+    def image(kind: str, node: int, name: str) -> list:
+        return _level2_slot_words(kind, node, name, params)
+
     out = []
     for rel in relations:
         kx, ky = structfn.exchange_kinds(rel)
         for i in cartan.nodes():
             for j in cartan.nodes():
-                x2 = level_k_currents(kx, i, 2, params)
-                y2 = level_k_currents(ky, j, 2, params)
-                x2 = _rename_var(x2, "u")
-                y2 = _rename_var(y2, "v")
                 # total level 2: the primed scale of the image algebra is
                 # eta^(2) (1/eta^(2) - 1/eta^(0) = 2*hbar for unit levels)
                 sr = structfn.ratio(rel, i, j, cartan, c=2, prime_period=2)
-                res, done = _exchange_residual(x2, y2, sr, cartan, params, samples, rng)
+                res, done = _exchange_residual(image(kx, i, "u"), image(ky, j, "v"), sr,
+                                               cartan, params, samples, rng)
                 out.append({
                     "relation": rel, "i": i, "j": j, "k": 2,
                     "max_residual": res, "pass": bool(res < tol),
@@ -476,11 +479,17 @@ def _rename_var(x: CurrentExpr, name: str) -> CurrentExpr:
     return CurrentExpr(out)
 
 
-def _exchange_residual(x2: CurrentExpr, y2: CurrentExpr, sr: structfn.StructureRatio,
+def _level2_slot_words(kind: str, node: int, name: str,
+                       params: ParamTower) -> list[tuple[complex, bchecks.SlotWord]]:
+    """Slot words of the level-2 image of the generator kind_node(name)."""
+    return _slot_words(_rename_var(level_k_currents(kind, node, 2, params), name))
+
+
+def _exchange_residual(xs: list, ys: list, sr: structfn.StructureRatio,
                        cartan: CartanData, params: ParamTower,
                        samples: int, rng: np.random.Generator) -> tuple[float, int]:
-    """(worst residual, accepted points); inf when no point was accepted."""
-    xs, ys = _slot_words(x2), _slot_words(y2)
+    """(worst residual, accepted points) of the exchange of two level-2
+    images given as slot words; inf when no point was accepted."""
     lhs_words = bchecks.monomial_groups(
         (cx * cy, csx + csy) for cx, csx in xs for cy, csy in ys)
     rhs_words = bchecks.monomial_groups(
@@ -524,7 +533,7 @@ def verify_serre_level2(cartan: CartanData, params: ParamTower, i: int, j: int,
         raise ValueError("cubic relation applies to adjacent pairs only")
     if rng is None:
         rng = np.random.default_rng(43)
-    u1, u2, v = (_slot_words(_rename_var(level_k_currents("E", node, 2, params), name))
+    u1, u2, v = (_level2_slot_words("E", node, name, params)
                  for name, node in (("u1", i), ("u2", i), ("v", j)))
     worst, done, signatures = bchecks.cubic_residual(u1, u2, v, cartan, params, 0.1,
                                                      samples, rng)

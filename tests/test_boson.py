@@ -11,11 +11,7 @@ from hypothesis import strategies as st
 from curalg import structfn
 from curalg.boson import checks, contraction, master
 from curalg.boson.atoms import ExponentFn, ParamLin
-from curalg.boson.contraction import (
-    contraction_exponent,
-    product_exponent,
-    quadrature_exponent,
-)
+from curalg.boson.contraction import product_exponent, quadrature_exponent
 from curalg.boson.currents import (
     ZeroModeWord,
     current,
@@ -130,15 +126,18 @@ def test_kernel_regular_at_zero(params, a2):
         assert abs(got - want) < 1e-8 * max(1.0, abs(want))
 
 
-def test_kernel_atoms_match_pointwise(params, a2):
-    ker = kernel(a2, 1, 2, 0)
+def test_kernel_atoms_match_pointwise(a2):
+    # a non-unit rational level: slot 1 needs 1/eta^(1), 1/eta^(2) resolved exactly
+    t = tower(1.0, 0.5, 1.0)
     lam = 0.9 - 0.3j
-    val = ker.coeff * lam ** ker.lambda_power
-    for a in ker.num_sh:
-        val *= cmath.sinh(a.value(params) * lam)
-    for b in ker.den_sh:
-        val /= cmath.sinh(b.value(params) * lam)
-    assert abs(val - kernel_value(a2, 1, 2, lam, params)) < 1e-13
+    for slot in (0, 1):
+        ker = kernel(a2, 1, 2, t, slot)
+        val = ker.coeff * lam ** ker.lambda_power
+        for a in ker.num_sh:
+            val *= cmath.sinh(a.value(t) * lam)
+        for b in ker.den_sh:
+            val /= cmath.sinh(b.value(t) * lam)
+        assert abs(val - kernel_value(a2, 1, 2, lam, t, slot=slot)) < 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -147,23 +146,47 @@ def test_kernel_atoms_match_pointwise(params, a2):
 
 
 @pytest.mark.parametrize("kind", ["E", "F", "H+", "H-"])
-def test_g_functions_match_pointwise(kind, params):
-    cur = current(kind, 1, "u")
-    g = cur.g()
-    rng = np.random.default_rng(3)
-    for _ in range(25):
-        lam = complex(rng.uniform(-3, 3), rng.uniform(-0.4, 0.4))
-        if abs(lam) < 0.1:
-            continue
-        u = complex(rng.uniform(-1, 1), rng.uniform(-0.1, 0.1))
-        want = phi_value(kind, 1, lam, u, params)
-        got = g.eval_at(lam, {"u": u}, params)
-        assert abs(got - want) < 1e-10 * max(1.0, abs(want))
+def test_g_functions_match_pointwise(kind):
+    # a non-unit rational level: slot 1 needs 1/eta^(1), 1/eta^(2) resolved exactly
+    t = tower(1.0, 0.5, 1.0)
+    for slot in (0, 1):
+        g = current(kind, 1, "u", slot=slot).g(t)
+        rng = np.random.default_rng(3)
+        for _ in range(25):
+            lam = complex(rng.uniform(-3, 3), rng.uniform(-0.4, 0.4))
+            if abs(lam) < 0.1:
+                continue
+            u = complex(rng.uniform(-1, 1), rng.uniform(-0.1, 0.1))
+            want = phi_value(kind, 1, lam, u, t, slot=slot)
+            got = g.eval_at(lam, {"u": u}, t)
+            assert abs(got - want) < 1e-10 * max(1.0, abs(want))
+
+
+def test_param_lin_is_resolved_when_built():
+    t = tower(1.0, 0.5, 1.0)
+    # 1/eta^(2) = 1/eta + hbar*(c_0 + c_1)
+    a = ParamLin.inv_eta(2, t)
+    b = ParamLin.inv_eta(0, t) + ParamLin.hbar(Fraction(3, 2))
+    assert a == b and hash(a) == hash(b)
+    assert abs(a.value(t) - t.inv_eta_at(2)) < 1e-15
+    assert str(ParamLin.inv_eta(1, t, Fraction(-1, 2))) == "-1/2/eta0 + -1/2*h"
+    assert str(ParamLin.hbar(Fraction(1, 2))) == "1/2*h" and str(ParamLin()) == "0"
+    # one base with both coordinates, one with 1/eta only
+    for base in (ParamLin.inv_eta(1, t, Fraction(1, 3)), ParamLin.inv_eta(0, t, 2)):
+        for m in range(1, 9):
+            assert (base * m).integer_ratio(base) == m
+        for q in (9, Fraction(3, 2), -1):
+            assert (base * q).integer_ratio(base) is None
+    # the hbar coordinates are in ratio 2, the 1/eta coordinates are not
+    assert (ParamLin.hbar(2) + ParamLin.inv_eta(0, t)).integer_ratio(
+        ParamLin.hbar(1) + ParamLin.inv_eta(0, t)) is None
+    with pytest.raises(ValueError, match="not exactly rational"):
+        current("E", 1, "u").g(tower(math.sqrt(2.0), 1.0))
 
 
 def test_g_negated_lambda(params):
-    g = current("H+", 1, "u").g()
-    gn = g.negated_lambda(params)
+    g = current("H+", 1, "u").g(params)
+    gn = g.negated_lambda()
     lam = 1.1 + 0.2j
     assert abs(gn.eval_at(lam, {"u": 0.3}, params)
                - g.eval_at(-lam, {"u": 0.3}, params)) < 1e-12
@@ -239,8 +262,8 @@ def test_combined_exchange_phase_is_b_weighted(a2):
 
 def test_empty_contraction(params, a2):
     g0 = ExponentFn(weight=0.0)
-    ker = kernel(a2, 1, 1, 0)
-    cf = contraction_exponent(g0, g0, ker, params)
+    ker = kernel(a2, 1, 1, params)
+    cf = product_exponent(ker, g0, g0, params)
     assert cf.primitives == ()
     assert cf.exp_value({}, params) == 1.0
 
@@ -250,10 +273,10 @@ def test_closed_form_vs_direct_quadrature(params, a2):
     pt = {"u": 0.3 + 2.2j, "v": -0.1 - 0.4j}
     for xk, yk in (("E", "E"), ("H+", "F"), ("H+", "E"), ("F", "F"), ("H-", "H+")):
         x, y = current(xk, 1, "u"), current(yk, 1, "v")
-        ker = kernel(a2, 1, 1, 0)
-        cf = contraction_exponent(x.g(), y.g(), ker, params)
+        ker = kernel(a2, 1, 1, params)
+        cf = product_exponent(ker, x.g(params), y.g(params), params)
         closed = cf.value(pt, params)
-        quad = quadrature_exponent(ker, x.g(), y.g(), pt, params)
+        quad = quadrature_exponent(ker, x.g(params), y.g(params), pt, params)
         assert abs(closed - quad) < 1e-9
 
 
@@ -276,7 +299,8 @@ def test_pair_cache_relabels_to_the_callers_names(params, a2, monkeypatch):
             x = current(xk, 1, names[0], Fraction(1, 2))
             y = current(yk, 2 if xk == "E" else 1, names[1])
             got = checks.pair_exponent(x, y, a2, params)
-            want = product_exponent(kernel(a2, x.j, y.j, 0), x.g(), y.g(), params)
+            want = product_exponent(kernel(a2, x.j, y.j, params), x.g(params), y.g(params),
+                                    params)
             assert got.primitives and got.primitives == want.primitives
             assert got.gamma_power == want.gamma_power
             assert all(p.vars == tuple(sorted(p.vars)) for p in got.primitives)
@@ -289,7 +313,7 @@ def test_pair_cache_is_keyed_on_the_tower(a2, monkeypatch):
     forms = []
     for t in (tower(1.0, 1.0), tower(1.0, 2.0)):
         forms.append(checks.pair_exponent(x, y, a2, t))
-        assert forms[-1] == product_exponent(kernel(a2, 1, 1, 1), x.g(), y.g(), t)
+        assert forms[-1] == product_exponent(kernel(a2, 1, 1, t, 1), x.g(t), y.g(t), t)
     assert forms[0] != forms[1]
     assert len(checks._PAIR_CACHE) == 2
 
@@ -297,13 +321,13 @@ def test_pair_cache_is_keyed_on_the_tower(a2, monkeypatch):
 def test_pair_cache_reduces_each_pair_once(params, a2, monkeypatch):
     monkeypatch.setattr(checks, "_PAIR_CACHE", {})
     calls = []
-    reduce = contraction.product_exponent
+    reduce = checks.product_exponent
 
     def counted(*args):
         calls.append(args)
         return reduce(*args)
 
-    monkeypatch.setattr(contraction, "product_exponent", counted)
+    monkeypatch.setattr(checks, "product_exponent", counted)
     for u, v in (("u", "v"), ("u", "v"), ("a", "b"), ("v", "u")):
         checks.pair_exponent(current("H+", 1, u), current("F", 2, v), a2, params)
     assert len(calls) == 1
@@ -434,16 +458,16 @@ def test_exchange_invariant_a3():
 def test_uncatalogued_pair_raises_unsupported():
     """A contrived two-Bose integrand with no matching sh numerator has no
     closed form; the quadrature oracle still integrates it."""
-    from curalg.boson.contraction import UnsupportedPairError, contraction_exponent
+    from curalg.boson.contraction import UnsupportedPairError
     from curalg.boson.kernel import Kernel
 
     params = tower(1.0, 1.0)
     ker = Kernel(coeff=1.0, num_sh=(), den_sh=())
-    g1 = ExponentFn(weight=1.0, vars=(("u", 1),), bose=(ParamLin.inv_eta(0),))
+    g1 = ExponentFn(weight=1.0, vars=(("u", 1),), bose=(ParamLin.inv_eta(0, params),))
     g2 = ExponentFn(weight=1.0, vars=(("v", 1),),
-                    bose=(ParamLin.inv_eta(0, Fraction(5, 7)),))
+                    bose=(ParamLin.inv_eta(0, params, Fraction(5, 7)),))
     with pytest.raises(UnsupportedPairError):
-        contraction_exponent(g1, g2, ker, params)
+        product_exponent(ker, g1, g2, params)
     pt = {"u": 0.2 + 2.8j, "v": 0.0}
     assert cmath.isfinite(quadrature_exponent(ker, g1, g2, pt, params))
 

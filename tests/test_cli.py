@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -51,6 +52,22 @@ def test_determinism_byte_identical(tmp_path):
                      "--seed", "9", "--out", str(out)])
         assert code == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_free_field_report_is_identical_across_processes(tmp_path):
+    # two cold processes, each with its own string hashing and an empty
+    # contraction pair cache, write the boson and hopf suites byte for byte alike
+    outs = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / f"r{hash_seed}.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "curalg.cli", "verify-all", "--algebra", "A2",
+             "--samples", "8", "--seed", "5", "--out", str(out)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONHASHSEED": hash_seed})
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out.read_bytes())
+    assert {s["suite"] for s in json.loads(outs[0])["suites"]} >= {"boson", "hopf"}
+    assert outs[0] == outs[1]
 
 
 def test_zero_tolerance_harness_self_test():

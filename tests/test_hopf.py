@@ -222,6 +222,22 @@ def test_unbuildable_level2_words_fail_the_record(params, monkeypatch):
     assert out and all(r["max_residual"] == float("inf") and not r["pass"] for r in out)
 
 
+def test_each_level2_image_is_built_once(params, monkeypatch):
+    built = []
+    real = hopf.level_k_currents
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(hopf, "level_k_currents", counted)
+    relations = ("EE", "HE")
+    out = hopf.verify_homomorphism(cartan("A", 2), params, samples=2, relations=relations)
+    images = {(kind, i, name) for rel in relations
+              for kind, name in zip(structfn.exchange_kinds(rel), "uv") for i in (1, 2)}
+    assert len(out) == 8 and len(built) == len(images)
+
+
 def test_wrong_cubic_coefficient_fails_both_levels(params, monkeypatch):
     true_coefficient = structfn.serre_coefficient
     monkeypatch.setattr(structfn, "serre_coefficient",
