@@ -28,8 +28,8 @@ from ..trigcalc import ShiftExpr
 
 def _rational_level(params: ParamTower, m: int) -> Fraction:
     c = params.c_at(m)
-    frac = Fraction(c).limit_denominator(64)
-    if abs(float(frac) - c) > 1e-12:
+    frac = params.rational_levels[m]
+    if frac is None:
         raise ValueError(
             f"tower level c_{m} = {c} is not exactly rational; "
             "the contraction calculus needs rational levels")

@@ -244,6 +244,7 @@ def exchange_fn(xk: str, xi: int, yk: str, yi: int, cartan: CartanData,
 
 # u, v and z, in the order each try draws them
 _DIAMOND_WINDOWS = {n: ((-2.0, 2.0), (-0.2, 0.2)) for n in ("u", "v", "z")}
+_DIAMOND_DRAWS = 2 * len(_DIAMOND_WINDOWS)   # doubles per try
 
 
 class _Diamonds:
@@ -304,14 +305,22 @@ class _Diamonds:
             rec.update({"skipped": True, "reason": str(paths), "pass": True})
             return rec
         path_a, path_b = paths
+        if path_b is None:
+            # both paths are one interned expression: the diamond holds
+            # exactly.  The doubles of ``samples`` unrejected tries are
+            # still drawn, so the triples after it draw the same points.
+            rng.random(samples * _DIAMOND_DRAWS)
+            rec.update({"skipped": False, "proven": True, "samples": 0,
+                        "max_residual": 0.0, "pass": True})
+            return rec
 
         def residual(pt):
             va = path_a.eval(pt, params)
-            vb = va if path_b is None else path_b.eval(pt, params)
+            vb = path_b.eval(pt, params)
             return abs(va - vb) / max(1.0, abs(va), abs(vb))
 
         worst, done = sample_max(residual, _DIAMOND_WINDOWS, samples, rng)
-        rec.update({"skipped": False, "samples": done, "max_residual": worst,
+        rec.update({"skipped": False, "proven": False, "samples": done, "max_residual": worst,
                     "pass": bool(done > 0 and worst < tol)})
         return rec
 
@@ -326,8 +335,10 @@ def verify_consistency(fam: str, a: int, xk: str, xi: int, yk: str, yi: int,
     exchanges the currents first, moves the vertex, then exchanges back
     through the printed reverse relation.  Agreement tests the
     transcription and the inversion property jointly.  When the two paths
-    canonicalize to the same terms only path A is evaluated (the residual
-    is then exactly 0.0, as evaluating both gives).
+    canonicalize to the same terms the triple is proven: no point is
+    evaluated, the record has ``proven: True``, ``samples: 0`` and
+    residual 0.0, and ``rng`` advances by the doubles of ``samples``
+    tries.
     """
     if rng is None:
         rng = np.random.default_rng(31)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 
 class CartanError(ValueError):
@@ -66,6 +67,14 @@ class CartanData:
 
     def nodes(self) -> range:
         return range(1, self.rank + 1)
+
+    # cache keys hash the Fraction matrix; once per instance
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.series, self.rank, self.a, self.b))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 def cartan(series: str, rank: int) -> CartanData:

@@ -18,9 +18,12 @@ must agree.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from typing import Optional
 
 
 class ParameterRangeError(ValueError):
@@ -89,6 +92,17 @@ class ParamTower:
         if not 0 <= n < len(self.levels):
             raise ParameterRangeError(f"c_{n} not materialized (levels={self.levels})")
         return self.levels[n]
+
+    @cached_property
+    def rational_levels(self) -> tuple[Optional[Fraction], ...]:
+        """Each c_n as a Fraction with denominator at most 64, or None where
+        c_n is not one to 1e-12; computed once per tower."""
+        out = []
+        for c in self.levels:
+            frac = Fraction(c).limit_denominator(64) if math.isfinite(c) else None
+            exact = frac is not None and abs(float(frac) - c) <= 1e-12
+            out.append(frac if exact else None)
+        return tuple(out)
 
     def inv_eta_at(self, n: int) -> float:
         if not 0 <= n < len(self._inv_etas):

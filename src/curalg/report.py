@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import traceback
 import warnings
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -89,7 +92,19 @@ def config_from_sources(file_vals: dict | None, overrides: dict) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _suite_liealg(cfg: RunConfig, rng) -> list[dict]:
+class _Shared:
+    """What more than one suite of a run reads, each built at first use."""
+
+    def __init__(self, cfg: RunConfig):
+        self.cfg = cfg
+
+    @cached_property
+    def module0(self) -> evalrep.EvalRep:
+        """The level-0 evaluation module (A series), built once per run."""
+        return evalrep.build(self.cfg.cartan().rank, self.cfg.tower_level0())
+
+
+def _suite_liealg(cfg: RunConfig, rng, shared: _Shared) -> list[dict]:
     cd = cfg.cartan()
     sym = all(cd.a_entry(i, j) == cd.a_entry(j, i)
               for i in cd.nodes() for j in cd.nodes())
@@ -103,7 +118,7 @@ def _suite_liealg(cfg: RunConfig, rng) -> list[dict]:
     ]
 
 
-def _suite_params(cfg: RunConfig, rng) -> list[dict]:
+def _suite_params(cfg: RunConfig, rng, shared: _Shared) -> list[dict]:
     tower = cfg.tower()
     worst = 0.0
     for n in range(len(cfg.levels)):
@@ -119,7 +134,7 @@ def _suite_params(cfg: RunConfig, rng) -> list[dict]:
     ]
 
 
-def _suite_trigcalc(cfg: RunConfig, rng) -> list[dict]:
+def _suite_trigcalc(cfg: RunConfig, rng, shared: _Shared) -> list[dict]:
     params = cfg.tower()
     out = []
     window = ((-2.0, 2.0), (-0.3, 0.3))
@@ -168,7 +183,7 @@ def _suite_trigcalc(cfg: RunConfig, rng) -> list[dict]:
     return out
 
 
-def _suite_structfn(cfg: RunConfig, rng) -> list[dict]:
+def _suite_structfn(cfg: RunConfig, rng, shared: _Shared) -> list[dict]:
     params = cfg.tower()
     cd = cfg.cartan()
     out = []
@@ -216,13 +231,12 @@ def _suite_structfn(cfg: RunConfig, rng) -> list[dict]:
     return out
 
 
-def _suite_evalrep(cfg: RunConfig, rng) -> list[dict]:
-    params = cfg.tower_level0()
+def _suite_evalrep(cfg: RunConfig, rng, shared: _Shared) -> list[dict]:
     cd = cfg.cartan()
     if cd.series != "A":
         return [{"id": "skipped_non_A_series", "pass": True, "max_residual": 0.0,
                  "note": "finite-dimensional module exists for the A series only"}]
-    rep = evalrep.build(cd.rank, params)
+    rep = shared.module0
     out = []
     recs = evalrep.verify_all(rep, samples=cfg.samples, tol=1e-9, seed=cfg.seed)
     for rec in recs:
@@ -250,7 +264,7 @@ def _boson_pair_catalog(cd: CartanData):
     return pairs
 
 
-def _suite_boson(cfg: RunConfig, rng) -> list[dict]:
+def _suite_boson(cfg: RunConfig, rng, shared: _Shared) -> list[dict]:
     params = cfg.tower()
     cd = cfg.cartan()
     if params.max_level() < 1 or params.c_at(0) != 1.0:
@@ -315,14 +329,13 @@ def _suite_boson(cfg: RunConfig, rng) -> list[dict]:
     return out
 
 
-def _suite_hopf(cfg: RunConfig, rng) -> list[dict]:
+def _suite_hopf(cfg: RunConfig, rng, shared: _Shared) -> list[dict]:
     cd = cfg.cartan()
     out = []
-    params0 = cfg.tower_level0()
     parts = cfg.hopf_parts
     if "axioms" in parts and cd.series == "A":
-        rep = evalrep.build(cd.rank, params0)
-        for rec in hopf.verify_axioms(rep, params0, samples=max(20, cfg.samples // 2),
+        rep = shared.module0
+        for rec in hopf.verify_axioms(rep, rep.params, samples=max(20, cfg.samples // 2),
                                       tol=1e-9, seed=cfg.seed):
             rec["id"] = f"axiom_{rec['axiom']}_{rec['generator']}"
             out.append(rec)
@@ -365,7 +378,7 @@ def _suite_hopf(cfg: RunConfig, rng) -> list[dict]:
     return out
 
 
-def _suite_intertwine(cfg: RunConfig, rng) -> list[dict]:
+def _suite_intertwine(cfg: RunConfig, rng, shared: _Shared) -> list[dict]:
     cd = cfg.cartan()
     if cd.series != "A":
         return [{"id": "skipped_non_A_series", "pass": True, "max_residual": 0.0,
@@ -438,10 +451,19 @@ def _jsonable(x):
     return x
 
 
+def _suite_error(exc: Exception) -> dict:
+    """The record of a suite that raised: the error and the innermost frame."""
+    frame = traceback.extract_tb(exc.__traceback__)[-1]
+    return {"id": "suite_error", "pass": False, "max_residual": float("inf"),
+            "error": f"{type(exc).__name__}: {exc}",
+            "where": f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name}"}
+
+
 def run(cfg: RunConfig) -> dict:
     """Execute the selected suites in dependency order."""
     seq = np.random.SeedSequence(cfg.seed)
     children = seq.spawn(len(SUITES))
+    shared = _Shared(cfg)
     suites_out = []
     overall = True
     with warnings.catch_warnings():
@@ -450,7 +472,10 @@ def run(cfg: RunConfig) -> dict:
             if name not in cfg.suites:
                 continue
             rng = np.random.default_rng(children[idx])
-            checks = _SUITE_FNS[name](cfg, rng)
+            try:
+                checks = _SUITE_FNS[name](cfg, rng, shared)
+            except Exception as exc:   # one failing record; the later suites still run
+                checks = [_suite_error(exc)]
             ok = all(c.get("pass", False) for c in checks)
             overall = overall and ok
             suites_out.append({"suite": name, "pass": ok, "checks": _jsonable(checks)})

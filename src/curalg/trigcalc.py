@@ -34,6 +34,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -172,7 +173,17 @@ class ShiftExpr:
     def free_vars(self) -> frozenset[str]:
         return frozenset(name for name, _ in self.vars)
 
-    def __str__(self) -> str:
+    # Every term bucket and sort key reads these, so each instance computes
+    # them once; the hash is the dataclass's own field hash.
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.vars, self.q, self.lattice, self.t))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _text(self) -> str:
         bits = []
         for name, c in self.vars:
             bits.append(name if c == 1 else f"{c}*{name}")
@@ -183,6 +194,9 @@ class ShiftExpr:
         if self.t:
             bits.append(repr(self.t))
         return " + ".join(bits) if bits else "0"
+
+    def __str__(self) -> str:
+        return self._text
 
 
 def _mk_shift(v: Mapping[str, int], q: Fraction, l: Mapping[int, int], t: float) -> ShiftExpr:
@@ -232,6 +246,13 @@ class TrigFactor:
         sign = -1 if k % 2 else 1
         return sign, TrigFactor(self.period, self.arg.without_lattice(self.period),
                                 self.exponent, self.bv)
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.period, self.arg, self.exponent, self.bv))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def untagged(self) -> "TrigFactor":
         return TrigFactor(self.period, self.arg, self.exponent, BV_NONE)
@@ -824,10 +845,11 @@ def sample_max(residual: Callable[[dict[str, complex]], Optional[float]],
     ``windows`` maps each variable, in draw order, to its (real range,
     imaginary range); an imaginary range of None draws a real point.  A
     try draws every variable, real part then imaginary part, and all the
-    tries of a batch come from one ``rng.uniform`` call: the same doubles
-    as one scalar call per coordinate.  A try whose ``residual`` returns
-    None or raises ArithmeticError is rejected; at most ``samples +
-    retries`` tries are made.  Returns (worst, accepted count).
+    tries of a batch come from one broadcast ``rng.uniform(lo, hi,
+    size=(n, width))`` call, one row per try: the same doubles as one
+    scalar call per coordinate.  A try whose ``residual`` returns None or
+    raises ArithmeticError is rejected; at most ``samples + retries``
+    tries are made.  Returns (worst, accepted count).
     """
     lo: list[float] = []
     hi: list[float] = []
@@ -838,16 +860,15 @@ def sample_max(residual: Callable[[dict[str, complex]], Optional[float]],
             lo.append(lo_hi[0])
             hi.append(lo_hi[1])
     width = len(lo)
+    lo_arr, hi_arr = np.array(lo), np.array(hi)
     worst = 0.0
     done = tries = 0
     while done < samples and tries < samples + retries:
         # the tries left if none is rejected
         n = min(samples - done, samples + retries - tries)
-        flat = rng.uniform(np.tile(lo, n), np.tile(hi, n)).tolist()
-        for k in range(n):
+        for row in rng.uniform(lo_arr, hi_arr, size=(n, width)).tolist():
             tries += 1
-            base = k * width
-            pt = {name: complex(flat[base + re], 0.0 if im is None else flat[base + im])
+            pt = {name: complex(row[re], 0.0 if im is None else row[im])
                   for name, re, im in slots}
             try:
                 r = residual(pt)

@@ -184,6 +184,24 @@ def test_param_lin_is_resolved_when_built():
         current("E", 1, "u").g(tower(math.sqrt(2.0), 1.0))
 
 
+def test_rational_levels_are_fixed_once_per_tower(monkeypatch):
+    t = tower(1.0, 0.5, math.sqrt(2.0))
+    calls = []
+    real = Fraction.limit_denominator
+
+    def counted(self, max_denominator=1000000):
+        calls.append(self)
+        return real(self, max_denominator)
+
+    monkeypatch.setattr(Fraction, "limit_denominator", counted)
+    for _ in range(3):
+        assert ParamLin.inv_eta(2, t) == ParamLin(Fraction(3, 2), Fraction(1))
+    assert len(calls) == 3
+    assert t.rational_levels == (Fraction(1), Fraction(1, 2), None)
+    with pytest.raises(ValueError, match="c_2 = 1.414"):
+        ParamLin.inv_eta(3, t)
+
+
 def test_g_negated_lambda(params):
     g = current("H+", 1, "u").g(params)
     gn = g.negated_lambda()

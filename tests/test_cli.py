@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from curalg import report
 from curalg.cli import main
 from curalg.report import RunConfig, config_from_sources, parse_config_file, run
 
@@ -43,6 +44,25 @@ def test_suite_subset_runs_without_boson():
     names = [s["suite"] for s in rep["suites"]]
     assert "evalrep" in names and "boson" not in names
     assert rep["pass"]
+
+
+def test_a_raising_suite_fails_one_record_and_the_run_continues(monkeypatch):
+    def broken(cfg, rng, shared):
+        raise RuntimeError("injected")
+
+    monkeypatch.setitem(report._SUITE_FNS, "trigcalc", broken)
+    cfg = RunConfig(algebra="A1", samples=10, seed=3,
+                    suites=("liealg", "params", "trigcalc", "structfn", "evalrep"))
+    rep = run(cfg)
+    suites = {s["suite"]: s for s in rep["suites"]}
+    assert list(suites) == ["liealg", "params", "trigcalc", "structfn", "evalrep"]
+    (rec,) = suites["trigcalc"]["checks"]
+    assert rec["id"] == "suite_error" and rec["pass"] is False
+    assert rec["error"] == "RuntimeError: injected"
+    assert rec["where"].startswith("test_cli.py:") and rec["where"].endswith(" in broken")
+    assert suites["trigcalc"]["pass"] is False and rep["pass"] is False
+    assert all(s["pass"] and s["checks"] for n, s in suites.items() if n != "trigcalc")
+    json.loads(report.report_json(rep))
 
 
 def test_determinism_byte_identical(tmp_path):

@@ -214,8 +214,8 @@ def test_smeared_total_current_slow_oracle(params):
 
 
 def test_each_total_current_is_built_once_per_module(monkeypatch):
-    # the A4 module run: every relation and every axiom reads the same
-    # 2r normalized total currents of its module
+    # the A4 module run: every relation and every axiom of the run reads
+    # the same 2r normalized total currents of one module
     built = []
     total = evalrep.total_current
 
@@ -225,10 +225,8 @@ def test_each_total_current_is_built_once_per_module(monkeypatch):
         return total(rep, which, l, normalized)
 
     monkeypatch.setattr(evalrep, "total_current", counted)
-    cfg = report.RunConfig(algebra="A4", samples=8, hopf_parts=("axioms",))
-    rng = np.random.default_rng(0)
-    report._suite_evalrep(cfg, rng)
-    report._suite_hopf(cfg, rng)
-    reps = {id(rep): rep for rep in built}
-    assert len(reps) == 2
-    assert all(sum(r is rep for r in built) <= 2 * 4 for rep in reps.values())
+    cfg = report.RunConfig(algebra="A4", samples=8, suites=("evalrep", "hopf"),
+                           hopf_parts=("axioms",))
+    assert report.run(cfg)["pass"]
+    assert len({id(rep) for rep in built}) == 1
+    assert len(built) == 2 * 4

@@ -176,15 +176,18 @@ def test_suite_memo_gives_the_records_of_fresh_triples(rank, samples, params):
             assert (g["samples"], g["max_residual"]) == (w["samples"], w["max_residual"])
 
 
+def _scalar_point(rng):
+    """One try's point, one scalar uniform per coordinate."""
+    return {n: complex(rng.uniform(-2, 2), rng.uniform(-0.2, 0.2)) for n in ("u", "v", "z")}
+
+
 def _scalar_draw_residual(path_a, path_b, params, samples, rng):
     """Both paths at every try, one scalar uniform per coordinate."""
     worst = 0.0
     done = tries = 0
     while done < samples and tries < samples + 200:
         tries += 1
-        pt = {"u": complex(rng.uniform(-2, 2), rng.uniform(-0.2, 0.2)),
-              "v": complex(rng.uniform(-2, 2), rng.uniform(-0.2, 0.2)),
-              "z": complex(rng.uniform(-2, 2), rng.uniform(-0.2, 0.2))}
+        pt = _scalar_point(rng)
         try:
             va = path_a.eval(pt, params)
             vb = path_b.eval(pt, params)
@@ -208,9 +211,48 @@ def test_triples_match_evaluating_both_paths_with_scalar_draws(params):
         except DeltaBearingMove as exc:
             assert rec["skipped"] and rec["reason"] == str(exc)
             continue
-        done, worst = _scalar_draw_residual(cx * cy, rxy * cy * cx * ryx, params, 6, rng_b)
+        path_a, path_b = cx * cy, rxy * cy * cx * ryx
+        # proven exactly when both paths have the same terms; a proven
+        # triple evaluates nothing but still takes its tries' draws
+        assert rec["proven"] == (path_a.key() == path_b.key())
+        if rec["proven"]:
+            assert (rec["samples"], rec["max_residual"], rec["pass"]) == (0, 0.0, True)
+            for _ in range(6):
+                _scalar_point(rng_b)
+            continue
+        done, worst = _scalar_draw_residual(path_a, path_b, params, 6, rng_b)
         assert (rec["samples"], rec["max_residual"]) == (done, worst)
     assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+def test_proven_triples_evaluate_no_point(params, monkeypatch):
+    # A4: the paths of 3,384 of the 4,056 unskipped triples intern to one
+    # expression; only the other 672 evaluate points
+    evals = [0]
+    real_eval = DistExpr.eval
+
+    def counted_eval(self, pt, p):
+        evals[0] += 1
+        return real_eval(self, pt, p)
+
+    per_triple = []
+    real_check = intertwine._Diamonds.check
+
+    def check(self, *args):
+        before = evals[0]
+        rec = real_check(self, *args)
+        per_triple.append((rec, evals[0] - before))
+        return rec
+
+    monkeypatch.setattr(DistExpr, "eval", counted_eval)
+    monkeypatch.setattr(intertwine._Diamonds, "check", check)
+    out = consistency_suite(cartan("A", 4), params, samples=2)
+    assert len(out) == len(per_triple) == 5120
+    proven = [n for rec, n in per_triple if not rec["skipped"] and rec["proven"]]
+    sampled = [n for rec, n in per_triple if not rec["skipped"] and not rec["proven"]]
+    assert (len(proven), len(sampled), len(out) - len(proven) - len(sampled)) == (3384, 672, 1064)
+    assert not any(proven) and all(sampled)
+    assert all(r["pass"] for r in out)
 
 
 class _RejectingPath:

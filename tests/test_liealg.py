@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from curalg.liealg import CartanError, adjacent_pairs, cartan, from_label
@@ -55,3 +57,15 @@ def test_from_label():
     assert from_label("D4").series == "D"
     with pytest.raises(CartanError):
         from_label("Q7")
+
+
+def test_cartan_data_hashes_its_matrix_once(monkeypatch):
+    cd = cartan("D", 4)
+    want = hash((cd.series, cd.rank, cd.a, cd.b))   # the dataclass's field hash
+    assert hash(cd) == want
+
+    def rehashed(self):
+        raise AssertionError("Fraction rehashed")
+
+    monkeypatch.setattr(Fraction, "__hash__", rehashed)
+    assert hash(cd) == want and {cd: 1}[cd] == 1

@@ -509,6 +509,22 @@ def test_sampler_propagates_other_errors():
         sample_max(residual, _WINDOWS, 3, np.random.default_rng(0))
 
 
+def test_atoms_hash_and_print_once(monkeypatch):
+    arg = var("u") - ShiftExpr.hbar_units(Fraction(3, 4)) + ShiftExpr.lattice_units(1, 2)
+    f = TrigFactor(1, arg, -1)
+    # the dataclasses' field hashes, so set and dict orders stay as they were
+    want = (hash((arg.vars, arg.q, arg.lattice, arg.t)),
+            hash((f.period, arg, f.exponent, f.bv)), "u + -3/4*ih + 2*i/eta1")
+    assert (hash(arg), hash(f), str(arg)) == want
+
+    def recomputed(self):
+        raise AssertionError("Fraction hashed or printed again")
+
+    monkeypatch.setattr(Fraction, "__hash__", recomputed)
+    monkeypatch.setattr(Fraction, "__str__", recomputed)
+    assert (hash(arg), hash(f), str(arg)) == want
+
+
 def _reject_every_point(*_args, **_kwargs):
     raise PoleProximityError("every point rejected")
 
@@ -517,15 +533,30 @@ def test_records_fail_when_every_point_is_rejected(monkeypatch):
     cfg = report.RunConfig(algebra="A2", samples=10, pairs="E1:E2")
     rng = np.random.default_rng(0)
     monkeypatch.setattr(TrigFactor, "eval", _reject_every_point)
-    failed = {r["id"]: r for r in report._suite_trigcalc(cfg, rng) if not r["pass"]}
+    shared = report._Shared(cfg)
+    failed = {r["id"]: r for r in report._suite_trigcalc(cfg, rng, shared) if not r["pass"]}
     assert list(failed) == ["half_period_flip"]
     monkeypatch.setattr(report, "kernel_value", _reject_every_point)
-    assert report._suite_boson(cfg, rng)[0] == {
+    assert report._suite_boson(cfg, rng, shared)[0] == {
         "id": "kernel_symmetries", "pass": False, "max_residual": 0.0}
     monkeypatch.setattr(DistExpr, "eval", _reject_every_point)
-    failed = [r["id"] for r in report._suite_structfn(cfg, rng) if not r["pass"]]
+    failed = [r["id"] for r in report._suite_structfn(cfg, rng, shared) if not r["pass"]]
     assert failed == ["inversion", "hh_pm_level0_trivial", "degeneration"]
     for deg in (evalrep.degeneration_report(2), intertwine.degeneration_report(2)):
         assert deg["pass"] is False and deg["max_residual"] == 0.0
-    triples = intertwine.consistency_suite(cfg.cartan(), cfg.tower(), samples=2)
-    assert not any(r["pass"] for r in triples if not r["skipped"])
+    cd = cfg.cartan()
+    triples = [r for r in intertwine.consistency_suite(cd, cfg.tower(), samples=2)
+               if not r["skipped"]]
+    sampled = [r for r in triples if not r["proven"]]
+    assert sampled and not any(r["pass"] for r in sampled)
+    # a proven triple evaluates no point: its two paths have the same terms
+    for r in triples:
+        if r["proven"]:
+            fam, a = r["family"], r["component"]
+            (xk, xi), (yk, yi) = ((k, int(i)) for k, i in (c.rsplit("_", 1)
+                                                          for c in (r["x"], r["y"])))
+            cx = intertwine.vertex_move_coeff(fam, a, xk, xi, cd.rank, "u")
+            cy = intertwine.vertex_move_coeff(fam, a, yk, yi, cd.rank, "v")
+            rxy = intertwine.exchange_fn(xk, xi, yk, yi, cd, "u", "v")
+            ryx = intertwine.exchange_fn(yk, yi, xk, xi, cd, "v", "u")
+            assert (cx * cy).key() == (rxy * cy * cx * ryx).key()
