@@ -1,18 +1,20 @@
 """Numeric verification of the level-1 free-field realization.
 
-Every delta-free exchange relation is checked by comparing
-
-    exp(C_XY(u,v) - C_YX(v,u)) * (zero-mode/Klein phase ratio)
-
-against the corresponding structure function; the E-F relation is
-checked through the pole/residue structure of its contraction factor;
-the cubic relations by symmetrized cancellation of full word
-coefficients.  All closed forms evaluate through the meromorphic Gamma
-continuation, so sample points are unconstrained up to poles.
+Every delta-free exchange relation is checked per normal-ordered
+monomial: the word value of X(u)Y(v), (zero-mode/Klein phase) *
+exp(C_XY(u,v)), against the structure function times that of Y(v)X(u);
+the E-F relation is checked through the pole/residue structure of its
+contraction factor; the cubic relations by symmetrized cancellation of
+full word coefficients.  The exchange and cubic engines take images as
+(coefficient, slot word) lists, so the level-2 coproduct images of
+``hopf`` run through the same code as single currents.  All closed
+forms evaluate through the meromorphic Gamma continuation, so sample
+points are unconstrained up to poles.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -24,7 +26,7 @@ from .. import structfn
 from ..liealg import CartanData
 from ..params import ParamTower
 from ..structfn import StructureRatio
-from ..trigcalc import sample_max
+from ..trigcalc import relative_residual, sample_max
 from .atoms import ParamLin
 from .contraction import ClosedForm, product_exponent
 from .currents import BosonCurrent, current, word_phase
@@ -182,37 +184,57 @@ def cubic_residual(u1: list, u2: list, v: list, cartan: CartanData,
     return worst, done, len(groups)
 
 
+def exchange_residual(xs: list, ys: list, expected: StructureRatio, cartan: CartanData,
+                      params: ParamTower, imag_window: float, samples: int,
+                      rng: np.random.Generator) -> tuple[float, int]:
+    """Sampled exchange relation X(u) Y(v) = R(u - v) Y(v) X(u) of two images.
+
+    Each image is a list of (coefficient, slot word) terms, ``xs`` in u and
+    ``ys`` in v.  Both orderings expand into words grouped by normal-ordered
+    monomial (the same monomials, as a monomial's letters are unordered),
+    and every monomial's coefficients must satisfy lhs = R * rhs, judged by
+    ``relative_residual``.  A point where a monomial's coefficient is not
+    finite is rejected.  Returns (worst residual, accepted points); inf
+    when no point was accepted.
+    """
+    lhs = group_forms(monomial_groups(
+        (cx * cy, csx + csy) for cx, csx in xs for cy, csy in ys), cartan, params)
+    rhs = group_forms(monomial_groups(
+        (cy * cx, csy + csx) for cy, csy in ys for cx, csx in xs), cartan, params)
+
+    def residual(pt):
+        if lhs is None or rhs is None:
+            return None
+        try:
+            ratio = expected.eval(pt["u"] - pt["v"], params)
+            res_here = 0.0
+            for sig, entries in lhs.items():
+                lv = sum(group_values(entries, params, pt))
+                rv = sum(group_values(rhs[sig], params, pt))
+                if not (cmath.isfinite(lv) and cmath.isfinite(rv)):
+                    return None
+                res_here = max(res_here, relative_residual(lv, ratio * rv))
+        except ValueError:
+            return None
+        return res_here
+
+    window = ((-2.0, 2.0), (-imag_window, imag_window))
+    worst, done = sample_max(residual, {"u": window, "v": window}, samples, rng)
+    return (worst if done else float("inf")), done
+
+
 def exchange_check(x: BosonCurrent, y: BosonCurrent, expected: StructureRatio,
                    cartan: CartanData, params: ParamTower,
                    samples: int = 30, tol: float = 1e-8,
                    rng: Optional[np.random.Generator] = None,
                    imag_window: float = 0.2) -> dict:
-    """Compare the realized exchange ratio of X(u)Y(v) with ``expected``."""
+    """Exchange relation of the currents X(u) and Y(v) against ``expected``."""
     if rng is None:
         rng = np.random.default_rng(11)
     if {x.kind, y.kind} == {"E", "F"} and x.j == y.j:
         raise ValueError("the E-F pair at equal nodes is delta-bearing; use ef_delta_check")
-    c_xy = word_exponent((x, y), cartan, params)
-    c_yx = word_exponent((y, x), cartan, params)
-    ph = word_phase((x, y), cartan) / word_phase((y, x), cartan)
-    u_name = x.arg.vars[0][0]
-    v_name = y.arg.vars[0][0]
-
-    def residual(pt):
-        try:
-            num = c_xy.exp_value(pt, params)
-            den = c_yx.exp_value(pt, params)
-            if not (np.isfinite(num.real) and np.isfinite(den.real)) or den == 0:
-                return None
-            model = ph * num / den
-            target = expected.eval(pt[u_name] - pt[v_name], params)
-        except ValueError:
-            return None
-        scale = max(1.0, abs(model), abs(target))
-        return abs(model - target) / scale
-
-    window = ((-2.0, 2.0), (-imag_window, imag_window))
-    max_res, done = sample_max(residual, {u_name: window, v_name: window}, samples, rng)
+    max_res, done = exchange_residual([(1.0, [(0, x)])], [(1.0, [(0, y)])], expected,
+                                      cartan, params, imag_window, samples, rng)
     return {
         "pair": f"{x.kind}_{x.j}|{y.kind}_{y.j}",
         "relation": expected.relation,

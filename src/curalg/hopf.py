@@ -30,7 +30,7 @@ from .boson.currents import BosonCurrent, word_phase
 from .boson.currents import current as bcur
 from .liealg import CartanData
 from .params import ParamTower
-from .trigcalc import DistExpr, ShiftExpr, equal_numeric, sample_max, var
+from .trigcalc import DistExpr, ShiftExpr, equal_numeric, var
 
 GEN_KINDS = ("E", "F", "H+", "H-")
 LETTER_KINDS = GEN_KINDS + ("H+inv", "H-inv", "one", "c")
@@ -457,8 +457,8 @@ def verify_homomorphism(cartan: CartanData, params: ParamTower,
                 # total level 2: the primed scale of the image algebra is
                 # eta^(2) (1/eta^(2) - 1/eta^(0) = 2*hbar for unit levels)
                 sr = structfn.ratio(rel, i, j, cartan, c=2, prime_period=2)
-                res, done = _exchange_residual(image(kx, i, "u"), image(ky, j, "v"), sr,
-                                               cartan, params, samples, rng)
+                res, done = bchecks.exchange_residual(image(kx, i, "u"), image(ky, j, "v"), sr,
+                                                      cartan, params, 0.15, samples, rng)
                 out.append({
                     "relation": rel, "i": i, "j": j, "k": 2,
                     "max_residual": res, "pass": bool(res < tol),
@@ -483,40 +483,6 @@ def _level2_slot_words(kind: str, node: int, name: str,
                        params: ParamTower) -> list[tuple[complex, bchecks.SlotWord]]:
     """Slot words of the level-2 image of the generator kind_node(name)."""
     return _slot_words(_rename_var(level_k_currents(kind, node, 2, params), name))
-
-
-def _exchange_residual(xs: list, ys: list, sr: structfn.StructureRatio,
-                       cartan: CartanData, params: ParamTower,
-                       samples: int, rng: np.random.Generator) -> tuple[float, int]:
-    """(worst residual, accepted points) of the exchange of two level-2
-    images given as slot words; inf when no point was accepted."""
-    lhs_words = bchecks.monomial_groups(
-        (cx * cy, csx + csy) for cx, csx in xs for cy, csy in ys)
-    rhs_words = bchecks.monomial_groups(
-        (cy * cx, csy + csx) for cy, csy in ys for cx, csx in xs)
-    if set(lhs_words) != set(rhs_words):
-        return float("inf"), 0
-    lhs_forms = bchecks.group_forms(lhs_words, cartan, params)
-    rhs_forms = bchecks.group_forms(rhs_words, cartan, params)
-
-    def residual(pt):
-        if lhs_forms is None or rhs_forms is None:
-            return None
-        try:
-            ratio_val = sr.eval(pt["u"] - pt["v"], params)
-            res_here = 0.0
-            for sig in lhs_forms:
-                lv = sum(bchecks.group_values(lhs_forms[sig], params, pt))
-                rv = sum(bchecks.group_values(rhs_forms[sig], params, pt))
-                scale = max(1.0, abs(lv), abs(ratio_val * rv))
-                res_here = max(res_here, abs(lv - ratio_val * rv) / scale)
-        except ValueError:
-            return None
-        return res_here
-
-    window = ((-2.0, 2.0), (-0.15, 0.15))
-    worst, done = sample_max(residual, {"u": window, "v": window}, samples, rng)
-    return (worst if done else float("inf")), done
 
 
 def verify_serre_level2(cartan: CartanData, params: ParamTower, i: int, j: int,

@@ -32,7 +32,8 @@ import numpy as np
 from . import structfn
 from .liealg import CartanData
 from .params import ParamTower
-from .trigcalc import DistExpr, ShiftExpr, Term, TrigFactor, sample_max, var
+from .trigcalc import (DistExpr, ShiftExpr, Term, TrigFactor, relative_residual,
+                       sample_max, var)
 
 VERTEX_KINDS = ("Phi", "PhiStar", "PsiStar", "Psi")
 
@@ -315,9 +316,7 @@ class _Diamonds:
             return rec
 
         def residual(pt):
-            va = path_a.eval(pt, params)
-            vb = path_b.eval(pt, params)
-            return abs(va - vb) / max(1.0, abs(va), abs(vb))
+            return relative_residual(path_a.eval(pt, params), path_b.eval(pt, params))
 
         worst, done = sample_max(residual, _DIAMOND_WINDOWS, samples, rng)
         rec.update({"skipped": False, "proven": False, "samples": done, "max_residual": worst,

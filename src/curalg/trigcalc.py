@@ -332,20 +332,15 @@ def _delta_sort_key(d: DeltaAtom):
 
 def _canonical_term(scalar: complex, factors: Iterable[TrigFactor],
                     deltas: Iterable[DeltaAtom], mat: Optional[np.ndarray]) -> Optional[Term]:
-    """Half-period reduction, delta resolution, deterministic ordering."""
-    sc = complex(scalar)
-    fs: list[TrigFactor] = []
-    for f in factors:
-        sign, g = f.canonical()
-        sc *= sign
-        fs.append(g)
+    """Delta resolution, half-period reduction, deterministic ordering."""
+    fs = list(factors)
 
     # Triangular delta resolution: repeatedly solve the delta whose
     # alphabetically-smallest variable is globally smallest, pin that
-    # variable and substitute everywhere else.
-    ds = [d.canonical() for d in deltas]
-    pins: dict[str, ShiftExpr] = {}
-    pending = sorted(ds, key=_delta_sort_key)
+    # variable and substitute everywhere else: into the deltas still
+    # pending, the factors and the solutions found so far, so every
+    # solution is free of every pinned variable.
+    pending = [d.canonical() for d in deltas]
     resolved: list[tuple[str, ShiftExpr]] = []
     while pending:
         pending.sort(key=_delta_sort_key)
@@ -365,39 +360,26 @@ def _canonical_term(scalar: complex, factors: Iterable[TrigFactor],
             continue
         sol = d.arg.solve_for(target)
         resolved.append((target, sol))
-        pins[target] = sol
         pending = [p.subs(target, sol) for p in pending]
         fs = [f.subs(target, sol) for f in fs]
         resolved = [
             (nm, s.subs(target, sol) if nm != target else s) for nm, s in resolved
         ]
-    # Back-substitute pins into each other until stable.
-    changed = True
-    guard = 0
-    while changed and guard < 32:
-        changed = False
-        guard += 1
-        out = []
-        for nm, s in resolved:
-            s2 = s
-            for other, sol in resolved:
-                if other and other != nm and s2.var_coeff(other) != 0:
-                    s2 = s2.subs(other, sol)
-                    changed = True
-            out.append((nm, s2))
-        resolved = out
 
     new_deltas = []
     for nm, s in resolved:
         arg = ShiftExpr.of_var(nm) - s if nm else s
         new_deltas.append(DeltaAtom(arg).canonical())
 
+    # Half-period reduction: each factor's own-period lattice units leave
+    # the sign (-1)^k; the scalar is multiplied once, by the product.
+    sign = 1
     fs2: list[TrigFactor] = []
-    sc2 = sc
     for f in fs:
-        sign, g = f.canonical()
-        sc2 *= sign
+        flip, g = f.canonical()
+        sign *= flip
         fs2.append(g)
+    sc = complex(scalar) * sign
     # sh(x)^{+1} * sh(x)^{-1} == 1 exactly (removable at the common zero);
     # cancelling here keeps delta-pinned cofactors evaluable on support.
     fs3: list[TrigFactor] = []
@@ -410,7 +392,7 @@ def _canonical_term(scalar: complex, factors: Iterable[TrigFactor],
                 continue
         fs3.append(f)
     return Term(
-        scalar=sc2,
+        scalar=sc,
         factors=tuple(sorted(fs3, key=_factor_sort_key)),
         deltas=tuple(sorted(new_deltas, key=_delta_sort_key)),
         mat=_mat_tuple(mat),
@@ -849,7 +831,8 @@ def sample_max(residual: Callable[[dict[str, complex]], Optional[float]],
     size=(n, width))`` call, one row per try: the same doubles as one
     scalar call per coordinate.  A try whose ``residual`` returns None or
     raises ArithmeticError is rejected; at most ``samples + retries``
-    tries are made.  Returns (worst, accepted count).
+    tries are made.  A NaN residual is an accepted point with residual
+    inf, so it fails the record.  Returns (worst, accepted count).
     """
     lo: list[float] = []
     hi: list[float] = []
@@ -876,25 +859,30 @@ def sample_max(residual: Callable[[dict[str, complex]], Optional[float]],
                 continue
             if r is None:
                 continue
-            worst = max(worst, r)
+            worst = max(worst, math.inf if math.isnan(r) else r)
             done += 1
     return worst, done
 
 
-def _value_scale(v) -> float:
-    if isinstance(v, np.ndarray):
-        return float(np.max(np.abs(v)))
-    return abs(v)
+def _modulus(v) -> float:
+    """|v|, or the largest entry modulus of a matrix."""
+    return float(np.abs(v).max()) if isinstance(v, np.ndarray) else abs(v)
 
 
-def _value_diff(a, b) -> float:
+def relative_residual(a, b) -> float:
+    """|a - b| / max(1, |a|, |b|) of two complex numbers or matrices; a
+    number compared with a matrix stands for that multiple of the identity.
+    A NaN difference is an infinite residual, so no ``max`` drops it."""
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        scale = max(1.0, _modulus(a), _modulus(b))
         if not isinstance(a, np.ndarray):
             a = a * np.eye(b.shape[0], dtype=complex)
         if not isinstance(b, np.ndarray):
             b = b * np.eye(a.shape[0], dtype=complex)
-        return float(np.max(np.abs(a - b)))
-    return abs(a - b)
+        r = _modulus(a - b) / scale
+    else:
+        r = abs(a - b) / max(1.0, abs(a), abs(b))
+    return math.inf if math.isnan(r) else r
 
 
 def compare_numeric(a: DistExpr, b: DistExpr, params: ParamTower,
@@ -906,10 +894,7 @@ def compare_numeric(a: DistExpr, b: DistExpr, params: ParamTower,
         imag_window = (-w, w)
 
     def residual(pt):
-        va = a.eval(pt, params)
-        vb = b.eval(pt, params)
-        scale = max(1.0, _value_scale(va), _value_scale(vb))
-        return _value_diff(va, vb) / scale
+        return relative_residual(a.eval(pt, params), b.eval(pt, params))
 
     windows = {n: ((-2.0, 2.0), imag_window) for n in sorted(a.free_vars() | b.free_vars())}
     max_res, done = sample_max(residual, windows, samples, rng)

@@ -393,6 +393,14 @@ def test_exchange_relations(params, a2, rel, xk, yk, i, j, sign):
     assert rep["pass"], rep
 
 
+def test_a_nan_structure_function_fails_the_exchange_record(params, a2, monkeypatch):
+    monkeypatch.setattr(structfn.StructureRatio, "eval", lambda self, w, p: complex("nan"))
+    sr = structfn.ratio("EE", 1, 2, a2, c=1)
+    rec = checks.exchange_check(current("E", 1, "u"), current("E", 2, "v"), sr, a2, params,
+                                samples=5)
+    assert (rec["samples"], rec["max_residual"], rec["pass"]) == (5, math.inf, False)
+
+
 def test_disconnected_ef_pair_commutes(params):
     a3 = cartan("A", 3)
     t3 = tower(1.0, 1.0)

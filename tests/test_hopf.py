@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from curalg import evalrep, hopf, structfn
 from curalg.boson import checks
 from curalg.boson.contraction import UnsupportedPairError
+from curalg.boson.currents import current
 from curalg.hopf import (
     CurrentExpr,
     Letter,
@@ -250,8 +252,26 @@ def test_wrong_cubic_coefficient_fails_both_levels(params, monkeypatch):
         assert rec["max_residual"] > 1e-6, rec
 
 
+def test_swapped_exchange_ratio_fails_both_levels(params, monkeypatch):
+    true_ratio = structfn.ratio
+
+    def swapped(relation, *args, **kwargs):
+        sr = true_ratio(relation, *args, **kwargs)
+        return replace(sr, num=sr.den, den=sr.num) if relation == "EE" else sr
+
+    monkeypatch.setattr(structfn, "ratio", swapped)
+    cd = cartan("A", 2)
+    level1 = checks.exchange_check(current("E", 1, "u"), current("E", 2, "v"),
+                                   structfn.ratio("EE", 1, 2, cd, c=1), cd, params, samples=6)
+    level2 = hopf.verify_homomorphism(cd, params, samples=6, relations=("EE",))
+    assert len(level2) == 4
+    for rec in [level1] + level2:
+        assert rec["samples"] == 6 and not rec["pass"], rec
+        assert rec["max_residual"] > 1e-6, rec
+
+
 def test_hom_k2_records_count_accepted_points(monkeypatch):
-    sample_max = hopf.sample_max
+    sample_max = checks.sample_max
 
     def reject_every_other(residual, windows, samples, rng, retries=200):
         tries = []
@@ -262,7 +282,7 @@ def test_hom_k2_records_count_accepted_points(monkeypatch):
 
         return sample_max(half, windows, samples, rng, retries=0)
 
-    monkeypatch.setattr(hopf, "sample_max", reject_every_other)
+    monkeypatch.setattr(checks, "sample_max", reject_every_other)
     recs = hopf.verify_homomorphism(cartan("A", 1), tower(1.0, 1.0, 1.0), samples=6,
                                     relations=("EE", "HE"))
     assert [r["samples"] for r in recs] == [3, 3]

@@ -22,6 +22,7 @@ from curalg.trigcalc import (
     Term,
     TrigFactor,
     equal_numeric,
+    relative_residual,
     sample_max,
     var,
 )
@@ -406,6 +407,41 @@ def test_delta_resolution_normal_form():
     assert t.factors[0].arg == var("z")
 
 
+def test_chained_deltas_pin_each_variable_once():
+    """Each pinned variable survives only in its own delta, and a factor's
+    own-period lattice units after substitution leave the sign (-1)^k."""
+    h, lat = ShiftExpr.hbar_units, ShiftExpr.lattice_units
+    deltas = (DeltaAtom(var("w") - var("z") + h(Fraction(1, 2))),
+              DeltaAtom(var("u") - var("v") + lat(0, 1)),
+              DeltaAtom(var("v") - var("w") - h(Fraction(1, 4)) + lat(0, 2)))
+    factors = (TrigFactor(0, var("u")),                      # u = z - h/4 - 3 lattice units
+               TrigFactor(0, var("v") + var("w"), -1),       # 2z - 3h/4 - 2 lattice units
+               TrigFactor(1, var("w") + lat(0, 1)))          # not its own period: stays
+    t = DistExpr((Term(2.0, factors, deltas),)).terms[0]
+    pinned = [sorted(d.arg.free_vars() - {"z"}) for d in t.deltas]
+    assert pinned == [["u"], ["v"], ["w"]]
+    assert all(f.arg.free_vars() == {"z"} for f in t.factors)
+    assert all(f.arg.lattice_coeff(f.period) == 0 for f in t.factors)
+    assert [str(d.arg) for d in t.deltas] == ["u + -1*z + 1/4*ih + 3*i/eta0",
+                                              "v + -1*z + 1/4*ih + 2*i/eta0",
+                                              "w + -1*z + 1/2*ih"]
+    assert sorted(str(f.arg) for f in t.factors) == ["2*z + -3/4*ih", "z + -1/2*ih + 1*i/eta0",
+                                                     "z + -1/4*ih"]
+    assert t.scalar == -2.0
+
+
+def test_relative_residual_of_numbers_and_matrices():
+    m = np.array([[2.0, 0.5j], [0.0, -3.0]], dtype=complex)
+    assert relative_residual(4.0, 2.0) == 0.5
+    assert relative_residual(0.25, 0.0) == 0.25          # scale at least 1
+    assert relative_residual(m, m) == 0.0
+    assert relative_residual(m, m - np.diag([0.0, 1.5])) == 1.5 / 4.5
+    # a number against a matrix stands for that multiple of the identity
+    d = np.diag([2.0, 2.5]).astype(complex)
+    assert relative_residual(2.0, d) == relative_residual(d, 2.0) == 0.5 / 2.5
+    assert relative_residual(complex("nan"), 1.0) == relative_residual(m, m * np.nan) == math.inf
+
+
 def test_structural_equality_of_delta_groups(params):
     a = DistExpr((Term(2.0, (), (DeltaAtom(var("u") - var("v")),
                                  DeltaAtom(var("v") - var("z")))),))
@@ -499,6 +535,13 @@ def test_sampler_without_retries_makes_exactly_samples_tries():
     seen = []
     assert sample_max(lambda pt: seen.append(pt) or 0.5, {}, 4, rng) == (0.5, 4)
     assert seen == [{}] * 4 and rng.bit_generator.state == state
+
+
+def test_a_nan_residual_is_an_accepted_point_at_inf():
+    rng = np.random.default_rng(0)
+    assert sample_max(lambda pt: float("nan"), _WINDOWS, 3, rng) == (math.inf, 3)
+    values = iter([1e-3, float("nan"), 2e-3])
+    assert sample_max(lambda pt: next(values), _WINDOWS, 3, rng) == (math.inf, 3)
 
 
 def test_sampler_propagates_other_errors():
