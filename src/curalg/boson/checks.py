@@ -26,7 +26,7 @@ from .. import structfn
 from ..liealg import CartanData
 from ..params import ParamTower
 from ..structfn import StructureRatio
-from ..trigcalc import relative_residual, sample_max
+from ..trigcalc import judged, relative_residual, sample_max, worst_of
 from .atoms import ParamLin
 from .contraction import ClosedForm, product_exponent
 from .currents import BosonCurrent, current, word_phase
@@ -194,8 +194,7 @@ def exchange_residual(xs: list, ys: list, expected: StructureRatio, cartan: Cart
     monomial (the same monomials, as a monomial's letters are unordered),
     and every monomial's coefficients must satisfy lhs = R * rhs, judged by
     ``relative_residual``.  A point where a monomial's coefficient is not
-    finite is rejected.  Returns (worst residual, accepted points); inf
-    when no point was accepted.
+    finite is rejected.  Returns (worst residual, accepted points).
     """
     lhs = group_forms(monomial_groups(
         (cx * cy, csx + csy) for cx, csx in xs for cy, csy in ys), cartan, params)
@@ -219,8 +218,7 @@ def exchange_residual(xs: list, ys: list, expected: StructureRatio, cartan: Cart
         return res_here
 
     window = ((-2.0, 2.0), (-imag_window, imag_window))
-    worst, done = sample_max(residual, {"u": window, "v": window}, samples, rng)
-    return (worst if done else float("inf")), done
+    return sample_max(residual, {"u": window, "v": window}, samples, rng)
 
 
 def exchange_check(x: BosonCurrent, y: BosonCurrent, expected: StructureRatio,
@@ -239,9 +237,8 @@ def exchange_check(x: BosonCurrent, y: BosonCurrent, expected: StructureRatio,
         "pair": f"{x.kind}_{x.j}|{y.kind}_{y.j}",
         "relation": expected.relation,
         "samples": done,
-        "max_residual": max_res,
         "tol": tol,
-        "pass": bool(done > 0 and max_res < tol),
+        **judged(max_res, tol, done),
     }
 
 
@@ -266,7 +263,7 @@ def merged_exponent_matches(pair: tuple[BosonCurrent, BosonCurrent],
     windows = {"lambda": ((-3.0, 3.0), (-0.4, 0.4))}
     windows.update((n, ((-1.0, 1.0), None)) for n in names)
     worst, done = sample_max(residual, windows, 40, rng)
-    return {"samples": done, "max_residual": worst, "pass": bool(done and worst < 1e-9)}
+    return {"samples": done, **judged(worst, 1e-9, done)}
 
 
 def strip_poles(cform: ClosedForm, params: ParamTower) -> list[tuple[ParamLin, int, float]]:
@@ -295,7 +292,8 @@ def ef_delta_check(i: int, cartan: CartanData, params: ParamTower,
     each support equals the corresponding H coefficient function with
     the quarter-shifted argument.  Any other pole structure gives a
     failing record that carries the mismatch under ``error``.  Both
-    payload checks draw from ``rng`` (a fresh seed-5 stream each when None).
+    payload checks draw from ``rng`` (a fresh seed-5 stream each when None),
+    and the record is judged at the smaller of their accepted counts.
     """
     e_cur = current("E", i, "u")
     f_cur = current("F", i, "v")
@@ -309,27 +307,25 @@ def ef_delta_check(i: int, cartan: CartanData, params: ParamTower,
         and all(order == 1 for _p, order in poles)
         and {pos for pos, _o in poles} == want
     )
-    report: dict = {"i": i, "poles": [str(p) for p, _ in poles], "pass": True}
+    report: dict = {"i": i, "poles": [str(p) for p, _ in poles]}
     if not structure_ok:
         report.update({
             "error": f"E_{i} F_{i} contraction pole structure mismatch: "
                      f"{[(str(p), o) for p, o in poles]}",
             "max_residual": float("inf"), "tol": tol, "pass": False})
         return report
-    residual = 0.0
+    residuals, accepted = [], []
     for sgn, hkind in ((+1, "H+"), (-1, "H-")):
         coeff = delta_coefficient(cform, phase, 1j * sgn * params.hbar / 2.0, params)
         target = sgn * 2.0 * math.pi / params.hbar
-        residual = max(residual, abs(coeff - target) / abs(target))
         h_cur = current(hkind, i, "u", Fraction(-sgn, 4))
         f_shift = current("F", i, "u", Fraction(-sgn, 2))
         payload = merged_exponent_matches((current("E", i, "u"), f_shift),
                                           h_cur, params, rng)
-        residual = max(residual, payload["max_residual"])
+        residuals += (abs(coeff - target) / abs(target), payload["max_residual"])
+        accepted.append(payload["samples"])
         report[f"payload_{hkind}"] = payload["max_residual"]
-    report["max_residual"] = residual
-    report["tol"] = tol
-    report["pass"] = bool(residual < tol)
+    report.update(tol=tol, **judged(worst_of(*residuals), tol, min(accepted)))
     return report
 
 
@@ -350,7 +346,6 @@ def serre_check(i: int, j: int, cartan: CartanData, params: ParamTower,
     return {
         "pair": (i, j),
         "samples": done,
-        "max_residual": worst,
         "tol": tol,
-        "pass": bool(done > 0 and worst < tol),
+        **judged(worst, tol, done),
     }

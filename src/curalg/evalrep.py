@@ -48,8 +48,10 @@ from .trigcalc import (
     Term,
     TrigFactor,
     equal_numeric,
+    judged,
     sample_max,
     var,
+    worst_of,
 )
 
 U = "u"
@@ -312,11 +314,10 @@ def verify_serre(rep: EvalRep, i: int, j: int, tol: float = 1e-9) -> dict:
     total = DistExpr.zero()
     for a, b in ((e_i1, e_i2), (e_i2, e_i1)):
         total = total + (a * b * e_j) - (a * e_j * b).scaled(coef) + (e_j * a * b)
-    residual = 0.0
-    for t in total.terms:
-        mag = abs(t.scalar) if t.mat is None else abs(t.scalar) * float(np.max(np.abs(t.mat)))
-        residual = max(residual, mag)
-    return {"max_residual": residual, "pass": residual < tol, "samples": 1}
+    residual = worst_of(*(abs(t.scalar) if t.mat is None
+                          else abs(t.scalar) * float(np.max(np.abs(t.mat)))
+                          for t in total.terms))
+    return {**judged(residual, tol), "samples": 1}
 
 
 def verify_all(rep: EvalRep, samples: int = 50, tol: float = 1e-9,
@@ -405,11 +406,12 @@ def degeneration_report(r: int, hbar: float = 0.1, eta_small: float = 1e-4,
         hr = np.eye(r + 1, dtype=complex)
         hr[l, l] = (u - z - 1j * (float(rep.beta(l)) - 1.0) * hbar) / (u - z - 1j * beta)
         hr[l - 1, l - 1] = (u - z - 1j * (float(rep.beta(l)) + 1.0) * hbar) / (u - z - 1j * beta)
-        return max(e_res, float(np.max(np.abs(ht - hr))) / max(1.0, float(np.max(np.abs(hr)))))
+        return worst_of(e_res,
+                        float(np.max(np.abs(ht - hr))) / max(1.0, float(np.max(np.abs(hr)))))
 
     windows = {U: ((-2.0, 2.0), (-0.2, 0.2)), Z: ((-2.0, 2.0), None)}
     worst, done = 0.0, 0
     for l in range(1, r + 1):
         w, d = sample_max(lambda pt: residual(l, pt), windows, points, rng, retries=0)
         worst, done = max(worst, w), done + d
-    return {"max_residual": worst, "tol": tol, "pass": bool(done > 0 and worst < tol)}
+    return {"tol": tol, **judged(worst, tol, done)}

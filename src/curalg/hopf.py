@@ -30,7 +30,7 @@ from .boson.currents import BosonCurrent, word_phase
 from .boson.currents import current as bcur
 from .liealg import CartanData
 from .params import ParamTower
-from .trigcalc import DistExpr, ShiftExpr, equal_numeric, var
+from .trigcalc import DistExpr, ShiftExpr, equal_numeric, judged, var, worst_of
 
 GEN_KINDS = ("E", "F", "H+", "H-")
 LETTER_KINDS = GEN_KINDS + ("H+inv", "H-inv", "one", "c")
@@ -459,11 +459,8 @@ def verify_homomorphism(cartan: CartanData, params: ParamTower,
                 sr = structfn.ratio(rel, i, j, cartan, c=2, prime_period=2)
                 res, done = bchecks.exchange_residual(image(kx, i, "u"), image(ky, j, "v"), sr,
                                                       cartan, params, 0.15, samples, rng)
-                out.append({
-                    "relation": rel, "i": i, "j": j, "k": 2,
-                    "max_residual": res, "pass": bool(res < tol),
-                    "samples": done,
-                })
+                out.append({"relation": rel, "i": i, "j": j, "k": 2, "samples": done,
+                            **judged(res, tol, done)})
     return out
 
 
@@ -504,8 +501,7 @@ def verify_serre_level2(cartan: CartanData, params: ParamTower, i: int, j: int,
     worst, done, signatures = bchecks.cubic_residual(u1, u2, v, cartan, params, 0.1,
                                                      samples, rng)
     return {"pair": (i, j), "k": 2, "signatures": signatures, "samples": done,
-            "max_residual": worst, "tol": tol,
-            "pass": bool(done > 0 and worst < tol)}
+            "tol": tol, **judged(worst, tol, done)}
 
 
 def ef_pole_audit_level2(cartan: CartanData, params: ParamTower, i: int,
@@ -543,14 +539,13 @@ def ef_pole_audit_level2(cartan: CartanData, params: ParamTower, i: int,
     cp = bchecks.delta_coefficient(cform_a, ph_a, 1j * h, params)
     cm = bchecks.delta_coefficient(cform_b, ph_b, -1j * h, params)
     target = 2.0 * math.pi / h
-    surv_res = max(abs(cp - target), abs(cm + target)) / target
-    worst = max(cancel_res, surv_res)
+    surv_res = worst_of(abs(cp - target), abs(cm + target)) / target
     return {
         "i": i,
         "pole_heights_ihbar": sorted({round(x / h, 9) for x in poles_a + poles_b}),
         "inventory_ok": bool(inventory_ok),
         "zero_support_cancellation": cancel_res,
         "surviving_coefficient_residual": surv_res,
-        "max_residual": worst,
-        "pass": bool(inventory_ok and worst < tol),
+        # a wrong pole inventory fails the record at residual inf
+        **judged(worst_of(cancel_res, surv_res) if inventory_ok else math.inf, tol),
     }

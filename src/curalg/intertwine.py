@@ -32,7 +32,7 @@ import numpy as np
 from . import structfn
 from .liealg import CartanData
 from .params import ParamTower
-from .trigcalc import (DistExpr, ShiftExpr, Term, TrigFactor, relative_residual,
+from .trigcalc import (DistExpr, ShiftExpr, Term, TrigFactor, judged, relative_residual,
                        sample_max, var)
 
 VERTEX_KINDS = ("Phi", "PhiStar", "PsiStar", "Psi")
@@ -319,8 +319,8 @@ class _Diamonds:
             return relative_residual(path_a.eval(pt, params), path_b.eval(pt, params))
 
         worst, done = sample_max(residual, _DIAMOND_WINDOWS, samples, rng)
-        rec.update({"skipped": False, "proven": False, "samples": done, "max_residual": worst,
-                    "pass": bool(done > 0 and worst < tol)})
+        rec.update({"skipped": False, "proven": False, "samples": done,
+                    **judged(worst, tol, done)})
         return rec
 
 
@@ -429,7 +429,7 @@ def degeneration_report(r: int, hbar: float = 0.1, eta_small: float = 1e-4,
             w, d = sample_max(lambda pt: residual(expr, pt), windows, points // 4 + 1, rng,
                               retries=0)
             worst, done = max(worst, w), done + d
-    return {"max_residual": worst, "tol": tol, "pass": bool(done > 0 and worst < tol)}
+    return {"tol": tol, **judged(worst, tol, done)}
 
 
 def export_catalog(cat: list[InterRelation], r: int,

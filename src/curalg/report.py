@@ -26,7 +26,7 @@ from .boson.currents import current as bcur
 from .boson.kernel import kernel_value
 from .liealg import CartanData, adjacent_pairs, from_label
 from .params import ParamTower, check_genericity
-from .trigcalc import DistExpr, ShiftExpr, TrigFactor, sample_max, var
+from .trigcalc import DistExpr, ShiftExpr, TrigFactor, judged, sample_max, var, worst_of
 
 SUITES = ("liealg", "params", "trigcalc", "structfn", "evalrep", "boson",
           "hopf", "intertwine")
@@ -110,25 +110,25 @@ def _suite_liealg(cfg: RunConfig, rng, shared: _Shared) -> list[dict]:
               for i in cd.nodes() for j in cd.nodes())
     half = all(2 * cd.b_entry(i, j) == cd.a_entry(i, j)
                for i in cd.nodes() for j in cd.nodes())
+    pairs = len(adjacent_pairs(cd))
     return [
         {"id": "cartan_symmetric", "pass": sym, "max_residual": 0.0},
         {"id": "half_matrix_exact", "pass": half, "max_residual": 0.0},
-        {"id": "adjacent_pairs", "pass": True,
-         "value": len(adjacent_pairs(cd)), "max_residual": 0.0},
+        # a simply-laced Dynkin diagram is a tree: rank - 1 edges, each in both orientations
+        {"id": "adjacent_pairs", "pass": pairs == 2 * (cd.rank - 1),
+         "value": pairs, "max_residual": 0.0},
     ]
 
 
 def _suite_params(cfg: RunConfig, rng, shared: _Shared) -> list[dict]:
     tower = cfg.tower()
-    worst = 0.0
-    for n in range(len(cfg.levels)):
-        lhs = 1.0 / tower.eta_at(n + 1) - 1.0 / tower.eta_at(n)
-        worst = max(worst, abs(lhs - cfg.hbar * cfg.levels[n]))
+    worst = worst_of(*(abs(1.0 / tower.eta_at(n + 1) - 1.0 / tower.eta_at(n)
+                           - cfg.hbar * level) for n, level in enumerate(cfg.levels)))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         generic = check_genericity(cfg.hbar, cfg.eta)
     return [
-        {"id": "tower_recursion", "pass": worst < 1e-12, "max_residual": worst},
+        {"id": "tower_recursion", **judged(worst, 1e-12)},
         {"id": "genericity", "pass": True, "generic": bool(generic),
          "max_residual": 0.0},
     ]
@@ -147,8 +147,7 @@ def _suite_trigcalc(cfg: RunConfig, rng, shared: _Shared) -> list[dict]:
         return abs(a + g.eval(pt, params)) / max(1.0, abs(a))
 
     worst, done = sample_max(flip_residual, {"u": window}, cfg.samples, rng, retries=0)
-    out.append({"id": "half_period_flip", "pass": bool(done > 0 and worst < cfg.tol),
-                "max_residual": worst})
+    out.append({"id": "half_period_flip", **judged(worst, cfg.tol, done)})
     # product evaluation property
     ea = DistExpr.from_factors(2.0, (TrigFactor(0, var("u") - var("v"), 1),))
     eb = DistExpr.from_factors(1.5, (TrigFactor(0, var("u"), -1),))
@@ -160,8 +159,7 @@ def _suite_trigcalc(cfg: RunConfig, rng, shared: _Shared) -> list[dict]:
         return abs(lhs - rhs) / max(1.0, abs(rhs))
 
     worst, done = sample_max(product_residual, {"u": window, "v": window}, cfg.samples, rng)
-    out.append({"id": "product_eval", "pass": bool(done > 0 and worst < cfg.tol),
-                "max_residual": worst})
+    out.append({"id": "product_eval", **judged(worst, cfg.tol, done)})
     # residue against a numeric contour integral
     expr = DistExpr.from_factors(1.0, (
         TrigFactor(0, var("u") - var("z"), -1),
@@ -178,8 +176,8 @@ def _suite_trigcalc(cfg: RunConfig, rng, shared: _Shared) -> list[dict]:
         circ += expr.eval({"u": u, "z": z0}, params) * rad * complex(math.cos(th), math.sin(th))
     circ /= npts
     want = res_sym.eval({"z": z0}, params)
-    resid = abs(circ - want) / max(1.0, abs(want))
-    out.append({"id": "residue_contour", "pass": resid < 1e-8, "max_residual": resid})
+    out.append({"id": "residue_contour",
+                **judged(abs(circ - want) / max(1.0, abs(want)), 1e-8)})
     return out
 
 
@@ -203,8 +201,7 @@ def _suite_structfn(cfg: RunConfig, rng, shared: _Shared) -> list[dict]:
                     lambda pt: abs(structfn.swapped_ratio_product(
                         rel, i, j, cd, c1, pt["w"], params) - 1.0),
                     w_window, 8, worst, done)
-    out.append({"id": "inversion", "pass": bool(done > 0 and worst < cfg.tol),
-                "max_residual": worst})
+    out.append({"id": "inversion", **judged(worst, cfg.tol, done)})
     # level-0 H+H- ratio is identically 1
     tower0 = cfg.tower_level0()
     worst, done = 0.0, 0
@@ -212,8 +209,7 @@ def _suite_structfn(cfg: RunConfig, rng, shared: _Shared) -> list[dict]:
         sr = structfn.ratio("HH_pm", i, i, cd, c=0)
         worst, done = sampled(lambda pt: abs(sr.eval(pt["w"], tower0) - 1.0),
                               w_window, 20, worst, done)
-    out.append({"id": "hh_pm_level0_trivial", "pass": bool(done > 0 and worst < cfg.tol),
-                "max_residual": worst})
+    out.append({"id": "hh_pm_level0_trivial", **judged(worst, cfg.tol, done)})
     # eta -> 0 degeneration toward rational ratios
     small = ParamTower(cfg.hbar, 1e-4, (1.0,))
     worst, done = 0.0, 0
@@ -222,12 +218,10 @@ def _suite_structfn(cfg: RunConfig, rng, shared: _Shared) -> list[dict]:
         worst, done = sampled(
             lambda pt: abs(sr.eval(pt["w"], small) - sr.rational_eval(pt["w"], small)),
             {"w": ((-2.0, 2.0), (-0.05, 0.05))}, 20, worst, done)
-    out.append({"id": "degeneration", "pass": bool(done > 0 and worst < 1e-3),
-                "max_residual": worst})
+    out.append({"id": "degeneration", **judged(worst, 1e-3, done)})
     coefE = structfn.serre_coefficient(tower0, "E")
     coefF = structfn.serre_coefficient(tower0, "F")
-    out.append({"id": "serre_coefficient_level0", "pass": abs(coefE - coefF) < 1e-14,
-                "max_residual": abs(coefE - coefF)})
+    out.append({"id": "serre_coefficient_level0", **judged(abs(coefE - coefF), 1e-14)})
     return out
 
 
@@ -276,31 +270,26 @@ def _suite_boson(cfg: RunConfig, rng, shared: _Shared) -> list[dict]:
         lam = pt["lam"]
         if abs(lam) < 0.1:
             return None
-        worst = 0.0
+        residuals = []
         for i in cd.nodes():
             for j in cd.nodes():
                 a = kernel_value(cd, i, j, lam, params)
                 b = kernel_value(cd, i, j, -lam, params)
                 c = kernel_value(cd, j, i, lam, params)
-                worst = max(worst, abs(a + b), abs(a - c))
-        return worst
+                residuals += (abs(a + b), abs(a - c))
+        return worst_of(*residuals)
 
     worst, done = sample_max(kernel_residual, {"lam": ((-3.0, 3.0), (-0.5, 0.5))}, 100, rng,
                              retries=0)
-    out.append({"id": "kernel_symmetries", "pass": bool(done > 0 and worst < 1e-12),
-                "max_residual": worst})
+    out.append({"id": "kernel_symmetries", **judged(worst, 1e-12, done)})
     # master formula against contour quadrature
-    worst = 0.0
-    for k in range(20):
-        ex = 0.2 + (3.0 - 0.2) * k / 19.0
-        x = ex / params.eta
-        diff = abs(master.master_integral(x, params.eta)
-                   - master.master_integral_quadrature(x, params.eta))
-        worst = max(worst, diff)
-    out.append({"id": "master_vs_quadrature", "pass": worst < cfg.tol_quadrature,
-                "max_residual": worst})
-    worst = max(master.gamma_reflection_defect(0.2 + 2.8 * k / 19.0) for k in range(20))
-    out.append({"id": "gamma_reflection", "pass": worst < 1e-10, "max_residual": worst})
+    xs = [(0.2 + (3.0 - 0.2) * k / 19.0) / params.eta for k in range(20)]
+    worst = worst_of(*(abs(master.master_integral(x, params.eta)
+                           - master.master_integral_quadrature(x, params.eta)) for x in xs))
+    out.append({"id": "master_vs_quadrature", **judged(worst, cfg.tol_quadrature)})
+    # k = 19 would be x = 3.0, a pole of Gamma(1 - x), where the identity has no value
+    worst = worst_of(*(master.gamma_reflection_defect(0.2 + 2.8 * k / 19.0) for k in range(19)))
+    out.append({"id": "gamma_reflection", **judged(worst, 1e-10)})
     # exchange relations for every delta-free ordered pair
     for (xk, xi), (yk, yj), (rel, sign) in _boson_pair_catalog(cd):
         pair_id = f"{xk}{xi}:{yk}{yj}"
@@ -408,7 +397,7 @@ def _suite_intertwine(cfg: RunConfig, rng, shared: _Shared) -> list[dict]:
         worst = max(worst, rec["max_residual"])
         if not rec["pass"]:
             fails.append(rec["triple"])
-    out.append({"id": "consistency_triples", "pass": not fails, "run": run,
+    out.append({"id": "consistency_triples", "pass": run > 0 and not fails, "run": run,
                 "skipped": skipped, "max_residual": worst, "failures": fails})
     variants = intertwine.variant_report(cd.rank, params)
     ok = all(case["normalized_on_denominator_zero"] and case["printed_l_unbound"]

@@ -816,6 +816,23 @@ def eval_extended(expr: DistExpr, assignment: Mapping[str, complex],
         return complex(acc_sc)
 
 
+def worst_of(*residuals: float) -> float:
+    """The largest residual, a NaN counting as inf; 0.0 when there is none."""
+    if any(map(math.isnan, residuals)):
+        return math.inf
+    return max(residuals, default=0.0)
+
+
+def judged(worst: float, tol: float, done: int = 1) -> dict:
+    """The verdict of a record judged at ``done`` accepted points.
+
+    With no accepted point the record shows ``max_residual`` inf and
+    fails; otherwise it passes only if ``worst < tol`` (a NaN is inf).
+    """
+    worst = worst_of(worst) if done else math.inf
+    return {"max_residual": worst, "pass": bool(worst < tol)}
+
+
 Window = tuple[tuple[float, float], Optional[tuple[float, float]]]
 
 
@@ -832,7 +849,8 @@ def sample_max(residual: Callable[[dict[str, complex]], Optional[float]],
     scalar call per coordinate.  A try whose ``residual`` returns None or
     raises ArithmeticError is rejected; at most ``samples + retries``
     tries are made.  A NaN residual is an accepted point with residual
-    inf, so it fails the record.  Returns (worst, accepted count).
+    inf (``worst_of``), so it fails the record.  Returns (worst, accepted
+    count).
     """
     lo: list[float] = []
     hi: list[float] = []
@@ -844,11 +862,11 @@ def sample_max(residual: Callable[[dict[str, complex]], Optional[float]],
             hi.append(lo_hi[1])
     width = len(lo)
     lo_arr, hi_arr = np.array(lo), np.array(hi)
-    worst = 0.0
-    done = tries = 0
-    while done < samples and tries < samples + retries:
+    accepted: list[float] = []
+    tries = 0
+    while len(accepted) < samples and tries < samples + retries:
         # the tries left if none is rejected
-        n = min(samples - done, samples + retries - tries)
+        n = min(samples - len(accepted), samples + retries - tries)
         for row in rng.uniform(lo_arr, hi_arr, size=(n, width)).tolist():
             tries += 1
             pt = {name: complex(row[re], 0.0 if im is None else row[im])
@@ -857,11 +875,9 @@ def sample_max(residual: Callable[[dict[str, complex]], Optional[float]],
                 r = residual(pt)
             except ArithmeticError:
                 continue
-            if r is None:
-                continue
-            worst = max(worst, math.inf if math.isnan(r) else r)
-            done += 1
-    return worst, done
+            if r is not None:
+                accepted.append(r)
+    return worst_of(*accepted), len(accepted)
 
 
 def _modulus(v) -> float:
@@ -872,17 +888,15 @@ def _modulus(v) -> float:
 def relative_residual(a, b) -> float:
     """|a - b| / max(1, |a|, |b|) of two complex numbers or matrices; a
     number compared with a matrix stands for that multiple of the identity.
-    A NaN difference is an infinite residual, so no ``max`` drops it."""
+    A NaN difference is an infinite residual (``worst_of``)."""
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
         scale = max(1.0, _modulus(a), _modulus(b))
         if not isinstance(a, np.ndarray):
             a = a * np.eye(b.shape[0], dtype=complex)
         if not isinstance(b, np.ndarray):
             b = b * np.eye(a.shape[0], dtype=complex)
-        r = _modulus(a - b) / scale
-    else:
-        r = abs(a - b) / max(1.0, abs(a), abs(b))
-    return math.inf if math.isnan(r) else r
+        return worst_of(_modulus(a - b) / scale)
+    return worst_of(abs(a - b) / max(1.0, abs(a), abs(b)))
 
 
 def compare_numeric(a: DistExpr, b: DistExpr, params: ParamTower,
@@ -912,28 +926,27 @@ def equal_numeric(a: DistExpr, b: DistExpr, params: ParamTower,
 
     Delta-free parts are compared pointwise at generic sampled points;
     delta parts are grouped by canonical support and their coefficient
-    expressions compared recursively.
+    expressions compared recursively.  The record is judged at the
+    smallest accepted count of its groups; two sides that are both exactly
+    zero have no group and pass as an exact identity.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     ga = a.delta_groups()
     gb = b.delta_groups()
     pieces = []
-    max_res = 0.0
     for key in sorted(set(ga) | set(gb), key=lambda k: [str(d.arg) for d in k]):
         ca = ga.get(key, DistExpr.zero())
         cb = gb.get(key, DistExpr.zero())
         rep = compare_numeric(ca, cb, params, samples, rng, imag_window)
-        max_res = max(max_res, rep["max_residual"])
         pieces.append({
             "support": [str(d.arg) for d in key],
             "max_residual": rep["max_residual"],
             "samples": rep["samples"],
         })
-    ok = max_res < tol and all(p["samples"] > 0 for p in pieces)
     return {
-        "max_residual": max_res,
+        **judged(worst_of(*(p["max_residual"] for p in pieces)), tol,
+                 min((p["samples"] for p in pieces), default=1)),
         "tol": tol,
-        "pass": bool(ok),
         "groups": pieces,
     }

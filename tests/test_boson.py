@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curalg import structfn
+from curalg import hopf, structfn
 from curalg.boson import checks, contraction, master
 from curalg.boson.atoms import ExponentFn, ParamLin
 from curalg.boson.contraction import product_exponent, quadrature_exponent
@@ -22,6 +22,7 @@ from curalg.boson.currents import (
 from curalg.boson.kernel import kernel, kernel_value
 from curalg.liealg import cartan
 from curalg.params import ParamTower
+from curalg.trigcalc import worst_of
 
 
 def tower(*levels):
@@ -75,7 +76,8 @@ def test_master_reflection_pairing():
 
 
 def test_gamma_reflection_grid():
-    worst = max(master.gamma_reflection_defect(0.2 + 2.8 * k / 19.0) for k in range(20))
+    # the report's grid: x = 3.0 (k = 19) is a pole of Gamma(1 - x) and is left out
+    worst = worst_of(*(master.gamma_reflection_defect(0.2 + 2.8 * k / 19.0) for k in range(19)))
     assert worst < 1e-10
 
 
@@ -424,6 +426,31 @@ def test_ef_delta_pole_mismatch_fails_the_record(params, a2, monkeypatch):
     rep = checks.ef_delta_check(1, a2, params)
     assert rep["pass"] is False and rep["max_residual"] == float("inf")
     assert rep["poles"] == ["1/2*h"] and "pole structure mismatch" in rep["error"]
+
+
+def _ef_delta_check_a2(params):
+    return checks.ef_delta_check(1, cartan("A", 2), params)
+
+
+def _ef_pole_audit_level2_a2(params):
+    return hopf.ef_pole_audit_level2(cartan("A", 2), params, 1)
+
+
+@pytest.mark.parametrize("audit", [_ef_delta_check_a2, _ef_pole_audit_level2_a2])
+def test_a_nan_delta_coefficient_fails_the_audit(params, audit, monkeypatch):
+    # NaN on the support below the real axis only: -i*hbar/2 at level 1, -i*hbar at level 2
+    true_coefficient = checks.delta_coefficient
+    monkeypatch.setattr(checks, "delta_coefficient", lambda cform, phase, w0, p: (
+        complex("nan") if w0.imag < 0 else true_coefficient(cform, phase, w0, p)))
+    rec = audit(params)
+    assert (rec["max_residual"], rec["pass"]) == (math.inf, False)
+
+
+def test_ef_delta_payload_without_accepted_points_fails(params, a2, monkeypatch):
+    monkeypatch.setattr(checks, "sample_max", lambda *args, **kwargs: (0.0, 0))
+    rec = checks.ef_delta_check(1, a2, params)
+    assert (rec["max_residual"], rec["pass"]) == (math.inf, False)
+    assert rec["payload_H+"] == rec["payload_H-"] == math.inf
 
 
 def test_h_merge_identities(params, a2):

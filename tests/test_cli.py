@@ -37,6 +37,13 @@ def test_config_file_rejects_garbage(tmp_path):
         parse_config_file(str(bad))
 
 
+def test_every_record_with_a_tolerance_passes_by_one_rule():
+    judged = [c for suite in run(RunConfig(algebra="A2", samples=10))["suites"]
+              for c in suite["checks"] if "max_residual" in c and "tol" in c]
+    assert len(judged) > 50
+    assert all(c["pass"] == (c["max_residual"] < c["tol"]) for c in judged)
+
+
 def test_suite_subset_runs_without_boson():
     cfg = RunConfig(algebra="A1", samples=10, seed=3,
                     suites=("liealg", "params", "trigcalc", "structfn", "evalrep"))

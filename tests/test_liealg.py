@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from curalg.liealg import CartanError, adjacent_pairs, cartan, from_label
+from curalg import report
+from curalg.liealg import CartanData, CartanError, adjacent_pairs, cartan, from_label
 
 
 def test_rank_one():
@@ -69,3 +70,19 @@ def test_cartan_data_hashes_its_matrix_once(monkeypatch):
 
     monkeypatch.setattr(Fraction, "__hash__", rehashed)
     assert hash(cd) == want and {cd: 1}[cd] == 1
+
+
+def test_adjacent_pairs_record_fails_without_a_tree(monkeypatch):
+    def pairs_record():
+        rep = report.run(report.RunConfig(algebra="A3", suites=("liealg",)))
+        return next(c for c in rep["suites"][0]["checks"] if c["id"] == "adjacent_pairs")
+
+    rec = pairs_record()
+    assert (rec["value"], rec["pass"]) == (4, True)
+    a = [list(row) for row in cartan("A", 3).a]
+    a[0][1] = a[1][0] = 0   # remove the edge 1 - 2
+    cut = CartanData("A", 3, tuple(map(tuple, a)),
+                     tuple(tuple(Fraction(x, 2) for x in row) for row in a))
+    monkeypatch.setattr(report.RunConfig, "cartan", lambda self: cut)
+    rec = pairs_record()
+    assert (rec["value"], rec["pass"]) == (2, False)

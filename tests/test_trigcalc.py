@@ -22,9 +22,11 @@ from curalg.trigcalc import (
     Term,
     TrigFactor,
     equal_numeric,
+    judged,
     relative_residual,
     sample_max,
     var,
+    worst_of,
 )
 
 
@@ -442,6 +444,33 @@ def test_relative_residual_of_numbers_and_matrices():
     assert relative_residual(complex("nan"), 1.0) == relative_residual(m, m * np.nan) == math.inf
 
 
+@pytest.mark.parametrize("residuals,worst", [
+    ((1e-12, 3e-10), 3e-10),
+    ((1e-12, float("nan"), 2e-12), math.inf),   # a NaN is inf
+    ((math.inf, 1.0), math.inf),
+    ((), 0.0),                                  # the empty fold
+])
+def test_worst_of(residuals, worst):
+    assert worst_of(*residuals) == worst
+
+
+@pytest.mark.parametrize("worst,done,verdict", [
+    (3e-10, 1, (3e-10, True)),
+    (2e-9, 4, (2e-9, False)),
+    (float("nan"), 1, (math.inf, False)),
+    (math.inf, 1, (math.inf, False)),
+    (1e-12, 0, (math.inf, False)),              # no accepted point
+])
+def test_judged(worst, done, verdict):
+    assert judged(worst, 1e-9, done) == {"max_residual": verdict[0], "pass": verdict[1]}
+
+
+def test_two_exact_zeros_are_equal(params):
+    e = DistExpr.from_factors(2.0, (TrigFactor(0, var("u"), 1),))
+    rec = equal_numeric(e - e, DistExpr.zero(), params)
+    assert (rec["groups"], rec["max_residual"], rec["pass"]) == ([], 0.0, True)
+
+
 def test_structural_equality_of_delta_groups(params):
     a = DistExpr((Term(2.0, (), (DeltaAtom(var("u") - var("v")),
                                  DeltaAtom(var("v") - var("z")))),))
@@ -578,15 +607,17 @@ def test_records_fail_when_every_point_is_rejected(monkeypatch):
     monkeypatch.setattr(TrigFactor, "eval", _reject_every_point)
     shared = report._Shared(cfg)
     failed = {r["id"]: r for r in report._suite_trigcalc(cfg, rng, shared) if not r["pass"]}
+    # a record with no accepted point shows an infinite residual
     assert list(failed) == ["half_period_flip"]
+    assert failed["half_period_flip"]["max_residual"] == math.inf
     monkeypatch.setattr(report, "kernel_value", _reject_every_point)
     assert report._suite_boson(cfg, rng, shared)[0] == {
-        "id": "kernel_symmetries", "pass": False, "max_residual": 0.0}
+        "id": "kernel_symmetries", "pass": False, "max_residual": math.inf}
     monkeypatch.setattr(DistExpr, "eval", _reject_every_point)
     failed = [r["id"] for r in report._suite_structfn(cfg, rng, shared) if not r["pass"]]
     assert failed == ["inversion", "hh_pm_level0_trivial", "degeneration"]
     for deg in (evalrep.degeneration_report(2), intertwine.degeneration_report(2)):
-        assert deg["pass"] is False and deg["max_residual"] == 0.0
+        assert deg["pass"] is False and deg["max_residual"] == math.inf
     cd = cfg.cartan()
     triples = [r for r in intertwine.consistency_suite(cd, cfg.tower(), samples=2)
                if not r["skipped"]]
