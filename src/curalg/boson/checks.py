@@ -21,6 +21,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
+import numpy.random
 
 from .. import structfn
 from ..liealg import CartanData

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
@@ -38,8 +38,8 @@ from .kernel import Kernel
 from .master import (
     EULER_GAMMA,
     _contour_quadrature,
+    _gamma_scaled,
     exp_i0,
-    exp_master,
     i0_closed,
     master_integral,
 )
@@ -57,12 +57,6 @@ class Primitive:
     vars: tuple[tuple[str, int], ...]
     s: ParamLin
     beta: Optional[ParamLin]
-
-    def x_value(self, assignment: Mapping[str, complex], params: ParamTower) -> complex:
-        z = 0.0 + 0.0j
-        for n, c in self.vars:
-            z += c * complex(assignment[n])
-        return -1j * z - self.s.value(params)
 
 
 @dataclass
@@ -168,31 +162,60 @@ def _clone(w: _Work) -> _Work:
     return _Work(w.coeff, w.vars, w.rshift, list(w.num_sh), list(w.den_sh), list(w.bose))
 
 
+def _x_value(vars_: tuple[tuple[str, int], ...], s: float,
+             assignment: Mapping[str, complex]) -> complex:
+    """A primitive's argument x = -i*vars - s at ``assignment``."""
+    z = 0.0 + 0.0j
+    for n, c in vars_:
+        z += c * complex(assignment[n])
+    return -1j * z - s
+
+
 @dataclass(frozen=True)
 class ClosedForm:
     """Finite sum of primitives; the exponent C of one contraction factor."""
 
     primitives: tuple[Primitive, ...]
     gamma_power: int = 0  # e^{gamma * power} prefactor carried symbolically
+    # (tower, float plan) of the last tower evaluated under; see _float_plan
+    _plan: tuple = field(default=(None, ()), init=False, repr=False, compare=False)
+
+    def _float_plan(self, params: ParamTower) -> tuple:
+        """Per primitive (coeff, vars, s, eta_p, gamma - ln eta_p) in floats,
+        eta_p = 1/beta, or (coeff, vars, s, None, None) for I0; built at the
+        first evaluation under a tower and kept until one under another."""
+        tower, plan = self._plan
+        if tower is not params and tower != params:
+            plan = []
+            for p in self.primitives:
+                s = p.s.value(params)
+                if p.beta is None:
+                    plan.append((p.coeff, p.vars, s, None, None))
+                else:
+                    eta_p = 1.0 / p.beta.value(params)
+                    plan.append((p.coeff, p.vars, s, eta_p, EULER_GAMMA - math.log(eta_p)))
+            plan = tuple(plan)
+            object.__setattr__(self, "_plan", (params, plan))
+        return plan
 
     def value(self, assignment: Mapping[str, complex], params: ParamTower) -> complex:
         """The exponent itself (principal branches; may raise off-domain)."""
         total = complex(self.gamma_power * EULER_GAMMA)
-        for p in self.primitives:
-            x = p.x_value(assignment, params)
-            if p.beta is None:
-                total += p.coeff * i0_closed(x)
-            else:
-                total += p.coeff * master_integral(x, 1.0 / p.beta.value(params))
+        for coeff, vars_, s, eta_p, _ in self._float_plan(params):
+            x = _x_value(vars_, s, assignment)
+            total += coeff * (i0_closed(x) if eta_p is None else master_integral(x, eta_p))
         return total
 
     def exp_value(self, assignment: Mapping[str, complex], params: ParamTower) -> complex:
         """exp(C), single-valued meromorphic continuation."""
         out = math.exp(self.gamma_power * EULER_GAMMA)
-        for p in self.primitives:
-            x = p.x_value(assignment, params)
-            base = exp_i0(x) if p.beta is None else exp_master(x, 1.0 / p.beta.value(params))
-            out *= base ** p.coeff
+        for coeff, vars_, s, eta_p, c in self._float_plan(params):
+            # _x_value inlined: the call cost about 8% of this loop on D4
+            z = 0.0 + 0.0j
+            for n, k in vars_:
+                z += k * complex(assignment[n])
+            x = -1j * z - s
+            out *= (exp_i0(x) if eta_p is None else _gamma_scaled(eta_p * x, c)) ** coeff
         return out
 
     def __add__(self, other: "ClosedForm") -> "ClosedForm":

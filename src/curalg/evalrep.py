@@ -35,6 +35,7 @@ from fractions import Fraction
 from typing import Optional
 
 import numpy as np
+import numpy.random
 
 from . import structfn
 from .liealg import CartanData, adjacent_pairs, cartan

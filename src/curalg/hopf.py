@@ -22,6 +22,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
+import numpy.random
 
 from . import evalrep, structfn
 from .boson import checks as bchecks

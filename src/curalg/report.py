@@ -18,6 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
+import numpy.random
 
 from . import evalrep, hopf, intertwine, structfn
 from .boson import checks as bchecks

@@ -38,6 +38,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
+import numpy.random
 
 from .params import ParamTower
 

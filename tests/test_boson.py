@@ -3,12 +3,13 @@ import math
 import warnings
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curalg import hopf, structfn
+from curalg import hopf, report, structfn
 from curalg.boson import checks, contraction, master
 from curalg.boson.atoms import ExponentFn, ParamLin
 from curalg.boson.contraction import product_exponent, quadrature_exponent
@@ -79,6 +80,104 @@ def test_gamma_reflection_grid():
     # the report's grid: x = 3.0 (k = 19) is a pole of Gamma(1 - x) and is left out
     worst = worst_of(*(master.gamma_reflection_defect(0.2 + 2.8 * k / 19.0) for k in range(19)))
     assert worst < 1e-10
+
+
+def test_gamma_is_nan_at_its_poles():
+    for n in range(7):
+        assert cmath.isnan(master.gamma(-float(n)))
+        assert cmath.isnan(master.exp_master(-float(n), 1.0))
+        assert math.isnan(master.gamma_reflection_defect(-float(n)))
+        assert math.isnan(master.gamma_reflection_defect(n + 1.0))  # a pole of Gamma(1 - x)
+    # the last point of the report's 20-point grid, which the acceptance gate folds with max
+    assert math.isnan(master.gamma_reflection_defect(3.0))
+    assert master.gamma_reflection_defect(2.999) < 1e-10
+
+
+def test_gamma_and_exp_master_match_mpmath():
+    rng = np.random.default_rng(2024)
+    pts = rng.uniform((-6.0, -3.0), (6.0, 3.0), size=(3000, 2)).tolist()
+    eta = 1.0 / 1.1
+    c = mp.euler - mp.log(mp.mpf(eta))
+    worst_g = worst_m = 0.0
+    for re, im in pts:
+        z, zz = complex(re, im), mp.mpc(re, im)
+        ref = mp.gamma(zz)
+        worst_g = max(worst_g, abs(master.gamma(z) - complex(ref)) / abs(complex(ref)))
+        want = complex(ref * mp.exp((zz - 0.5) * c) / mp.sqrt(2 * mp.pi))
+        worst_m = max(worst_m, abs(master.exp_master(z / eta, eta) - want) / abs(want))
+    assert worst_g < 2e-14
+    assert worst_m < 2e-14
+
+
+def test_master_integral_matches_mpmath_loggamma():
+    # the principal log of the Lanczos sum jumps by 2*pi*i, e.g. at
+    # eta*x = 0.059 + 2.82i; lnGamma must follow mpmath's continuous branch
+    rng = np.random.default_rng(7)
+    pts = [(0.059, 2.82)] + rng.uniform((0.0, -25.0), (8.0, 25.0), size=(2000, 2)).tolist()
+    eta = 1.3
+    c = mp.euler - mp.log(mp.mpf(eta))
+    worst = 0.0
+    for re, im in pts:
+        if re == 0.0:
+            continue
+        zz = mp.mpc(re, im)
+        want = complex(mp.loggamma(zz) + (zz - 0.5) * c - mp.log(2 * mp.pi) / 2)
+        got = master.master_integral(complex(re, im) / eta, eta)
+        worst = max(worst, abs(got - want) / max(1.0, abs(want)))
+    assert worst < 2e-14
+
+
+def test_leg_integral_matches_mpmath_quad():
+    x = 0.7 - 0.4j
+
+    def g(lam):
+        return cmath.exp(-x * lam) / (lam * (1.0 - cmath.exp(-lam)))
+
+    with mp.workdps(30):
+        want = complex(mp.quad(lambda t: mp.exp(-x * t) / (t * (1 - mp.exp(-t))),
+                               [0.5, 2, 8, 30, 60 / x.real]))
+    got = master._leg_integral(g, 0.5, 60 / x.real)
+    assert abs(got - want) < 1e-14 * abs(want)
+
+
+@pytest.mark.parametrize("n", [24, 240])
+def test_leggauss_is_the_gauss_legendre_rule(n):
+    nodes, weights = master._leggauss(n)
+    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
+    assert np.abs(nodes - ref_nodes).max() < 1e-15
+    assert np.abs(weights / ref_weights - 1.0).max() < 1e-10
+    # exact for every polynomial of degree below 2n
+    for k in (0, 2, n, 2 * n - 2):
+        assert abs(np.dot(weights, nodes ** k) - 2.0 / (k + 1)) < 1e-14
+
+
+def test_a_perturbed_lanczos_coefficient_fails_the_reflection_record(monkeypatch):
+    def reflection_record():
+        cfg = report.RunConfig(algebra="A1", samples=2, seed=0, suites=("boson",), pairs="")
+        checks_ = report.run(cfg)["suites"][0]["checks"]
+        return next(c for c in checks_ if c["id"] == "gamma_reflection")
+
+    assert reflection_record()["pass"] is True
+    coeffs = list(master._LANCZOS)
+    coeffs[3] *= 1.0 + 1e-9
+    monkeypatch.setattr(master, "_LANCZOS", tuple(coeffs))
+    rec = reflection_record()
+    assert rec["pass"] is False and rec["max_residual"] > 1e-10
+
+
+def test_closed_form_plan_follows_the_tower(a2):
+    p1, p2 = tower(1.0, 1.0), ParamTower(0.13, 0.8, (1.0, 1.0))
+    x, y = current("E", 1, "u"), current("E", 1, "v")
+
+    def form():
+        return product_exponent(kernel(a2, 1, 1, p1), x.g(p1), y.g(p1), p1)
+
+    pt = {"u": 0.3 + 0.2j, "v": -0.4 + 0.1j}
+    used = form()
+    assert any(p.beta is not None for p in used.primitives)
+    assert used.exp_value(pt, p1) == form().exp_value(pt, p1)
+    assert used.exp_value(pt, p2) == form().exp_value(pt, p2)
+    assert used.exp_value(pt, p2) != used.exp_value(pt, p1)
 
 
 def test_i0_validated_against_quadrature():

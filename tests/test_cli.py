@@ -97,6 +97,16 @@ def test_free_field_report_is_identical_across_processes(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_a_run_imports_no_scipy():
+    code = ("import sys\n"
+            "import curalg.cli\n"
+            "from curalg import report\n"
+            "report.run(report.RunConfig(algebra='A1', samples=5))\n"
+            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_zero_tolerance_harness_self_test():
     cfg = RunConfig(algebra="A1", samples=8, seed=1, tol=0.0, tol_quadrature=0.0,
                     suites=("trigcalc", "boson"))
