@@ -302,7 +302,8 @@ def _axiom_sides(kind: str, i: int, tag: int, params: ParamTower):
 
 def verify_axioms(rep: evalrep.EvalRep, params: ParamTower, samples: int = 30,
                   tol: float = 1e-9, seed: int = 17) -> list[dict]:
-    """All four axioms on every generator, in the level-0 backend."""
+    """All four axioms on every generator, in the level-0 backend; ``samples``
+    is the accepted count of a record's groups, 0 for two exactly zero sides."""
     rng = np.random.default_rng(seed)
     out = []
     gens = [("c", 0)] + [(k, i) for k in GEN_KINDS for i in range(1, rep.r + 1)]
@@ -313,7 +314,7 @@ def verify_axioms(rep: evalrep.EvalRep, params: ParamTower, samples: int = 30,
             out.append({
                 "axiom": name, "generator": f"{kind}_{i}" if i else kind,
                 "max_residual": cmp["max_residual"], "pass": cmp["pass"],
-                "samples": samples,
+                "samples": min((g["samples"] for g in cmp["groups"]), default=0),
             })
     return out
 

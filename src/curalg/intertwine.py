@@ -249,33 +249,31 @@ _DIAMOND_WINDOWS = {n: ((-2.0, 2.0), (-0.2, 0.2)) for n in ("u", "v", "z")}
 _DIAMOND_DRAWS = 2 * len(_DIAMOND_WINDOWS)   # doubles per try
 
 
-class _Diamonds:
-    """The diamond checks of one suite call, each expression built once.
+def _product(*forms: tuple) -> tuple:
+    """The odd-sh normal form of a product of single-term expressions."""
+    scalar, exps = 1.0, {}
+    for sc, factors in forms:
+        scalar *= sc
+        for base, e in factors:
+            exps[base] = exps.get(base, 0) + e
+    return scalar, {base: e for base, e in exps.items() if e}
 
-    Every vertex-move and exchange coefficient is memoized, a
-    DeltaBearingMove included.  Expressions are interned on their terms
-    (``DistExpr.key``), so equal ones share an id and one object, and each
-    product of two interned expressions is built once.
-    """
+
+class _Diamonds:
+    """The diamond checks of one suite call, each coefficient built once.
+
+    Every vertex-move and exchange coefficient is memoized with its odd-sh
+    normal form (``DistExpr.odd_normal_form``), a DeltaBearingMove included.
+    A triple is proven, with no path product built, when path A's form (cx
+    cy) equals path B's (rxy cy cx ryx), scalars multiplied in that order."""
 
     def __init__(self, cartan: CartanData):
         self.cartan = cartan
-        self._coeffs: dict[tuple, object] = {}   # call -> (id, DistExpr) or DeltaBearingMove
-        self._interned: dict[tuple, tuple[int, DistExpr]] = {}   # DistExpr.key() -> (id, expr)
-        self._products: dict[tuple[int, int], tuple[int, DistExpr]] = {}
-
-    def _intern(self, expr: DistExpr) -> tuple[int, DistExpr]:
-        return self._interned.setdefault(expr.key(), (len(self._interned), expr))
-
-    def _mul(self, a: tuple[int, DistExpr], b: tuple[int, DistExpr]) -> tuple[int, DistExpr]:
-        hit = self._products.get((a[0], b[0]))
-        if hit is None:
-            hit = self._products[a[0], b[0]] = self._intern(a[1] * b[1])
-        return hit
+        self._coeffs: dict[tuple, object] = {}   # call -> (DistExpr, form) or DeltaBearingMove
 
     def paths(self, fam: str, a: int, xk: str, xi: int, yk: str, yi: int):
-        """(path A, path B) of a triple, path B None when it has path A's
-        terms; or the first DeltaBearingMove, in the order cx, cy, rxy, ryx."""
+        """None when the normal forms prove the triple, else (path A, path B);
+        or the first DeltaBearingMove, in the order cx, cy, rxy, ryx."""
         r, cd = self.cartan.rank, self.cartan
         found = []
         for key, build, args in (
@@ -286,17 +284,18 @@ class _Diamonds:
             hit = self._coeffs.get(key)
             if hit is None:
                 try:
-                    hit = self._intern(build(*args))
+                    expr = build(*args)
+                    hit = (expr, expr.odd_normal_form())
                 except DeltaBearingMove as exc:
                     hit = exc
                 self._coeffs[key] = hit
             if isinstance(hit, DeltaBearingMove):
                 return hit
             found.append(hit)
-        cx, cy, rxy, ryx = found
-        path_a = self._mul(cx, cy)
-        path_b = self._mul(self._mul(self._mul(rxy, cy), cx), ryx)
-        return path_a[1], None if path_b[0] == path_a[0] else path_b[1]
+        (cx, fx), (cy, fy), (rxy, fxy), (ryx, fyx) = found
+        if None not in (fx, fy, fxy, fyx) and _product(fx, fy) == _product(fxy, fy, fx, fyx):
+            return None
+        return cx * cy, rxy * cy * cx * ryx
 
     def check(self, fam: str, a: int, xk: str, xi: int, yk: str, yi: int,
               params: ParamTower, samples: int, tol: float,
@@ -306,15 +305,14 @@ class _Diamonds:
         if isinstance(paths, DeltaBearingMove):
             rec.update({"skipped": True, "reason": str(paths), "pass": True})
             return rec
-        path_a, path_b = paths
-        if path_b is None:
-            # both paths are one interned expression: the diamond holds
-            # exactly.  The doubles of ``samples`` unrejected tries are
-            # still drawn, so the triples after it draw the same points.
+        if paths is None:
+            # the diamond holds exactly.  The doubles of ``samples`` unrejected
+            # tries are still drawn, so the triples after it draw the same points.
             rng.random(samples * _DIAMOND_DRAWS)
             rec.update({"skipped": False, "proven": True, "samples": 0,
                         "max_residual": 0.0, "pass": True})
             return rec
+        path_a, path_b = paths
 
         def residual(pt):
             return relative_residual(path_a.eval(pt, params), path_b.eval(pt, params))
@@ -335,10 +333,10 @@ def verify_consistency(fam: str, a: int, xk: str, xi: int, yk: str, yi: int,
     exchanges the currents first, moves the vertex, then exchanges back
     through the printed reverse relation.  Agreement tests the
     transcription and the inversion property jointly.  When the two paths
-    canonicalize to the same terms the triple is proven: no point is
-    evaluated, the record has ``proven: True``, ``samples: 0`` and
-    residual 0.0, and ``rng`` advances by the doubles of ``samples``
-    tries.
+    have one odd-sh normal form (``DistExpr.odd_normal_form``) the triple is
+    proven: no point is evaluated, the record has ``proven: True``,
+    ``samples: 0`` and residual 0.0, and ``rng`` advances by the doubles of
+    ``samples`` tries.  Otherwise both paths are built and sampled.
     """
     if rng is None:
         rng = np.random.default_rng(31)
@@ -350,7 +348,7 @@ def consistency_suite(cartan: CartanData, params: ParamTower, samples: int = 20,
     """All triples over the generator set; delta-bearing ones are skipped.
 
     The records are those of ``verify_consistency`` per triple on one
-    stream; each distinct diamond is built once per call.
+    stream; each distinct coefficient is built once per call.
     """
     rng = np.random.default_rng(seed)
     r = cartan.rank

@@ -386,7 +386,7 @@ def _suite_intertwine(cfg: RunConfig, rng, shared: _Shared) -> list[dict]:
     out.append({"id": "period_discipline",
                 "pass": intertwine.period_discipline(cat, cd.rank),
                 "max_residual": 0.0})
-    run = skipped = 0
+    run = proven = skipped = 0
     worst = 0.0
     fails = []
     for rec in intertwine.consistency_suite(cd, params, samples=max(10, cfg.samples // 3),
@@ -395,11 +395,12 @@ def _suite_intertwine(cfg: RunConfig, rng, shared: _Shared) -> list[dict]:
             skipped += 1
             continue
         run += 1
+        proven += rec["proven"]
         worst = max(worst, rec["max_residual"])
         if not rec["pass"]:
             fails.append(rec["triple"])
     out.append({"id": "consistency_triples", "pass": run > 0 and not fails, "run": run,
-                "skipped": skipped, "max_residual": worst, "failures": fails})
+                "proven": proven, "skipped": skipped, "max_residual": worst, "failures": fails})
     variants = intertwine.variant_report(cd.rank, params)
     ok = all(case["normalized_on_denominator_zero"] and case["printed_l_unbound"]
              for entry in variants.values() for case in entry["cases"].values())

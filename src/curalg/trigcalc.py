@@ -581,11 +581,23 @@ class DistExpr:
         )
         return params, shape, terms
 
-    def key(self) -> tuple:
-        """Hashable contents, term by term; equal keys give equal values."""
-        return tuple((t.scalar, t.factors, t.deltas,
-                      None if t.mat is None else (t.mat.shape, t.mat.tobytes()))
-                     for t in self.terms)
+    def odd_normal_form(self) -> Optional[tuple]:
+        """(scalar, frozenset of ((period, arg), exponent)) of one untagged
+        term with no delta, matrix or float offset ``t``, else None.  Each
+        factor whose leading variable has a negative coefficient is flipped
+        by sh(-x) = -sh(x), exponents are summed per (period, arg) and zero
+        sums dropped.  Equal normal forms are equal functions."""
+        if len(self.terms) != 1 or self.terms[0].deltas or self.terms[0].mat is not None:
+            return None
+        scalar, exps = self.terms[0].scalar, {}
+        for f in self.terms[0].factors:
+            if f.bv != BV_NONE or f.arg.t != 0.0:
+                return None
+            arg = f.arg
+            if arg.vars and arg.vars[0][1] < 0:
+                arg, scalar = -arg, -scalar
+            exps[f.period, arg] = exps.get((f.period, arg), 0) + f.exponent
+        return scalar, frozenset((base, e) for base, e in exps.items() if e)
 
     def reciprocal(self) -> "DistExpr":
         """Every term's 1/scalar with each factor exponent flipped.

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from curalg import evalrep, hopf, structfn
+from curalg import evalrep, hopf, structfn, trigcalc
 from curalg.boson import checks
 from curalg.boson.contraction import UnsupportedPairError
 from curalg.boson.currents import current
@@ -113,6 +113,28 @@ def test_axioms_in_level0_backend(r):
     out = hopf.verify_axioms(rep, params0, samples=20, tol=1e-9)
     assert out and all(rec["pass"] for rec in out)
     assert max(rec["max_residual"] for rec in out) < 1e-9
+
+
+def test_axiom_records_count_accepted_points(monkeypatch):
+    # every other try rejected, no retries: a sampled axiom states the half
+    # it accepted; one whose sides are both zero draws nothing and states 0
+    sample_max = trigcalc.sample_max
+
+    def reject_every_other(residual, windows, samples, rng, retries=200):
+        tries = []
+
+        def half(pt):
+            tries.append(pt)
+            return None if len(tries) % 2 else residual(pt)
+
+        return sample_max(half, windows, samples, rng, retries=0)
+
+    monkeypatch.setattr(trigcalc, "sample_max", reject_every_other)
+    params0 = tower(0.0)
+    out = hopf.verify_axioms(evalrep.build(1, params0), params0, samples=6)
+    counts = {(r["axiom"], r["generator"]): r["samples"] for r in out}
+    assert counts[("counit_plus", "c")] == 0 and counts[("counit_plus", "E_1")] == 3
+    assert set(counts.values()) == {0, 3} and all(r["pass"] for r in out)
 
 
 def test_minus_equals_shifted_plus(params):

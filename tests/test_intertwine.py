@@ -24,7 +24,7 @@ from curalg.intertwine import (
 )
 from curalg.liealg import cartan
 from curalg.params import ParamTower
-from curalg.trigcalc import DistExpr, Term, TrigFactor
+from curalg.trigcalc import DistExpr, Term, TrigFactor, relative_residual, sample_max
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "catalog_A2.json"
 
@@ -198,36 +198,60 @@ def _scalar_draw_residual(path_a, path_b, params, samples, rng):
     return done, worst
 
 
-def test_triples_match_evaluating_both_paths_with_scalar_draws(params):
+def _paths(cd, fam, a, xk, xi, yk, yi, memo=None):
+    """Both path products of a triple, built through the module's current
+    ``exchange_fn``, each coefficient once per ``memo``; raises
+    DeltaBearingMove in the order cx, cy, rxy, ryx."""
+    memo = {} if memo is None else memo
+
+    def coeff(build, *args):
+        if args not in memo:
+            memo[args] = build(*args)
+        return memo[args]
+
+    cx = coeff(vertex_move_coeff, fam, a, xk, xi, cd.rank, "u")
+    cy = coeff(vertex_move_coeff, fam, a, yk, yi, cd.rank, "v")
+    rxy = coeff(intertwine.exchange_fn, xk, xi, yk, yi, cd, "u", "v")
+    ryx = coeff(intertwine.exchange_fn, yk, yi, xk, xi, cd, "v", "u")
+    return cx * cy, rxy * cy * cx * ryx
+
+
+def _triple_of(rec):
+    (xk, xi), (yk, yi) = (c.rsplit("_", 1) for c in (rec["x"], rec["y"]))
+    return rec["family"], rec["component"], xk, int(xi), yk, int(yi)
+
+
+def test_triples_match_evaluating_both_paths_with_scalar_draws(params,
+                                                                sign_flipped_exchange):
+    # the flipped exchange leaves its triples to the sampled branch
     cd = cartan("A", 2)
     rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
+    sampled = 0
     for fam, a, xk, xi, yk, yi in _triples(cd):
         rec = verify_consistency(fam, a, xk, xi, yk, yi, cd, params, 6, 1e-9, rng_a)
         try:
-            cx = vertex_move_coeff(fam, a, xk, xi, 2, "u")
-            cy = vertex_move_coeff(fam, a, yk, yi, 2, "v")
-            rxy = exchange_fn(xk, xi, yk, yi, cd, "u", "v")
-            ryx = exchange_fn(yk, yi, xk, xi, cd, "v", "u")
+            path_a, path_b = _paths(cd, fam, a, xk, xi, yk, yi)
         except DeltaBearingMove as exc:
             assert rec["skipped"] and rec["reason"] == str(exc)
             continue
-        path_a, path_b = cx * cy, rxy * cy * cx * ryx
-        # proven exactly when both paths have the same terms; a proven
-        # triple evaluates nothing but still takes its tries' draws
-        assert rec["proven"] == (path_a.key() == path_b.key())
+        # proven exactly when both paths have one odd-sh normal form; a
+        # proven triple evaluates nothing but still takes its tries' draws
+        form = path_a.odd_normal_form()
+        assert rec["proven"] == (form is not None and form == path_b.odd_normal_form())
         if rec["proven"]:
             assert (rec["samples"], rec["max_residual"], rec["pass"]) == (0, 0.0, True)
             for _ in range(6):
                 _scalar_point(rng_b)
             continue
+        sampled += 1
         done, worst = _scalar_draw_residual(path_a, path_b, params, 6, rng_b)
         assert (rec["samples"], rec["max_residual"]) == (done, worst)
+    assert sampled
     assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
-def test_proven_triples_evaluate_no_point(params, monkeypatch):
-    # A4: the paths of 3,384 of the 4,056 unskipped triples intern to one
-    # expression; only the other 672 evaluate points
+def _evals_per_triple(cd, params, monkeypatch):
+    """(record, DistExpr evaluations it made) for every triple of the suite."""
     evals = [0]
     real_eval = DistExpr.eval
 
@@ -246,13 +270,75 @@ def test_proven_triples_evaluate_no_point(params, monkeypatch):
 
     monkeypatch.setattr(DistExpr, "eval", counted_eval)
     monkeypatch.setattr(intertwine._Diamonds, "check", check)
-    out = consistency_suite(cartan("A", 4), params, samples=2)
+    out = consistency_suite(cd, params, samples=2)
     assert len(out) == len(per_triple) == 5120
+    monkeypatch.undo()
+    return per_triple
+
+
+def test_proven_triples_evaluate_no_point(params, monkeypatch, request):
+    # A4: the paths of all 4,056 unskipped triples have one normal form,
+    # and none of them evaluates a point
+    per_triple = _evals_per_triple(cartan("A", 4), params, monkeypatch)
     proven = [n for rec, n in per_triple if not rec["skipped"] and rec["proven"]]
     sampled = [n for rec, n in per_triple if not rec["skipped"] and not rec["proven"]]
-    assert (len(proven), len(sampled), len(out) - len(proven) - len(sampled)) == (3384, 672, 1064)
-    assert not any(proven) and all(sampled)
-    assert all(r["pass"] for r in out)
+    assert (len(proven), len(sampled), len(per_triple) - len(proven) - len(sampled)) == (
+        4056, 0, 1064)
+    assert not any(proven) and all(rec["pass"] for rec, _ in per_triple)
+    # with one exchange flipped, its triples are sampled: each evaluates
+    # points and fails, and every other triple stays proven unevaluated
+    flipped = request.getfixturevalue("sign_flipped_exchange")
+    ran = [(rec, n) for rec, n in _evals_per_triple(cartan("A", 4), params, monkeypatch)
+           if not rec["skipped"]]
+    hit = [(rec, n) for rec, n in ran if (rec["x"], rec["y"]) == flipped]
+    assert len(ran) == 4056 and hit
+    assert all(not rec["proven"] and not rec["pass"] and n for rec, n in hit)
+    assert all(rec["proven"] and rec["pass"] and not n for rec, n in ran
+               if (rec["x"], rec["y"]) != flipped)
+
+
+def test_a_flipped_exchange_fails_exactly_its_triples(params, sign_flipped_exchange):
+    ran = [r for r in consistency_suite(cartan("A", 2), params, samples=5)
+           if not r["skipped"]]
+    hit = [r["triple"] for r in ran if (r["x"], r["y"]) == sign_flipped_exchange]
+    assert hit
+    for r in ran:
+        assert r["proven"] == r["pass"] == (r["triple"] not in hit), r
+    cfg = report.RunConfig(algebra="A2", suites=("intertwine",), samples=30)
+    rec = next(c for c in report.run(cfg)["suites"][0]["checks"]
+               if c["id"] == "consistency_triples")
+    assert (rec["pass"], rec["run"], rec["proven"], rec["failures"]) == (
+        False, len(ran), len(ran) - len(hit), hit)
+
+
+@pytest.mark.parametrize("rank,run,differing", [
+    (1, 72, 24), (2, 520, 144), (3, 1720, 360), (4, 4056, 672), (5, 7912, 1080)])
+def test_every_run_triple_is_proven(rank, run, differing, params):
+    # ``differing`` triples have paths whose terms differ; their normal
+    # forms agree through sh(-x) = -sh(x)
+    cd = cartan("A", rank)
+    ran = [r for r in consistency_suite(cd, params, samples=1) if not r["skipped"]]
+    assert len(ran) == sum(r["proven"] and r["pass"] for r in ran) == run
+    terms, memo = [], {}
+    for r in ran:
+        (path_a,), (path_b,) = (p.terms for p in _paths(cd, *_triple_of(r), memo))
+        terms.append((path_a.scalar, path_a.factors) != (path_b.scalar, path_b.factors))
+    assert sum(terms) == differing
+
+
+def test_proven_triples_agree_at_sampled_points(params):
+    # the sampled oracle on every proven triple of A2
+    cd = cartan("A", 2)
+    rng = np.random.default_rng(7)
+    for r in consistency_suite(cd, params, samples=1):
+        if r["skipped"]:
+            continue
+        assert r["proven"]
+        path_a, path_b = _paths(cd, *_triple_of(r))
+        worst, done = sample_max(
+            lambda pt: relative_residual(path_a.eval(pt, params), path_b.eval(pt, params)),
+            intertwine._DIAMOND_WINDOWS, 5, rng)
+        assert done == 5 and worst < 1e-12, r["triple"]
 
 
 class _RejectingPath:

@@ -216,6 +216,67 @@ def test_eval_plan_bitwise_equals_reference(terms, pt):
     _assert_plan_matches_reference(DistExpr(terms), pt, _tower())
 
 
+flat_shift = st.builds(
+    lambda cu, cv, qn, qd, l0, l1: (
+        ShiftExpr.of_var("u", cu) + ShiftExpr.of_var("v", cv) + ShiftExpr.hbar_units(
+            Fraction(qn, qd)) + ShiftExpr.lattice_units(0, l0) + ShiftExpr.lattice_units(1, l1)
+    ),
+    st.integers(-3, 3), st.integers(-3, 3), st.integers(-6, 6), st.integers(1, 4),
+    st.integers(-2, 2), st.integers(-2, 2),
+).filter(lambda s: s.vars)
+odd_factor = st.tuples(st.integers(0, 1), flat_shift, st.sampled_from((1, -1)))
+
+
+@given(st.complex_numbers(min_magnitude=0.5, max_magnitude=2.0),
+       st.lists(odd_factor, min_size=1, max_size=4), st.lists(odd_factor, max_size=2),
+       st.sampled_from(("none", "scalar", "exponent")), st.data(), point_strategy)
+@settings(max_examples=200, deadline=None)
+def test_equal_odd_normal_forms_evaluate_equal(scalar, factors, pairs, broken, data, pt):
+    # b rewrites a: each factor negated (sh(-x) = -sh(x)) or moved by
+    # own-period lattice units (sh(x + i*pi) = -sh(x)) with its sign in the
+    # scalar, cancelling pairs sh(y)^e sh(+-y)^-e added, the factors
+    # permuted; ``broken`` leaves the scalar sign or one exponent wrong
+    a = DistExpr.from_factors(scalar, [TrigFactor(p, arg, e) for p, arg, e in factors])
+    sb, fb = scalar, []
+    for p, arg, e in factors:
+        if data.draw(st.booleans()):
+            arg, sb = -arg, -sb
+        k = data.draw(st.integers(-2, 2))
+        fb.append(TrigFactor(p, arg + ShiftExpr.lattice_units(p, k), e))
+        sb *= (-1) ** k
+    for p, arg, e in pairs:
+        flip = data.draw(st.booleans())
+        fb += [TrigFactor(p, arg, e), TrigFactor(p, -arg if flip else arg, -e)]
+        sb *= -1 if flip else 1
+    fb = [fb[i] for i in data.draw(st.permutations(range(len(fb))))]
+    if broken == "scalar":
+        sb = -sb
+    elif broken == "exponent":
+        fb[0] = TrigFactor(fb[0].period, fb[0].arg, -fb[0].exponent)
+    b = DistExpr.from_factors(sb, fb)
+    form = a.odd_normal_form()
+    assert form is not None and (form == b.odd_normal_form()) == (broken == "none")
+    if broken == "none":
+        params = _tower()
+        try:
+            va, vb = a.eval(pt, params), b.eval(pt, params)
+        except PoleProximityError:
+            return
+        assert abs(va - vb) <= 1e-12 * max(abs(va), abs(vb))
+
+
+def test_odd_normal_form_is_none_off_its_domain():
+    f = TrigFactor(0, var("u") - ShiftExpr.hbar_units(1), -1)
+    mat = np.eye(2, dtype=complex)
+    assert DistExpr.from_factors(2.0, (f,)).odd_normal_form() is not None
+    for expr in (DistExpr.zero(), DistExpr.from_factors(1.0, (f,)) + DistExpr.scalar(1.0),
+                 DistExpr.from_factors(1.0, (f,), mat=mat),
+                 DistExpr.from_factors(1.0, (f,), (DeltaAtom(var("u") - var("v")),)),
+                 DistExpr.from_factors(1.0, (TrigFactor(0, f.arg, -1, BV_PLUS),)),
+                 DistExpr.from_factors(1.0, (TrigFactor(0, f.arg + ShiftExpr(t=0.5), -1),))):
+        assert expr.odd_normal_form() is None
+
+
 def test_eval_plan_scalar_matrix_and_mixed():
     params = _tower()
     f = TrigFactor(1, var("u") - ShiftExpr.hbar_units(Fraction(1, 2)), -1)
@@ -601,7 +662,7 @@ def _reject_every_point(*_args, **_kwargs):
     raise PoleProximityError("every point rejected")
 
 
-def test_records_fail_when_every_point_is_rejected(monkeypatch):
+def test_records_fail_when_every_point_is_rejected(monkeypatch, sign_flipped_exchange):
     cfg = report.RunConfig(algebra="A2", samples=10, pairs="E1:E2")
     rng = np.random.default_rng(0)
     monkeypatch.setattr(TrigFactor, "eval", _reject_every_point)
@@ -621,9 +682,12 @@ def test_records_fail_when_every_point_is_rejected(monkeypatch):
     cd = cfg.cartan()
     triples = [r for r in intertwine.consistency_suite(cd, cfg.tower(), samples=2)
                if not r["skipped"]]
+    # the flipped exchange's triples are sampled, and every point is rejected
     sampled = [r for r in triples if not r["proven"]]
-    assert sampled and not any(r["pass"] for r in sampled)
-    # a proven triple evaluates no point: its two paths have the same terms
+    assert sampled and all((r["x"], r["y"]) == sign_flipped_exchange for r in sampled)
+    assert all((r["samples"], r["max_residual"], r["pass"]) == (0, math.inf, False)
+               for r in sampled)
+    # a proven triple evaluates no point: its two paths have one normal form
     for r in triples:
         if r["proven"]:
             fam, a = r["family"], r["component"]
@@ -633,4 +697,5 @@ def test_records_fail_when_every_point_is_rejected(monkeypatch):
             cy = intertwine.vertex_move_coeff(fam, a, yk, yi, cd.rank, "v")
             rxy = intertwine.exchange_fn(xk, xi, yk, yi, cd, "u", "v")
             ryx = intertwine.exchange_fn(yk, yi, xk, xi, cd, "v", "u")
-            assert (cx * cy).key() == (rxy * cy * cx * ryx).key()
+            assert (cx * cy).odd_normal_form() == (rxy * cy * cx * ryx).odd_normal_form()
+            assert r["pass"]
