@@ -225,11 +225,11 @@ def exchange_residual(xs: list, ys: list, expected: StructureRatio, cartan: Cart
 def exchange_check(x: BosonCurrent, y: BosonCurrent, expected: StructureRatio,
                    cartan: CartanData, params: ParamTower,
                    samples: int = 30, tol: float = 1e-8,
-                   rng: Optional[np.random.Generator] = None,
+                   rng: int | np.random.Generator = 11,
                    imag_window: float = 0.2) -> dict:
-    """Exchange relation of the currents X(u) and Y(v) against ``expected``."""
-    if rng is None:
-        rng = np.random.default_rng(11)
+    """Exchange relation of the currents X(u) and Y(v) against ``expected``,
+    at points drawn from ``rng``, a seed or a generator."""
+    rng = np.random.default_rng(rng)
     if {x.kind, y.kind} == {"E", "F"} and x.j == y.j:
         raise ValueError("the E-F pair at equal nodes is delta-bearing; use ef_delta_check")
     max_res, done = exchange_residual([(1.0, [(0, x)])], [(1.0, [(0, y)])], expected,
@@ -238,18 +238,17 @@ def exchange_check(x: BosonCurrent, y: BosonCurrent, expected: StructureRatio,
         "pair": f"{x.kind}_{x.j}|{y.kind}_{y.j}",
         "relation": expected.relation,
         "samples": done,
-        "tol": tol,
         **judged(max_res, tol, done),
     }
 
 
 def merged_exponent_matches(pair: tuple[BosonCurrent, BosonCurrent],
                             target: BosonCurrent, params: ParamTower,
-                            rng: Optional[np.random.Generator] = None) -> dict:
+                            rng: int | np.random.Generator = 5) -> dict:
     """Pointwise check that g_X + g_Y equals g_target as mode functions,
-    at 40 sampled (lambda, vars) points to 1e-9."""
-    if rng is None:
-        rng = np.random.default_rng(5)
+    at 40 (lambda, vars) points drawn from ``rng`` (a seed or a
+    generator), to 1e-9."""
+    rng = np.random.default_rng(rng)
     gx, gy, gt = pair[0].g(params), pair[1].g(params), target.g(params)
     names = sorted({n for g in (gx, gy, gt) for n, _ in g.vars})
 
@@ -283,7 +282,7 @@ def delta_coefficient(cform: ClosedForm, phase: complex, w0: complex,
 
 
 def ef_delta_check(i: int, cartan: CartanData, params: ParamTower,
-                   tol: float = 1e-8, rng: Optional[np.random.Generator] = None) -> dict:
+                   tol: float = 1e-8, rng: int | np.random.Generator = 5) -> dict:
     """Pole/residue audit of E_i(u) F_i(v) against the H payloads.
 
     Checks, in order: the contraction factor has simple poles exactly at
@@ -293,8 +292,9 @@ def ef_delta_check(i: int, cartan: CartanData, params: ParamTower,
     each support equals the corresponding H coefficient function with
     the quarter-shifted argument.  Any other pole structure gives a
     failing record that carries the mismatch under ``error``.  Both
-    payload checks draw from ``rng`` (a fresh seed-5 stream each when None),
-    and the record is judged at the smaller of their accepted counts.
+    payload checks draw from ``rng``, passed on as given: a generator is
+    one stream for both, a seed gives each a fresh stream of that seed.
+    The record is judged at the smaller of their accepted counts.
     """
     e_cur = current("E", i, "u")
     f_cur = current("F", i, "v")
@@ -313,7 +313,7 @@ def ef_delta_check(i: int, cartan: CartanData, params: ParamTower,
         report.update({
             "error": f"E_{i} F_{i} contraction pole structure mismatch: "
                      f"{[(str(p), o) for p, o in poles]}",
-            "max_residual": float("inf"), "tol": tol, "pass": False})
+            **judged(math.inf, tol)})
         return report
     residuals, accepted = [], []
     for sgn, hkind in ((+1, "H+"), (-1, "H-")):
@@ -326,18 +326,18 @@ def ef_delta_check(i: int, cartan: CartanData, params: ParamTower,
         residuals += (abs(coeff - target) / abs(target), payload["max_residual"])
         accepted.append(payload["samples"])
         report[f"payload_{hkind}"] = payload["max_residual"]
-    report.update(tol=tol, **judged(worst_of(*residuals), tol, min(accepted)))
+    report.update(judged(worst_of(*residuals), tol, min(accepted)))
     return report
 
 
 def serre_check(i: int, j: int, cartan: CartanData, params: ParamTower,
                 samples: int = 20, tol: float = 1e-7,
-                rng: Optional[np.random.Generator] = None) -> dict:
-    """Symmetrized cubic combination of full word coefficients vanishes."""
+                rng: int | np.random.Generator = 23) -> dict:
+    """Symmetrized cubic combination of full word coefficients vanishes,
+    at points drawn from ``rng``, a seed or a generator."""
     if cartan.a_entry(i, j) != -1:
         raise ValueError("cubic relation applies to adjacent pairs only")
-    if rng is None:
-        rng = np.random.default_rng(23)
+    rng = np.random.default_rng(rng)
 
     def image(node: int, name: str) -> list:
         return [(1.0, [(0, current("E", node, name))])]
@@ -347,6 +347,5 @@ def serre_check(i: int, j: int, cartan: CartanData, params: ParamTower,
     return {
         "pair": (i, j),
         "samples": done,
-        "tol": tol,
         **judged(worst, tol, done),
     }

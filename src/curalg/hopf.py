@@ -301,20 +301,21 @@ def _axiom_sides(kind: str, i: int, tag: int, params: ParamTower):
 
 
 def verify_axioms(rep: evalrep.EvalRep, params: ParamTower, samples: int = 30,
-                  tol: float = 1e-9, seed: int = 17) -> list[dict]:
-    """All four axioms on every generator, in the level-0 backend; ``samples``
-    is the accepted count of a record's groups, 0 for two exactly zero sides."""
-    rng = np.random.default_rng(seed)
+                  tol: float = 1e-9, rng: int | np.random.Generator = 17) -> list[dict]:
+    """All four axioms on every generator, in the level-0 backend, on one
+    stream ``rng`` (a seed or a generator); ``samples`` is the accepted
+    count of a record's groups, 0 for two exactly zero sides."""
+    rng = np.random.default_rng(rng)
     out = []
     gens = [("c", 0)] + [(k, i) for k in GEN_KINDS for i in range(1, rep.r + 1)]
     for kind, i in gens:
         for name, lhs, rhs in _axiom_sides(kind, i, tag=0, params=params):
             cmp = equal_numeric(module_expr(rep, lhs), module_expr(rep, rhs), params,
                                 samples=samples, tol=tol, rng=rng)
+            groups = cmp.pop("groups")
             out.append({
-                "axiom": name, "generator": f"{kind}_{i}" if i else kind,
-                "max_residual": cmp["max_residual"], "pass": cmp["pass"],
-                "samples": min((g["samples"] for g in cmp["groups"]), default=0),
+                "axiom": name, "generator": f"{kind}_{i}" if i else kind, **cmp,
+                "samples": min((g["samples"] for g in groups), default=0),
             })
     return out
 
@@ -435,15 +436,17 @@ def _slot_words(x: CurrentExpr) -> list[tuple[complex, bchecks.SlotWord]]:
 
 def verify_homomorphism(cartan: CartanData, params: ParamTower,
                         samples: int = 12, tol: float = 1e-7,
-                        seed: int = 29, relations: Optional[Sequence[str]] = None) -> list[dict]:
+                        rng: int | np.random.Generator = 29,
+                        relations: Optional[Sequence[str]] = None) -> list[dict]:
     """Level-2 images satisfy the defining relations at total level 2.
 
     For each delta-free relation the two ordered products of coproduct
     images are expanded into slot-tagged normal-ordered monomials; the
     per-monomial coefficient functions must match across the exchange,
-    with the level-2 structure function as the ratio.
+    with the level-2 structure function as the ratio.  Every relation
+    draws from one stream ``rng``, a seed or a generator.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(rng)
     if relations is None:
         relations = structfn.RELATIONS
 
@@ -486,7 +489,7 @@ def _level2_slot_words(kind: str, node: int, name: str,
 
 def verify_serre_level2(cartan: CartanData, params: ParamTower, i: int, j: int,
                         samples: int = 8, tol: float = 1e-7,
-                        rng: Optional[np.random.Generator] = None) -> dict:
+                        rng: int | np.random.Generator = 43) -> dict:
     """Cubic relation for the level-2 images of an adjacent pair.
 
     The symmetrized combination of the three orderings of
@@ -496,14 +499,13 @@ def verify_serre_level2(cartan: CartanData, params: ParamTower, i: int, j: int,
     """
     if cartan.a_entry(i, j) != -1:
         raise ValueError("cubic relation applies to adjacent pairs only")
-    if rng is None:
-        rng = np.random.default_rng(43)
+    rng = np.random.default_rng(rng)
     u1, u2, v = (_level2_slot_words("E", node, name, params)
                  for name, node in (("u1", i), ("u2", i), ("v", j)))
     worst, done, signatures = bchecks.cubic_residual(u1, u2, v, cartan, params, 0.1,
                                                      samples, rng)
     return {"pair": (i, j), "k": 2, "signatures": signatures, "samples": done,
-            "tol": tol, **judged(worst, tol, done)}
+            **judged(worst, tol, done)}
 
 
 def ef_pole_audit_level2(cartan: CartanData, params: ParamTower, i: int,

@@ -246,7 +246,6 @@ def exchange_fn(xk: str, xi: int, yk: str, yi: int, cartan: CartanData,
 
 # u, v and z, in the order each try draws them
 _DIAMOND_WINDOWS = {n: ((-2.0, 2.0), (-0.2, 0.2)) for n in ("u", "v", "z")}
-_DIAMOND_DRAWS = 2 * len(_DIAMOND_WINDOWS)   # doubles per try
 
 
 def _product(*forms: tuple) -> tuple:
@@ -305,10 +304,7 @@ class _Diamonds:
         if isinstance(paths, DeltaBearingMove):
             rec.update({"skipped": True, "reason": str(paths), "pass": True})
             return rec
-        if paths is None:
-            # the diamond holds exactly.  The doubles of ``samples`` unrejected
-            # tries are still drawn, so the triples after it draw the same points.
-            rng.random(samples * _DIAMOND_DRAWS)
+        if paths is None:   # the diamond holds exactly
             rec.update({"skipped": False, "proven": True, "samples": 0,
                         "max_residual": 0.0, "pass": True})
             return rec
@@ -326,7 +322,7 @@ class _Diamonds:
 def verify_consistency(fam: str, a: int, xk: str, xi: int, yk: str, yi: int,
                        cartan: CartanData, params: ParamTower,
                        samples: int = 30, tol: float = 1e-9,
-                       rng: Optional[np.random.Generator] = None) -> dict:
+                       rng: int | np.random.Generator = 31) -> dict:
     """Diamond check on the word V_a(z) X(u) Y(v).
 
     Path A moves the vertex straight through both currents; path B
@@ -334,23 +330,24 @@ def verify_consistency(fam: str, a: int, xk: str, xi: int, yk: str, yi: int,
     through the printed reverse relation.  Agreement tests the
     transcription and the inversion property jointly.  When the two paths
     have one odd-sh normal form (``DistExpr.odd_normal_form``) the triple is
-    proven: no point is evaluated, the record has ``proven: True``,
-    ``samples: 0`` and residual 0.0, and ``rng`` advances by the doubles of
-    ``samples`` tries.  Otherwise both paths are built and sampled.
+    proven: no point is evaluated or drawn, and the record has ``proven:
+    True``, ``samples: 0`` and residual 0.0.  Otherwise both paths are
+    built and sampled at points drawn from ``rng``, a seed or a generator.
     """
-    if rng is None:
-        rng = np.random.default_rng(31)
+    rng = np.random.default_rng(rng)
     return _Diamonds(cartan).check(fam, a, xk, xi, yk, yi, params, samples, tol, rng)
 
 
 def consistency_suite(cartan: CartanData, params: ParamTower, samples: int = 20,
-                      tol: float = 1e-9, seed: int = 37) -> list[dict]:
+                      tol: float = 1e-9,
+                      rng: int | np.random.Generator = 37) -> list[dict]:
     """All triples over the generator set; delta-bearing ones are skipped.
 
     The records are those of ``verify_consistency`` per triple on one
-    stream; each distinct coefficient is built once per call.
+    stream ``rng`` (a seed or a generator); each distinct coefficient is
+    built once per call.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(rng)
     r = cartan.rank
     diamonds = _Diamonds(cartan)
     out = []
@@ -404,9 +401,10 @@ def variant_report(r: int, params: ParamTower) -> dict:
 
 
 def degeneration_report(r: int, hbar: float = 0.1, eta_small: float = 1e-4,
-                        points: int = 20, tol: float = 1e-3, seed: int = 41) -> dict:
+                        points: int = 20, tol: float = 1e-3,
+                        rng: int | np.random.Generator = 41) -> dict:
     """eta -> 0: coefficient ratios approach their rational limits."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(rng)
     params = ParamTower(hbar, eta_small, (1.0,))
     cat = catalog(r, params)
 
@@ -428,7 +426,7 @@ def degeneration_report(r: int, hbar: float = 0.1, eta_small: float = 1e-4,
             w, d = sample_max(lambda pt: residual(expr, pt), windows, points // 4 + 1, rng,
                               retries=0)
             worst, done = max(worst, w), done + d
-    return {"tol": tol, **judged(worst, tol, done)}
+    return judged(worst, tol, done)
 
 
 def export_catalog(cat: list[InterRelation], r: int,

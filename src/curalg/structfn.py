@@ -171,10 +171,3 @@ def serre_coefficient(params: ParamTower, side: str) -> float:
         return 2.0 * math.cos(math.pi * params.eta_prime * params.hbar)
     raise ValueError("side must be 'E' or 'F'")
 
-
-def swapped_ratio_product(rel: str, i: int, j: int, cartan: CartanData,
-                          c: Fraction | int, w: complex, params: ParamTower) -> complex:
-    """R_ij(w) * R_ji(-w); the exchange applied twice must give 1."""
-    rij = ratio(rel, i, j, cartan, c)
-    rji = ratio(rel, j, i, cartan, c)
-    return rij.eval(w, params) * rji.eval(-w, params)

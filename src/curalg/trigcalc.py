@@ -837,13 +837,14 @@ def worst_of(*residuals: float) -> float:
 
 
 def judged(worst: float, tol: float, done: int = 1) -> dict:
-    """The verdict of a record judged at ``done`` accepted points.
+    """The verdict of a record judged at ``done`` accepted points, with the
+    ``tol`` it was judged against.
 
     With no accepted point the record shows ``max_residual`` inf and
     fails; otherwise it passes only if ``worst < tol`` (a NaN is inf).
     """
     worst = worst_of(worst) if done else math.inf
-    return {"max_residual": worst, "pass": bool(worst < tol)}
+    return {"max_residual": worst, "pass": bool(worst < tol), "tol": tol}
 
 
 Window = tuple[tuple[float, float], Optional[tuple[float, float]]]
@@ -912,54 +913,37 @@ def relative_residual(a, b) -> float:
     return worst_of(abs(a - b) / max(1.0, abs(a), abs(b)))
 
 
-def compare_numeric(a: DistExpr, b: DistExpr, params: ParamTower,
-                    samples: int, rng: np.random.Generator,
-                    imag_window: Optional[tuple[float, float]] = None) -> dict:
-    """Sampled comparison of two delta-free expressions (relative residual)."""
-    if imag_window is None:
-        w = 0.35 / params.eta
-        imag_window = (-w, w)
-
-    def residual(pt):
-        return relative_residual(a.eval(pt, params), b.eval(pt, params))
-
-    windows = {n: ((-2.0, 2.0), imag_window) for n in sorted(a.free_vars() | b.free_vars())}
-    max_res, done = sample_max(residual, windows, samples, rng)
-    return {
-        "samples": done,
-        "max_residual": max_res,
-    }
-
-
 def equal_numeric(a: DistExpr, b: DistExpr, params: ParamTower,
                   samples: int = 50, tol: float = 1e-9,
-                  rng: Optional[np.random.Generator] = None,
-                  imag_window: Optional[tuple[float, float]] = None) -> dict:
+                  rng: int | np.random.Generator = 0) -> dict:
     """Delta-aware structural + sampled equality report.
 
-    Delta-free parts are compared pointwise at generic sampled points;
-    delta parts are grouped by canonical support and their coefficient
-    expressions compared recursively.  The record is judged at the
+    Delta-free parts are compared pointwise, by ``relative_residual``, at
+    points drawn from ``rng`` (a seed or a generator) with every variable
+    in [-2, 2] + i[-0.35/eta, 0.35/eta]; delta parts are grouped by
+    canonical support and their coefficient expressions compared the same
+    way, the groups in turn on one stream.  The record is judged at the
     smallest accepted count of its groups; two sides that are both exactly
     zero have no group and pass as an exact identity.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
+    rng = np.random.default_rng(rng)
+    w = 0.35 / params.eta
     ga = a.delta_groups()
     gb = b.delta_groups()
     pieces = []
     for key in sorted(set(ga) | set(gb), key=lambda k: [str(d.arg) for d in k]):
         ca = ga.get(key, DistExpr.zero())
         cb = gb.get(key, DistExpr.zero())
-        rep = compare_numeric(ca, cb, params, samples, rng, imag_window)
-        pieces.append({
-            "support": [str(d.arg) for d in key],
-            "max_residual": rep["max_residual"],
-            "samples": rep["samples"],
-        })
+
+        def residual(pt):
+            return relative_residual(ca.eval(pt, params), cb.eval(pt, params))
+
+        windows = {n: ((-2.0, 2.0), (-w, w)) for n in sorted(ca.free_vars() | cb.free_vars())}
+        worst, done = sample_max(residual, windows, samples, rng)
+        pieces.append({"support": [str(d.arg) for d in key], "max_residual": worst,
+                       "samples": done})
     return {
         **judged(worst_of(*(p["max_residual"] for p in pieces)), tol,
                  min((p["samples"] for p in pieces), default=1)),
-        "tol": tol,
         "groups": pieces,
     }

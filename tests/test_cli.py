@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from curalg import report
+from curalg import evalrep, intertwine, report, trigcalc
+from curalg.boson import checks as bchecks
 from curalg.cli import main
 from curalg.report import RunConfig, config_from_sources, parse_config_file, run
 
@@ -178,6 +179,31 @@ def test_seed_resamples_every_sampled_record():
         assert r0[key]["pass"] and r1[key]["pass"], key
         assert r0[key]["max_residual"] != r1[key]["max_residual"], key
     assert r0["boson", "ef_delta_1"]["payload_H+"] != r1["boson", "ef_delta_1"]["payload_H+"]
+
+
+def test_no_two_sampled_checks_of_a_suite_start_from_one_state(monkeypatch):
+    # every sampled check draws from its suite's stream, so no two calls
+    # that draw a point start from the same generator state
+    starts: dict[str, list[str]] = {}
+    suite = [None]
+    real = trigcalc.sample_max
+
+    def recorded(residual, windows, samples, rng, *args, **kwargs):
+        if windows:   # a call with no variable draws nothing
+            starts.setdefault(suite[0], []).append(json.dumps(rng.bit_generator.state))
+        return real(residual, windows, samples, rng, *args, **kwargs)
+
+    for module in (trigcalc, report, evalrep, intertwine, bchecks):
+        monkeypatch.setattr(module, "sample_max", recorded)
+    for name, fn in list(report._SUITE_FNS.items()):
+        def entered(cfg, rng, shared, name=name, fn=fn):
+            suite[0] = name
+            return fn(cfg, rng, shared)
+        monkeypatch.setitem(report._SUITE_FNS, name, entered)
+    assert run(RunConfig(algebra="A2", samples=10))["pass"]
+    assert set(starts) == {"trigcalc", "structfn", "evalrep", "boson", "hopf", "intertwine"}
+    for name, states in starts.items():
+        assert len(set(states)) == len(states), name
 
 
 def test_boson_pair_filter():

@@ -162,7 +162,7 @@ def _triples(cd):
 @pytest.mark.parametrize("rank,samples", [(2, 10), (3, 4)])
 def test_suite_memo_gives_the_records_of_fresh_triples(rank, samples, params):
     cd = cartan("A", rank)
-    got = consistency_suite(cd, params, samples=samples, seed=11)
+    got = consistency_suite(cd, params, samples=samples, rng=11)
     rng = np.random.default_rng(11)
     want = []
     for fam, a, xk, xi, yk, yi in _triples(cd):
@@ -235,13 +235,11 @@ def test_triples_match_evaluating_both_paths_with_scalar_draws(params,
             assert rec["skipped"] and rec["reason"] == str(exc)
             continue
         # proven exactly when both paths have one odd-sh normal form; a
-        # proven triple evaluates nothing but still takes its tries' draws
+        # proven triple evaluates and draws nothing
         form = path_a.odd_normal_form()
         assert rec["proven"] == (form is not None and form == path_b.odd_normal_form())
         if rec["proven"]:
             assert (rec["samples"], rec["max_residual"], rec["pass"]) == (0, 0.0, True)
-            for _ in range(6):
-                _scalar_point(rng_b)
             continue
         sampled += 1
         done, worst = _scalar_draw_residual(path_a, path_b, params, 6, rng_b)
@@ -339,6 +337,18 @@ def test_proven_triples_agree_at_sampled_points(params):
             lambda pt: relative_residual(path_a.eval(pt, params), path_b.eval(pt, params)),
             intertwine._DIAMOND_WINDOWS, 5, rng)
         assert done == 5 and worst < 1e-12, r["triple"]
+
+
+def test_a_proven_triple_draws_nothing(params):
+    cd = cartan("A", 2)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    proven = 0
+    for fam, a, xk, xi, yk, yi in _triples(cd):
+        rec = verify_consistency(fam, a, xk, xi, yk, yi, cd, params, 10, 1e-9, rng)
+        proven += rec.get("proven", False)
+        assert rng.bit_generator.state == state, rec["triple"]
+    assert proven == 520
 
 
 class _RejectingPath:

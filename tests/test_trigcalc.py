@@ -523,7 +523,8 @@ def test_worst_of(residuals, worst):
     (1e-12, 0, (math.inf, False)),              # no accepted point
 ])
 def test_judged(worst, done, verdict):
-    assert judged(worst, 1e-9, done) == {"max_residual": verdict[0], "pass": verdict[1]}
+    assert judged(worst, 1e-9, done) == {"max_residual": verdict[0], "pass": verdict[1],
+                                         "tol": 1e-9}
 
 
 def test_two_exact_zeros_are_equal(params):
@@ -673,7 +674,7 @@ def test_records_fail_when_every_point_is_rejected(monkeypatch, sign_flipped_exc
     assert failed["half_period_flip"]["max_residual"] == math.inf
     monkeypatch.setattr(report, "kernel_value", _reject_every_point)
     assert report._suite_boson(cfg, rng, shared)[0] == {
-        "id": "kernel_symmetries", "pass": False, "max_residual": math.inf}
+        "id": "kernel_symmetries", "pass": False, "max_residual": math.inf, "tol": 1e-12}
     monkeypatch.setattr(DistExpr, "eval", _reject_every_point)
     failed = [r["id"] for r in report._suite_structfn(cfg, rng, shared) if not r["pass"]]
     assert failed == ["inversion", "hh_pm_level0_trivial", "degeneration"]
