@@ -191,6 +191,23 @@ class DeltaBearingMove(Exception):
     """The requested reorder hits a relation with a delta term."""
 
 
+def _move_case(fam: str, a: int, cur: str, i: int) -> Optional[str]:
+    """The printed case ('j' or 'j-1') that moving vertex component a past
+    current i pays, None when it pays 1; raises DeltaBearingMove when that
+    printed relation carries a delta."""
+    com_cur, kron, _pl = COMMUTATOR[fam]
+    if cur == com_cur:
+        if (a == i - 1) if kron == "j==l-1" else (a == i):
+            raise DeltaBearingMove(f"{fam}_{a} against {cur}_{i} (commutator delta)")
+        return None
+    if cur not in EXTRAS[fam] or a not in (i, i - 1):
+        return None
+    case = "j" if a == i else "j-1"
+    if cur in ("E", "F") and case == EMBEDDED_DELTA[fam][0]:
+        raise DeltaBearingMove(f"{fam}_{a} against {cur}_{i} (embedded delta)")
+    return case
+
+
 def vertex_move_coeff(fam: str, a: int, cur: str, i: int, r: int,
                       u_name: str) -> DistExpr:
     """Cost of moving vertex component a rightward past current i.
@@ -199,28 +216,13 @@ def vertex_move_coeff(fam: str, a: int, cur: str, i: int, r: int,
     its reciprocal.  Index combinations whose printed relation carries a
     delta raise DeltaBearingMove.
     """
-    vertex_left, _period = FAMILY[fam]
-    com_cur, kron, _pl = COMMUTATOR[fam]
-    if cur == com_cur:
-        hit = (a == i - 1) if kron == "j==l-1" else (a == i)
-        if hit:
-            raise DeltaBearingMove(f"{fam}_{a} against {cur}_{i} (commutator delta)")
+    case = _move_case(fam, a, cur, i)
+    if case is None:
         return DistExpr.scalar(1.0)
-    if cur not in EXTRAS[fam]:
-        return DistExpr.scalar(1.0)
-    if a == i:
-        case = "j"
-    elif a == i - 1:
-        case = "j-1"
-    else:
-        return DistExpr.scalar(1.0)
-    dcase, _payload = EMBEDDED_DELTA[fam]
-    if cur in ("E", "F") and case == dcase:
-        raise DeltaBearingMove(f"{fam}_{a} against {cur}_{i} (embedded delta)")
     expr = _ratio_expr(FAMILY[fam][1], r, i, _CASE_OFFSETS[case], EXTRAS[fam][cur])
     if u_name != "u":
         expr = expr.subs("u", var(u_name))
-    return expr if vertex_left else expr.reciprocal()
+    return expr if FAMILY[fam][0] else expr.reciprocal()
 
 
 def exchange_fn(xk: str, xi: int, yk: str, yi: int, cartan: CartanData,
@@ -248,75 +250,12 @@ def exchange_fn(xk: str, xi: int, yk: str, yi: int, cartan: CartanData,
 _DIAMOND_WINDOWS = {n: ((-2.0, 2.0), (-0.2, 0.2)) for n in ("u", "v", "z")}
 
 
-def _product(*forms: tuple) -> tuple:
-    """The odd-sh normal form of a product of single-term expressions."""
-    scalar, exps = 1.0, {}
-    for sc, factors in forms:
-        scalar *= sc
-        for base, e in factors:
-            exps[base] = exps.get(base, 0) + e
-    return scalar, {base: e for base, e in exps.items() if e}
-
-
-class _Diamonds:
-    """The diamond checks of one suite call, each coefficient built once.
-
-    Every vertex-move and exchange coefficient is memoized with its odd-sh
-    normal form (``DistExpr.odd_normal_form``), a DeltaBearingMove included.
-    A triple is proven, with no path product built, when path A's form (cx
-    cy) equals path B's (rxy cy cx ryx), scalars multiplied in that order."""
-
-    def __init__(self, cartan: CartanData):
-        self.cartan = cartan
-        self._coeffs: dict[tuple, object] = {}   # call -> (DistExpr, form) or DeltaBearingMove
-
-    def paths(self, fam: str, a: int, xk: str, xi: int, yk: str, yi: int):
-        """None when the normal forms prove the triple, else (path A, path B);
-        or the first DeltaBearingMove, in the order cx, cy, rxy, ryx."""
-        r, cd = self.cartan.rank, self.cartan
-        found = []
-        for key, build, args in (
-                (("move", fam, a, xk, xi, "u"), vertex_move_coeff, (fam, a, xk, xi, r, "u")),
-                (("move", fam, a, yk, yi, "v"), vertex_move_coeff, (fam, a, yk, yi, r, "v")),
-                (("exchange", xk, xi, yk, yi, "u"), exchange_fn, (xk, xi, yk, yi, cd, "u", "v")),
-                (("exchange", yk, yi, xk, xi, "v"), exchange_fn, (yk, yi, xk, xi, cd, "v", "u"))):
-            hit = self._coeffs.get(key)
-            if hit is None:
-                try:
-                    expr = build(*args)
-                    hit = (expr, expr.odd_normal_form())
-                except DeltaBearingMove as exc:
-                    hit = exc
-                self._coeffs[key] = hit
-            if isinstance(hit, DeltaBearingMove):
-                return hit
-            found.append(hit)
-        (cx, fx), (cy, fy), (rxy, fxy), (ryx, fyx) = found
-        if None not in (fx, fy, fxy, fyx) and _product(fx, fy) == _product(fxy, fy, fx, fyx):
-            return None
-        return cx * cy, rxy * cy * cx * ryx
-
-    def check(self, fam: str, a: int, xk: str, xi: int, yk: str, yi: int,
-              params: ParamTower, samples: int, tol: float,
-              rng: np.random.Generator) -> dict:
-        rec: dict = {"triple": f"{fam}_{a} | {xk}_{xi}(u) | {yk}_{yi}(v)"}
-        paths = self.paths(fam, a, xk, xi, yk, yi)
-        if isinstance(paths, DeltaBearingMove):
-            rec.update({"skipped": True, "reason": str(paths), "pass": True})
-            return rec
-        if paths is None:   # the diamond holds exactly
-            rec.update({"skipped": False, "proven": True, "samples": 0,
-                        "max_residual": 0.0, "pass": True})
-            return rec
-        path_a, path_b = paths
-
-        def residual(pt):
-            return relative_residual(path_a.eval(pt, params), path_b.eval(pt, params))
-
-        worst, done = sample_max(residual, _DIAMOND_WINDOWS, samples, rng)
-        rec.update({"skipped": False, "proven": False, "samples": done,
-                    **judged(worst, tol, done)})
-        return rec
+def _settled(triple: str, skip: Optional[DeltaBearingMove] = None) -> dict:
+    """The record of a triple skipped by ``skip``, else of a proven one."""
+    if skip is not None:
+        return {"triple": triple, "skipped": True, "reason": str(skip), "pass": True}
+    return {"triple": triple, "skipped": False, "proven": True, "samples": 0,
+            "max_residual": 0.0, "pass": True}
 
 
 def verify_consistency(fam: str, a: int, xk: str, xi: int, yk: str, yi: int,
@@ -325,17 +264,48 @@ def verify_consistency(fam: str, a: int, xk: str, xi: int, yk: str, yi: int,
                        rng: int | np.random.Generator = 31) -> dict:
     """Diamond check on the word V_a(z) X(u) Y(v).
 
-    Path A moves the vertex straight through both currents; path B
-    exchanges the currents first, moves the vertex, then exchanges back
-    through the printed reverse relation.  Agreement tests the
-    transcription and the inversion property jointly.  When the two paths
-    have one odd-sh normal form (``DistExpr.odd_normal_form``) the triple is
-    proven: no point is evaluated or drawn, and the record has ``proven:
-    True``, ``samples: 0`` and residual 0.0.  Otherwise both paths are
-    built and sampled at points drawn from ``rng``, a seed or a generator.
+    Path A moves the vertex straight through both currents (cx cy); path
+    B exchanges the currents first, moves the vertex, then exchanges back
+    through the printed reverse relation (rxy cy cx ryx).  The first
+    DeltaBearingMove, in the order cx, cy, rxy, ryx, skips the triple.
+    When the two paths have one odd-sh normal form
+    (``DistExpr.odd_normal_form``) the triple is proven: no point is
+    evaluated or drawn, and the record has ``proven: True``, ``samples:
+    0`` and residual 0.0.  Otherwise both paths are sampled at points
+    drawn from ``rng``, a seed or a generator.
     """
     rng = np.random.default_rng(rng)
-    return _Diamonds(cartan).check(fam, a, xk, xi, yk, yi, params, samples, tol, rng)
+    triple = f"{fam}_{a} | {xk}_{xi}(u) | {yk}_{yi}(v)"
+    try:
+        cx = vertex_move_coeff(fam, a, xk, xi, cartan.rank, "u")
+        cy = vertex_move_coeff(fam, a, yk, yi, cartan.rank, "v")
+        rxy = exchange_fn(xk, xi, yk, yi, cartan, "u", "v")
+        ryx = exchange_fn(yk, yi, xk, xi, cartan, "v", "u")
+    except DeltaBearingMove as exc:
+        return _settled(triple, exc)
+    path_a, path_b = cx * cy, rxy * cy * cx * ryx
+    form = path_a.odd_normal_form()
+    if form is not None and form == path_b.odd_normal_form():   # the diamond holds exactly
+        return _settled(triple)
+
+    def residual(pt):
+        return relative_residual(path_a.eval(pt, params), path_b.eval(pt, params))
+
+    worst, done = sample_max(residual, _DIAMOND_WINDOWS, samples, rng)
+    return {"triple": triple, "skipped": False, "proven": False, "samples": done,
+            **judged(worst, tol, done)}
+
+
+def _exchange_inverts(xk: str, xi: int, yk: str, yi: int,
+                      cartan: CartanData) -> bool | DeltaBearingMove:
+    """Whether R_XY(u-v) R_YX(v-u) has the odd-sh normal form 1, or the
+    DeltaBearingMove of the first exchange that raises one."""
+    try:
+        rxy = exchange_fn(xk, xi, yk, yi, cartan, "u", "v")
+        ryx = exchange_fn(yk, yi, xk, xi, cartan, "v", "u")
+    except DeltaBearingMove as exc:
+        return exc
+    return (rxy * ryx).odd_normal_form() == (1.0, frozenset())
 
 
 def consistency_suite(cartan: CartanData, params: ParamTower, samples: int = 20,
@@ -344,19 +314,37 @@ def consistency_suite(cartan: CartanData, params: ParamTower, samples: int = 20,
     """All triples over the generator set; delta-bearing ones are skipped.
 
     The records are those of ``verify_consistency`` per triple on one
-    stream ``rng`` (a seed or a generator); each distinct coefficient is
-    built once per call.
+    stream ``rng`` (a seed or a generator).  Every coefficient is a
+    commuting scalar function, so path B is path A times rxy ryx: the
+    vertex costs cancel, and a diamond holds exactly when its current
+    pair's exchange inverts.  That is decided once per ordered pair; a
+    vertex move is asked only whether it bears a delta, and the triples
+    of a pair that does not invert get the oracle's record.
     """
     rng = np.random.default_rng(rng)
-    r = cartan.rank
-    diamonds = _Diamonds(cartan)
+    inverts: dict[tuple, bool | DeltaBearingMove] = {}   # per ordered current pair
     out = []
     currents = [(k, i) for k in ("H+", "H-", "E", "F") for i in cartan.nodes()]
     for fam in VERTEX_KINDS:
-        for a in range(0, r + 1):
+        for a in range(0, cartan.rank + 1):
             for xk, xi in currents:
                 for yk, yi in currents:
-                    rec = diamonds.check(fam, a, xk, xi, yk, yi, params, samples, tol, rng)
+                    try:
+                        _move_case(fam, a, xk, xi)
+                        _move_case(fam, a, yk, yi)
+                    except DeltaBearingMove as exc:
+                        verdict = exc
+                    else:
+                        pair = (xk, xi, yk, yi)
+                        if pair not in inverts:
+                            inverts[pair] = _exchange_inverts(*pair, cartan)
+                        verdict = inverts[pair]
+                    if verdict is False:
+                        rec = verify_consistency(fam, a, xk, xi, yk, yi, cartan, params,
+                                                 samples, tol, rng)
+                    else:
+                        rec = _settled(f"{fam}_{a} | {xk}_{xi}(u) | {yk}_{yi}(v)",
+                                       None if verdict is True else verdict)
                     rec.update({"family": fam, "component": a,
                                 "x": f"{xk}_{xi}", "y": f"{yk}_{yi}"})
                     out.append(rec)

@@ -23,8 +23,7 @@ Conventions fixed here and relied on by every verification module:
 * Plemelj: 1/(x - i0) - 1/(x + i0) = 2*pi*i*delta(x); for the simple
   zero of sh(pi*eta_p*arg) this turns a matched +-i0 pair into
   (2i/eta_p) * delta(arg) times the common cofactor frozen on the
-  support.  Only the delta of the canonical (pinched) zero is kept by
-  default; an explicit strip window widens that to the zero lattice.
+  support.  Only the delta of the canonical (pinched) zero is kept.
 """
 
 from __future__ import annotations
@@ -615,14 +614,11 @@ class DistExpr:
 
     # -- reductions --------------------------------------------------------
 
-    def plemelj_reduce(self, name: str, params: ParamTower,
-                       strip: Optional[tuple[float, float]] = None) -> "DistExpr":
+    def plemelj_reduce(self, name: str, params: ParamTower) -> "DistExpr":
         """Turn matched +-i0 pairs of 1/sh factors in ``name`` into deltas.
 
-        With ``strip=None`` only the canonical pinched zero (lattice k=0)
-        is kept; with a numeric strip (lo, hi) every zero of the
-        reciprocal factor whose support height falls in [lo, hi) is
-        kept.  Terms without tags pass through.
+        Only the canonical pinched zero (lattice k=0) is kept.  Terms
+        without tags pass through.
         """
         tagged: dict[tuple, dict[int, Term]] = {}
         passthrough: list[Term] = []
@@ -659,25 +655,10 @@ class DistExpr:
                 raise ReductionError("boundary-value pair scalars are not opposite")
             reduced_any = True
             rest, deltas, bare = key
-            eta_p_period = bare.period
-            ks: Iterable[int]
-            if strip is None:
-                ks = (0,)
-            else:
-                lo, hi = strip
-                base = bare.arg.solve_for(name).imag_shift(params)
-                inv = 1.0 / params.eta_at(eta_p_period)
-                kmin = math.ceil((lo - base) / inv - 1e-12)
-                kmax = math.floor((hi - base) / inv - 1e-12)
-                ks = range(kmin, kmax + 1)
-            for k in ks:
-                arg_k = bare.arg - ShiftExpr.lattice_units(eta_p_period, k)
-                support = arg_k.solve_for(name)
-                sign = -1 if k % 2 else 1
-                coeff = tm.scalar * 2j * sign / params.eta_at(eta_p_period)
-                cof = tuple(f.subs(name, support) for f in rest)
-                ds = deltas + (DeltaAtom(arg_k),)
-                out.append(Term(coeff, cof, ds, tm.mat))
+            support = bare.arg.solve_for(name)
+            coeff = tm.scalar * 2j / params.eta_at(bare.period)
+            cof = tuple(f.subs(name, support) for f in rest)
+            out.append(Term(coeff, cof, deltas + (DeltaAtom(bare.arg),), tm.mat))
         if not reduced_any and tagged:
             raise ReductionError("no matching boundary-value pair")
         return DistExpr(out)

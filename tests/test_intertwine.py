@@ -248,51 +248,46 @@ def test_triples_match_evaluating_both_paths_with_scalar_draws(params,
     assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
-def _evals_per_triple(cd, params, monkeypatch):
-    """(record, DistExpr evaluations it made) for every triple of the suite."""
-    evals = [0]
-    real_eval = DistExpr.eval
+def _suite_evals(cd, params, monkeypatch):
+    """The suite's records, the DistExpr evaluations it made, and per
+    ``verify_consistency`` call the record and the evaluations inside it."""
+    evals, calls = [0], []
+    real_eval, real_verify = DistExpr.eval, intertwine.verify_consistency
 
     def counted_eval(self, pt, p):
         evals[0] += 1
         return real_eval(self, pt, p)
 
-    per_triple = []
-    real_check = intertwine._Diamonds.check
-
-    def check(self, *args):
+    def verify(*args):
         before = evals[0]
-        rec = real_check(self, *args)
-        per_triple.append((rec, evals[0] - before))
+        rec = real_verify(*args)
+        calls.append((rec, evals[0] - before))
         return rec
 
     monkeypatch.setattr(DistExpr, "eval", counted_eval)
-    monkeypatch.setattr(intertwine._Diamonds, "check", check)
+    monkeypatch.setattr(intertwine, "verify_consistency", verify)
     out = consistency_suite(cd, params, samples=2)
-    assert len(out) == len(per_triple) == 5120
     monkeypatch.undo()
-    return per_triple
+    return out, evals[0], calls
 
 
 def test_proven_triples_evaluate_no_point(params, monkeypatch, request):
-    # A4: the paths of all 4,056 unskipped triples have one normal form,
-    # and none of them evaluates a point
-    per_triple = _evals_per_triple(cartan("A", 4), params, monkeypatch)
-    proven = [n for rec, n in per_triple if not rec["skipped"] and rec["proven"]]
-    sampled = [n for rec, n in per_triple if not rec["skipped"] and not rec["proven"]]
-    assert (len(proven), len(sampled), len(per_triple) - len(proven) - len(sampled)) == (
-        4056, 0, 1064)
-    assert not any(proven) and all(rec["pass"] for rec, _ in per_triple)
-    # with one exchange flipped, its triples are sampled: each evaluates
-    # points and fails, and every other triple stays proven unevaluated
+    # A4: all 4,056 unskipped triples are proven, and the suite evaluates
+    # no point and calls the oracle for none
+    out, evals, calls = _suite_evals(cartan("A", 4), params, monkeypatch)
+    ran = [r for r in out if not r["skipped"]]
+    assert (len(out), len(ran), evals, calls) == (5120, 4056, 0, [])
+    assert all(r["proven"] and r["pass"] for r in ran)
+    # with one exchange flipped, points are evaluated only inside the
+    # oracle calls of its triples, and each of those triples fails
     flipped = request.getfixturevalue("sign_flipped_exchange")
-    ran = [(rec, n) for rec, n in _evals_per_triple(cartan("A", 4), params, monkeypatch)
-           if not rec["skipped"]]
-    hit = [(rec, n) for rec, n in ran if (rec["x"], rec["y"]) == flipped]
-    assert len(ran) == 4056 and hit
-    assert all(not rec["proven"] and not rec["pass"] and n for rec, n in hit)
-    assert all(rec["proven"] and rec["pass"] and not n for rec, n in ran
-               if (rec["x"], rec["y"]) != flipped)
+    out, evals, calls = _suite_evals(cartan("A", 4), params, monkeypatch)
+    ran = [r for r in out if not r["skipped"]]
+    hit = [r for r in ran if (r["x"], r["y"]) == flipped]
+    assert len(ran) == 4056 and hit and [rec for rec, _ in calls] == hit
+    assert evals == sum(n for _, n in calls) and all(n for _, n in calls)
+    assert all(not r["proven"] and not r["pass"] for r in hit)
+    assert all(r["proven"] and r["pass"] for r in ran if (r["x"], r["y"]) != flipped)
 
 
 def test_a_flipped_exchange_fails_exactly_its_triples(params, sign_flipped_exchange):
@@ -351,31 +346,54 @@ def test_a_proven_triple_draws_nothing(params):
     assert proven == 520
 
 
-class _RejectingPath:
-    """Stands in for a path expression: rejects every point with Re u > 0."""
+@pytest.mark.parametrize("offset,samples", [(0.0, 20), (1e-3, 20), (0.0, 300)])
+def test_batched_draws_follow_the_scalar_stream_through_rejections(offset, samples, params,
+                                                                   monkeypatch):
+    # the oracle samples H+_1 H+_1 on A1, with its reverse exchange scaled
+    # by 1 + offset and no normal form; every point with Re u > 0 is
+    # rejected, about half, and samples=300 exhausts the samples + 200
+    # tries before reaching its count
+    real_fn, real_eval = intertwine.exchange_fn, DistExpr.eval
 
-    def __init__(self, offset=0.0):
-        self.offset = offset
+    def scaled(*args):
+        expr = real_fn(*args)
+        return expr.scaled(1.0 + offset) if args[5] == "v" else expr
 
-    def eval(self, pt, params):
+    def rejecting(self, pt, p):
         if pt["u"].real > 0:
             raise ArithmeticError("rejected")
-        return pt["u"] * pt["z"] + self.offset
+        return real_eval(self, pt, p)
 
-
-@pytest.mark.parametrize("offset,samples", [(0.0, 20), (1e-3, 20), (0.0, 300)])
-def test_batched_draws_follow_the_scalar_stream_through_rejections(offset, samples, params):
-    # about half the points are rejected; samples=300 exhausts the
-    # samples + 200 tries before reaching its count
-    diamonds = intertwine._Diamonds(cartan("A", 1))
-    path_a, path_b = _RejectingPath(), _RejectingPath(offset)
-    diamonds.paths = lambda *triple: (path_a, path_b)
+    monkeypatch.setattr(intertwine, "exchange_fn", scaled)
+    monkeypatch.setattr(DistExpr, "odd_normal_form", lambda self: None)
+    monkeypatch.setattr(DistExpr, "eval", rejecting)
+    cd, triple = cartan("A", 1), ("Phi", 0, "H+", 1, "H+", 1)
     rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
-    rec = diamonds.check("Phi", 0, "H+", 1, "H+", 1, params, samples, 1e-9, rng_a)
-    done, worst = _scalar_draw_residual(path_a, path_b, params, samples, rng_b)
+    rec = verify_consistency(*triple, cd, params, samples, 1e-9, rng_a)
+    done, worst = _scalar_draw_residual(*_paths(cd, *triple), params, samples, rng_b)
     assert (rec["samples"], rec["max_residual"]) == (done, worst)
     assert 0 < done <= samples and (done < samples) == (samples == 300)
+    assert not rec["proven"] and rec["pass"] == (offset == 0.0)
     assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+def test_diamonds_are_blind_to_the_vertex_coefficients(params, monkeypatch, request):
+    # every coefficient is a commuting scalar function, so path B is path
+    # A times rxy ryx and the vertex costs cancel: moving the catalog's
+    # shift offsets and one quarter-shift changes no record
+    cd = cartan("A", 2)
+    want = consistency_suite(cd, params, samples=5)
+    before = vertex_move_coeff("Phi", 1, "H+", 1, 2, "u").to_json()
+    monkeypatch.setattr(intertwine, "_CASE_OFFSETS", {"j": -3, "j-1": +5, "other": 0})
+    monkeypatch.setitem(intertwine.EXTRAS["Phi"], "H+", Fraction(7, 5))
+    assert vertex_move_coeff("Phi", 1, "H+", 1, 2, "u").to_json() != before
+    assert consistency_suite(cd, params, samples=5) == want
+    # the exchanges are what the suite tests: a flipped one still fails
+    # exactly its triples
+    flipped = request.getfixturevalue("sign_flipped_exchange")
+    ran = [r for r in consistency_suite(cd, params, samples=5) if not r["skipped"]]
+    assert {r["triple"] for r in ran if not r["pass"]} == {
+        r["triple"] for r in ran if (r["x"], r["y"]) == flipped} != set()
 
 
 def test_memo_builds_each_exchange_once(params, monkeypatch):

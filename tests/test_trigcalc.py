@@ -400,15 +400,6 @@ def test_plemelj_matrix_mismatch(params):
         DistExpr((minus, plus)).plemelj_reduce("w", params)
 
 
-def test_plemelj_strip_window_combs(params):
-    red = _bv_pair().plemelj_reduce("w", params, strip=(-1.5 / params.eta, 0.5 / params.eta))
-    # zeros at w = i*k/eta with k = -1 and k = 0 fall in the window
-    assert len(red.terms) == 2
-    scalars = sorted(t.scalar.imag for t in red.terms)
-    assert abs(scalars[0] + 2 / params.eta) < 1e-14  # k = -1 flips the sign
-    assert abs(scalars[1] - 2 / params.eta) < 1e-14
-
-
 # ---------------------------------------------------------------------------
 # Residues
 # ---------------------------------------------------------------------------
