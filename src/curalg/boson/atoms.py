@@ -19,7 +19,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Mapping
 
 from ..params import ParamTower
@@ -147,13 +147,15 @@ class ExponentFn:
         return out
 
 
+@cache
 def spectral_exponent(arg: ShiftExpr,
                       params: ParamTower) -> tuple[tuple[tuple[str, int], ...], ParamLin]:
     """Split e^{i*lambda*arg} into variable part and exact real shift.
 
     arg = vars + i*(q*hbar + sum n_p/eta_p) turns into e^{i*lambda*vars}
     times e^{-(q*hbar + sum n_p/eta_p)*lambda}; a nonzero real offset t
-    has no exact slot here and is rejected.
+    has no exact slot here and is rejected.  Cached: every pair form of a
+    current splits its argument again.
     """
     if arg.t != 0.0:
         raise ValueError("spectral arguments with float offsets are not supported")

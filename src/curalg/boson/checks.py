@@ -27,64 +27,65 @@ from .. import structfn
 from ..liealg import CartanData
 from ..params import ParamTower
 from ..structfn import StructureRatio
-from ..trigcalc import judged, relative_residual, sample_max, worst_of
-from .atoms import ParamLin
-from .contraction import ClosedForm, product_exponent
+from ..trigcalc import ShiftExpr, judged, relative_residual, sample_max, worst_of
+from .atoms import ParamLin, spectral_exponent
+from .contraction import ClosedForm, Primitive, product_exponent
 from .currents import BosonCurrent, current, word_phase
 from .kernel import kernel
 from .master import EULER_GAMMA
 
 
-# (cartan, params, x, y) with argument variables renamed _0, _1, ... in order
-# of first appearance -> the pair's ClosedForm in those placeholder names.
-# Words repeat a few hundred distinct pairs thousands of times, under ever
-# new variable names.
+# (cartan, tower, kind_x, j_x, kind_y, j_y, slot) -> the reduction of the pair
+# at zero arguments.  A pair's form depends on its currents' arguments only
+# through the merged variable part, which every primitive carries unchanged,
+# and the relative shift s_x - s_y, which moves every primitive's s; so one
+# reduction serves every naming and shift of the pair.
 _PAIR_CACHE: dict[tuple, ClosedForm] = {}
 
 
-def _relabeled(form: ClosedForm, names: dict[str, str]) -> ClosedForm:
-    """``form`` with every variable renamed through ``names``, vars re-sorted."""
-    return ClosedForm(
-        tuple(replace(p, vars=tuple(sorted((names[n], k) for n, k in p.vars)))
-              for p in form.primitives),
-        form.gamma_power)
-
-
 def pair_exponent(x: BosonCurrent, y: BosonCurrent, cartan: CartanData,
-                  params: ParamTower) -> ClosedForm:
+                  params: ParamTower, pairs: Optional[dict] = None) -> ClosedForm:
     """Contraction exponent of the ordered pair X(arg_x) Y(arg_y).
 
-    A pair is reduced once per (Cartan data, tower, pair up to renaming of
-    its variables); a repeat relabels the stored form, which gives exactly
-    the form the reduction returns for the caller's names.
+    The pair is reduced once per (Cartan data, tower, kinds, nodes, slot);
+    the caller's form is that reduction with the caller's merged variables
+    and every ``s`` moved by s_x - s_y, primitive for primitive in the
+    reduction's order.  ``pairs`` (a dict kept for one check) holds the
+    caller's forms by (x, y), so a repeated pair returns one shared form.
     """
     if x.slot != y.slot:
         return ClosedForm(())  # independent mode copies never contract
-    placeholders: dict[str, str] = {}
-
-    def abstracted(c: BosonCurrent) -> BosonCurrent:
-        vars_ = tuple((placeholders.setdefault(n, f"_{len(placeholders)}"), k)
-                      for n, k in c.arg.vars)
-        return replace(c, arg=replace(c.arg, vars=vars_))
-
-    key = (cartan, params, abstracted(x), abstracted(y))
-    cached = _PAIR_CACHE.get(key)
-    if cached is not None:
-        return _relabeled(cached, {p: n for n, p in placeholders.items()})
-    form = product_exponent(kernel(cartan, x.j, y.j, params, x.slot), x.g(params), y.g(params),
-                            params)
-    _PAIR_CACHE[key] = _relabeled(form, placeholders)
+    if pairs is not None and (x, y) in pairs:
+        return pairs[(x, y)]
+    key = (cartan, params, x.kind, x.j, y.kind, y.j, x.slot)
+    base = _PAIR_CACHE.get(key)
+    if base is None:
+        bx, by = replace(x, arg=ShiftExpr()), replace(y, arg=ShiftExpr())
+        base = product_exponent(kernel(cartan, x.j, y.j, params, x.slot), bx.g(params),
+                                by.g(params), params)
+        _PAIR_CACHE[key] = base
+    vx, sx = spectral_exponent(x.arg, params)
+    vy, sy = spectral_exponent(y.arg, params)
+    merged = dict(vx)
+    for n, c in vy:
+        merged[n] = merged.get(n, 0) - c
+    vars_ = tuple(sorted((n, c) for n, c in merged.items() if c))
+    moved = sx != sy
+    shift = sx - sy if moved else None
+    form = ClosedForm(tuple(Primitive(p.coeff, vars_, p.s + shift if moved else p.s, p.beta)
+                            for p in base.primitives))
+    if pairs is not None:
+        pairs[(x, y)] = form
     return form
 
 
 def word_exponent(word: Sequence[BosonCurrent], cartan: CartanData,
-                  params: ParamTower) -> ClosedForm:
-    """Sum of pairwise contraction exponents of an ordered word."""
-    total = ClosedForm(())
-    for a in range(len(word)):
-        for b in range(a + 1, len(word)):
-            total = total + pair_exponent(word[a], word[b], cartan, params)
-    return total
+                  params: ParamTower, pairs: Optional[dict] = None) -> ClosedForm:
+    """Sum of pairwise contraction exponents of an ordered word: the pairs'
+    primitives in pair order, the shared objects of ``pairs`` included."""
+    return ClosedForm(tuple(
+        p for a in range(len(word)) for b in range(a + 1, len(word))
+        for p in pair_exponent(word[a], word[b], cartan, params, pairs).primitives))
 
 
 # A slot word is a word's currents, each tagged with its tensor slot;
@@ -107,35 +108,39 @@ def monomial_groups(terms: Iterable[tuple[complex, SlotWord]]) -> dict:
     return groups
 
 
-def _word_forms(cs: SlotWord, cartan: CartanData,
-                params: ParamTower) -> list[tuple[complex, ClosedForm]]:
+def _word_forms(cs: SlotWord, cartan: CartanData, params: ParamTower,
+                pairs: dict) -> list[tuple[complex, ClosedForm]]:
     """(phase, contraction exponent) of each tensor slot's word, slot by slot."""
     out = []
     for s in sorted({s for s, _ in cs}):
         word = [c for sl, c in cs if sl == s]
-        out.append((word_phase(word, cartan), word_exponent(word, cartan, params)))
+        out.append((word_phase(word, cartan), word_exponent(word, cartan, params, pairs)))
     return out
 
 
-def group_forms(groups: dict, cartan: CartanData,
-                params: ParamTower) -> Optional[dict]:
+def group_forms(groups: dict, cartan: CartanData, params: ParamTower,
+                pairs: dict) -> Optional[dict]:
     """Each monomial's (coefficient, slot forms) list, or None when a form
-    cannot be built: then no sample point can be evaluated."""
+    cannot be built: then no sample point can be evaluated.  ``pairs`` is
+    the check's dict of pair forms (``pair_exponent``), so every word with
+    a given pair shares that pair's primitives."""
     try:
-        return {sig: [(c, _word_forms(cs, cartan, params)) for c, cs in entries]
+        return {sig: [(c, _word_forms(cs, cartan, params, pairs)) for c, cs in entries]
                 for sig, entries in groups.items()}
     except (ArithmeticError, OverflowError, ValueError):
         return None
 
 
-def group_values(entries: list, params: ParamTower, pt) -> list[complex]:
-    """Value at ``pt`` of each (coefficient, slot forms) entry of one monomial."""
+def group_values(entries: list, params: ParamTower, pt,
+                 memo: Optional[dict] = None) -> list[complex]:
+    """Value at ``pt`` of each (coefficient, slot forms) entry of one monomial;
+    ``memo`` holds the point's primitive factors (``ClosedForm.exp_value``)."""
     out = []
     for c, forms in entries:
         val = 1.0 + 0.0j
         for phase, form in forms:
             val *= phase
-            val *= form.exp_value(pt, params)
+            val *= form.exp_value(pt, params, memo)
         out.append(c * val)
     return out
 
@@ -162,15 +167,15 @@ def cubic_residual(u1: list, u2: list, v: list, cartan: CartanData,
         (weight * c1 * c2 * c3, cs1 + cs2 + cs3)
         for (n1, n2, n3), weight in orderings("u1", "u2") + orderings("u2", "u1")
         for c1, cs1 in images[n1] for c2, cs2 in images[n2] for c3, cs3 in images[n3])
-    forms = group_forms(groups, cartan, params)
+    forms = group_forms(groups, cartan, params, {})
 
     def residual(pt):
         if forms is None:
             return None
-        res_here = 0.0
+        res_here, memo = 0.0, {}
         try:
             for entries in forms.values():
-                vals = group_values(entries, params, pt)
+                vals = group_values(entries, params, pt, memo)
                 if not all(np.isfinite(abs(x)) for x in vals):
                     return None
                 scale = max(1.0, max(abs(x) for x in vals))
@@ -197,20 +202,21 @@ def exchange_residual(xs: list, ys: list, expected: StructureRatio, cartan: Cart
     ``relative_residual``.  A point where a monomial's coefficient is not
     finite is rejected.  Returns (worst residual, accepted points).
     """
+    pairs: dict = {}
     lhs = group_forms(monomial_groups(
-        (cx * cy, csx + csy) for cx, csx in xs for cy, csy in ys), cartan, params)
+        (cx * cy, csx + csy) for cx, csx in xs for cy, csy in ys), cartan, params, pairs)
     rhs = group_forms(monomial_groups(
-        (cy * cx, csy + csx) for cy, csy in ys for cx, csx in xs), cartan, params)
+        (cy * cx, csy + csx) for cy, csy in ys for cx, csx in xs), cartan, params, pairs)
 
     def residual(pt):
         if lhs is None or rhs is None:
             return None
         try:
             ratio = expected.eval(pt["u"] - pt["v"], params)
-            res_here = 0.0
+            res_here, memo = 0.0, {}
             for sig, entries in lhs.items():
-                lv = sum(group_values(entries, params, pt))
-                rv = sum(group_values(rhs[sig], params, pt))
+                lv = sum(group_values(entries, params, pt, memo))
+                rv = sum(group_values(rhs[sig], params, pt, memo))
                 if not (cmath.isfinite(lv) and cmath.isfinite(rv)):
                     return None
                 res_here = max(res_here, relative_residual(lv, ratio * rv))

@@ -190,20 +190,29 @@ def phi_value(kind: str, j: int, lam: complex, u: complex,
 # ---------------------------------------------------------------------------
 
 
+# (cartan, ((kind, node), ...)) -> the phase of a word with those letters
+_PHASES: dict[tuple, complex] = {}
+
+
 def word_phase(currents: Iterable[BosonCurrent], cartan: CartanData) -> complex:
     """Scalar accumulated when normal-ordering the zero-mode/Klein part.
 
     Pairwise over the word, left to right: canonicalization phase of the
     concatenated zero-mode letters times the Klein cocycle of the charge
-    vectors.
+    vectors.  Both depend only on the letters' kinds and nodes, so the
+    phase is computed once per (Cartan data, kinds and nodes).
     """
     cs = list(currents)
-    word = ZeroModeWord(())
-    for c in cs:
-        word = word * c.zero_mode()
-    phase, _ = word.canonicalize(cartan)
-    klein = 1
-    for a in range(len(cs)):
-        for b in range(a + 1, len(cs)):
-            klein *= klein_phase(cs[a].charge(cartan.rank), cs[b].charge(cartan.rank), cartan)
-    return phase * klein
+    key = (cartan, tuple((c.kind, c.j) for c in cs))
+    if key not in _PHASES:
+        word = ZeroModeWord(())
+        for c in cs:
+            word = word * c.zero_mode()
+        phase, _ = word.canonicalize(cartan)
+        klein = 1
+        for a in range(len(cs)):
+            for b in range(a + 1, len(cs)):
+                klein *= klein_phase(cs[a].charge(cartan.rank), cs[b].charge(cartan.rank),
+                                     cartan)
+        _PHASES[key] = phase * klein
+    return _PHASES[key]

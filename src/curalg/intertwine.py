@@ -25,6 +25,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Optional
 
 import numpy as np
@@ -225,6 +226,15 @@ def vertex_move_coeff(fam: str, a: int, cur: str, i: int, r: int,
     return expr if FAMILY[fam][0] else expr.reciprocal()
 
 
+@cache
+def _printed(rel: str, i: int, j: int, cartan: CartanData, sign: int) -> DistExpr:
+    """The printed level-1 ratio of ``rel`` at (i, j) in w, built once: an
+    ordered pair's two exchanges and its reverse pair's read the same one,
+    and every reader only substitutes into the shared expression.
+    ``consistency_suite`` drops them once it has decided every pair."""
+    return structfn.ratio(rel, i, j, cartan, c=1, sign=sign).ratio
+
+
 def exchange_fn(xk: str, xi: int, yk: str, yi: int, cartan: CartanData,
                 u_name: str, v_name: str) -> DistExpr:
     """R with X(u) Y(v) = R * Y(v) X(u) at level 1; raises on delta pairs."""
@@ -236,13 +246,12 @@ def exchange_fn(xk: str, xi: int, yk: str, yi: int, cartan: CartanData,
     forward = structfn.exchange_relation(xk, yk)
     if forward is not None:
         rel, sign = forward
-        return structfn.ratio(rel, xi, yi, cartan, c=1, sign=sign).ratio.subs("w", w_fwd)
+        return _printed(rel, xi, yi, cartan, sign).subs("w", w_fwd)
     backward = structfn.exchange_relation(yk, xk)
     if backward is not None:
         # printed orientation is Y X; invert it at the swapped argument
         rel, sign = backward
-        printed = structfn.ratio(rel, yi, xi, cartan, c=1, sign=sign).ratio
-        return printed.subs("w", -w_fwd).reciprocal()
+        return _printed(rel, yi, xi, cartan, sign).subs("w", -w_fwd).reciprocal()
     raise DeltaBearingMove(f"no delta-free exchange for {xk},{yk}")
 
 
@@ -322,9 +331,11 @@ def consistency_suite(cartan: CartanData, params: ParamTower, samples: int = 20,
     of a pair that does not invert get the oracle's record.
     """
     rng = np.random.default_rng(rng)
-    inverts: dict[tuple, bool | DeltaBearingMove] = {}   # per ordered current pair
-    out = []
     currents = [(k, i) for k in ("H+", "H-", "E", "F") for i in cartan.nodes()]
+    inverts = {(xk, xi, yk, yi): _exchange_inverts(xk, xi, yk, yi, cartan)
+               for xk, xi in currents for yk, yi in currents}
+    _printed.cache_clear()   # every pair is decided: free the ratios before the records pile up
+    out = []
     for fam in VERTEX_KINDS:
         for a in range(0, cartan.rank + 1):
             for xk, xi in currents:
@@ -335,10 +346,7 @@ def consistency_suite(cartan: CartanData, params: ParamTower, samples: int = 20,
                     except DeltaBearingMove as exc:
                         verdict = exc
                     else:
-                        pair = (xk, xi, yk, yi)
-                        if pair not in inverts:
-                            inverts[pair] = _exchange_inverts(*pair, cartan)
-                        verdict = inverts[pair]
+                        verdict = inverts[(xk, xi, yk, yi)]
                     if verdict is False:
                         rec = verify_consistency(fam, a, xk, xi, yk, yi, cartan, params,
                                                  samples, tol, rng)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 
 class CartanError(ValueError):
@@ -77,8 +77,14 @@ class CartanData:
         return self._hash
 
 
+@cache
 def cartan(series: str, rank: int) -> CartanData:
-    """Build the Cartan matrix from the Dynkin adjacency of ``series``."""
+    """Build the Cartan matrix from the Dynkin adjacency of ``series``.
+
+    One instance per (series, rank): the free-field caches key on Cartan
+    data, and a key that is the same object compares without walking the
+    Fraction matrix.
+    """
     edges = _edges(series, rank)
     a = [[0] * rank for _ in range(rank)]
     for i in range(rank):

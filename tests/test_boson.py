@@ -2,6 +2,7 @@ import cmath
 import math
 import warnings
 from fractions import Fraction
+from itertools import permutations
 
 import mpmath as mp
 import numpy as np
@@ -14,6 +15,7 @@ from curalg.boson import checks, contraction, master
 from curalg.boson.atoms import ExponentFn, ParamLin
 from curalg.boson.contraction import product_exponent, quadrature_exponent
 from curalg.boson.currents import (
+    BosonCurrent,
     ZeroModeWord,
     current,
     klein_phase,
@@ -21,9 +23,9 @@ from curalg.boson.currents import (
     word_phase,
 )
 from curalg.boson.kernel import kernel, kernel_value
-from curalg.liealg import cartan
+from curalg.liealg import cartan, from_label
 from curalg.params import ParamTower
-from curalg.trigcalc import worst_of
+from curalg.trigcalc import ShiftExpr, worst_of
 
 
 def tower(*levels):
@@ -450,6 +452,100 @@ def test_pair_cache_reduces_each_pair_once(params, a2, monkeypatch):
     for u, v in (("u", "v"), ("u", "v"), ("a", "b"), ("v", "u")):
         checks.pair_exponent(current("H+", 1, u), current("F", 2, v), a2, params)
     assert len(calls) == 1
+
+
+# (x argument, y argument): distinct variables with shifts in hbar units and
+# on the eta lattice, and same-variable pairs as in the level-2 images
+_PAIR_ARGS = (
+    (ShiftExpr.of_var("u"), ShiftExpr.of_var("v")),
+    (ShiftExpr.of_var("u") + ShiftExpr.hbar_units(Fraction(1, 4)), ShiftExpr.of_var("v")),
+    (ShiftExpr.of_var("z"), ShiftExpr.of_var("a") + ShiftExpr.hbar_units(Fraction(-1, 2))),
+    (ShiftExpr.of_var("u") + ShiftExpr.hbar_units(Fraction(1, 2)),
+     ShiftExpr.of_var("v") + ShiftExpr.hbar_units(Fraction(-1, 4))),
+    (ShiftExpr.of_var("u") + ShiftExpr.lattice_units(1),
+     ShiftExpr.of_var("v") + ShiftExpr.lattice_units(0, -1)),
+    (ShiftExpr.of_var("u") + ShiftExpr.hbar_units(Fraction(1, 2)), ShiftExpr.of_var("u")),
+    (ShiftExpr.of_var("v") + ShiftExpr.lattice_units(2, 1),
+     ShiftExpr.of_var("v") + ShiftExpr.hbar_units(Fraction(1, 4))),
+)
+
+
+@pytest.mark.parametrize("label", ["A2", "D4"])
+def test_pair_forms_match_a_fresh_reduction(label, params, monkeypatch):
+    # the caller's form is the shared reduction moved by s_x - s_y: it must be
+    # the reduction of the caller's own currents, primitive for primitive
+    monkeypatch.setattr(checks, "_PAIR_CACHE", {})
+    cd = from_label(label)
+    kinds = ("E", "F", "H+", "H-")
+    case = 0
+    nonempty = same_var = 0
+    for slot in (0, 1):
+        for xk in kinds:
+            for yk in kinds:
+                for i in cd.nodes():
+                    for j in cd.nodes():
+                        for ax, ay in (_PAIR_ARGS[case % 5], _PAIR_ARGS[5 + case % 2]):
+                            x, y = BosonCurrent(xk, i, ax, slot), BosonCurrent(yk, j, ay, slot)
+                            got = checks.pair_exponent(x, y, cd, params)
+                            want = product_exponent(kernel(cd, i, j, params, slot),
+                                                    x.g(params), y.g(params), params)
+                            assert got.primitives == want.primitives, (x, y)
+                            assert got.gamma_power == want.gamma_power
+                            nonempty += bool(got.primitives)
+                            same_var += bool(got.primitives) and not got.primitives[0].vars
+                        case += 1
+    assert nonempty and same_var
+    assert len(checks._PAIR_CACHE) == 2 * 16 * cd.rank ** 2
+
+
+def test_the_pair_cache_holds_only_reductions(monkeypatch):
+    monkeypatch.setattr(checks, "_PAIR_CACHE", {})
+    rep = report.run(report.RunConfig(algebra="D4", samples=2, seed=0))
+    assert rep["pass"]
+    assert len(checks._PAIR_CACHE) == 400
+    assert all(not p.vars for form in checks._PAIR_CACHE.values() for p in form.primitives)
+
+
+def _fresh_values(entries, cd, params, pt):
+    """Each entry's value from freshly built words: phase times exp_value per slot."""
+    out = []
+    for c, cs in entries:
+        val = 1.0 + 0.0j
+        for slot in sorted({sl for sl, _ in cs}):
+            word = [x for sl, x in cs if sl == slot]
+            val *= word_phase(word, cd)
+            val *= checks.word_exponent(word, cd, params).exp_value(pt, params)
+        out.append(c * val)
+    return out
+
+
+def test_memoized_values_are_bit_identical(params, a2):
+    # the A2 level-2 exchange images and the level-1 cubic words of E_1, E_1, E_2
+    word_sets = []
+    for rel in structfn.RELATIONS:
+        kx, ky = structfn.exchange_kinds(rel)
+        xs = hopf._level2_slot_words(kx, 1, "u", params)
+        ys = hopf._level2_slot_words(ky, 2, "v", params)
+        word_sets.append([(cx * cy, wx + wy) for cx, wx in xs for cy, wy in ys]
+                         + [(cy * cx, wy + wx) for cy, wy in ys for cx, wx in xs])
+    letters = [current("E", 1, "u1"), current("E", 1, "u2"), current("E", 2, "v")]
+    word_sets.append([(1.0, [(0, c) for c in perm]) for perm in permutations(letters)])
+    rng = np.random.default_rng(20)
+    shared = 0
+    for terms in word_sets:
+        groups = checks.monomial_groups(terms)
+        forms = checks.group_forms(groups, a2, params, {})
+        for _ in range(20):
+            pt = {n: complex(rng.uniform(-2, 2), rng.uniform(-0.15, 0.15))
+                  for n in ("u", "v", "u1", "u2")}
+            memo = {}
+            for sig, entries in forms.items():
+                got = checks.group_values(entries, params, pt, memo)
+                assert got == _fresh_values(groups[sig], a2, params, pt)
+            evaluated = sum(len(form.primitives) for entries in forms.values()
+                            for _c, slot_forms in entries for _ph, form in slot_forms)
+            shared += evaluated - len(memo)
+    assert shared > 0
 
 
 def test_unbuildable_serre_words_fail_the_record(params, a2, monkeypatch):

@@ -410,6 +410,23 @@ def test_memo_builds_each_exchange_once(params, monkeypatch):
     assert any(r["skipped"] for r in out) and all(r["pass"] for r in out)
 
 
+def test_each_printed_ratio_is_built_once_per_suite(params, monkeypatch):
+    # a pair and its reverse read one printed ratio: an A4 suite needs 128
+    intertwine._printed.cache_clear()
+    calls = []
+    real = structfn.ratio
+
+    def counted(*args, **kwargs):
+        calls.append(args[:3] + (kwargs["sign"],))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(structfn, "ratio", counted)
+    cd = cartan("A", 4)
+    out = consistency_suite(cd, params, samples=2)
+    assert len(calls) == len(set(calls)) == 128
+    assert consistency_suite(cd, params, samples=2) == out and calls[128:] == calls[:128]
+
+
 def test_suite_catches_an_unflipped_reverse_exchange(params, monkeypatch):
     real = intertwine.exchange_fn
 
