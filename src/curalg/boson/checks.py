@@ -108,13 +108,23 @@ def monomial_groups(terms: Iterable[tuple[complex, SlotWord]]) -> dict:
     return groups
 
 
+# The exponent of a slot word with no pair (one letter) and no e^gamma power,
+# shared by every such slot: its exp_value is exp(0) = 1.0 at any point.
+_NO_PAIR = ClosedForm(())
+_NO_PAIR_VALUE = math.exp(0 * EULER_GAMMA)
+
+
 def _word_forms(cs: SlotWord, cartan: CartanData, params: ParamTower,
                 pairs: dict) -> list[tuple[complex, ClosedForm]]:
-    """(phase, contraction exponent) of each tensor slot's word, slot by slot."""
+    """(phase, contraction exponent) of each tensor slot's word, slot by slot;
+    an exponent with no primitive and no e^gamma power is ``_NO_PAIR``."""
     out = []
     for s in sorted({s for s, _ in cs}):
         word = [c for sl, c in cs if sl == s]
-        out.append((word_phase(word, cartan), word_exponent(word, cartan, params, pairs)))
+        form = word_exponent(word, cartan, params, pairs)
+        if not (form.primitives or form.gamma_power):
+            form = _NO_PAIR
+        out.append((word_phase(word, cartan), form))
     return out
 
 
@@ -134,13 +144,14 @@ def group_forms(groups: dict, cartan: CartanData, params: ParamTower,
 def group_values(entries: list, params: ParamTower, pt,
                  memo: Optional[dict] = None) -> list[complex]:
     """Value at ``pt`` of each (coefficient, slot forms) entry of one monomial;
-    ``memo`` holds the point's primitive factors (``ClosedForm.exp_value``)."""
+    ``memo`` holds the point's primitive factors (``ClosedForm.exp_value``).
+    A ``_NO_PAIR`` slot multiplies by its constant value without a call."""
     out = []
     for c, forms in entries:
         val = 1.0 + 0.0j
         for phase, form in forms:
             val *= phase
-            val *= form.exp_value(pt, params, memo)
+            val *= _NO_PAIR_VALUE if form is _NO_PAIR else form.exp_value(pt, params, memo)
         out.append(c * val)
     return out
 

@@ -33,7 +33,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -330,35 +330,40 @@ def _delta_sort_key(d: DeltaAtom):
     return str(d.arg)
 
 
-def _canonical_term(scalar: complex, factors: Iterable[TrigFactor],
-                    deltas: Iterable[DeltaAtom], mat: Optional[np.ndarray]) -> Optional[Term]:
-    """Delta resolution, half-period reduction, deterministic ordering."""
+@cache
+def _canonical_shape(factors: tuple[TrigFactor, ...], deltas: tuple[DeltaAtom, ...]
+                     ) -> Optional[tuple[int, tuple[TrigFactor, ...], tuple[DeltaAtom, ...]]]:
+    """(sign, factors, deltas) of every term with these factors and deltas,
+    or None when the term vanishes: delta resolution, half-period reduction,
+    deterministic ordering.  None of it reads the scalar or the matrix, so
+    each shape is canonicalized once per process."""
     fs = list(factors)
 
     # Triangular delta resolution: repeatedly solve the delta whose
     # alphabetically-smallest variable is globally smallest, pin that
     # variable and substitute everywhere else: into the deltas still
-    # pending, the factors and the solutions found so far, so every
-    # solution is free of every pinned variable.
-    pending = [d.canonical() for d in deltas]
+    # pending (kept as bare arguments, which may turn constant), the
+    # factors and the solutions found so far, so every solution is free
+    # of every pinned variable.
+    pending = [d.canonical().arg for d in deltas]
     resolved: list[tuple[str, ShiftExpr]] = []
     while pending:
-        pending.sort(key=_delta_sort_key)
-        d = pending.pop(0)
-        names = sorted(d.arg.free_vars())
+        pending.sort(key=str)
+        arg = pending.pop(0)
+        names = sorted(arg.free_vars())
         if not names:
-            if not d.arg.is_zero():
-                return None  # delta of a nonzero constant: term vanishes
-            continue
+            if arg.is_zero():
+                raise ReductionError("delta(0): two deltas share one support")
+            return None  # delta of a nonzero constant: term vanishes
         target = None
         for nm in names:
-            if d.arg.var_coeff(nm) in (1, -1):
+            if arg.var_coeff(nm) in (1, -1):
                 target = nm
                 break
         if target is None:
-            resolved.append(("", d.arg))  # unsolvable; keep verbatim
+            resolved.append(("", arg))  # unsolvable; keep verbatim
             continue
-        sol = d.arg.solve_for(target)
+        sol = arg.solve_for(target)
         resolved.append((target, sol))
         pending = [p.subs(target, sol) for p in pending]
         fs = [f.subs(target, sol) for f in fs]
@@ -372,14 +377,13 @@ def _canonical_term(scalar: complex, factors: Iterable[TrigFactor],
         new_deltas.append(DeltaAtom(arg).canonical())
 
     # Half-period reduction: each factor's own-period lattice units leave
-    # the sign (-1)^k; the scalar is multiplied once, by the product.
+    # the sign (-1)^k; the shape's sign is their product.
     sign = 1
     fs2: list[TrigFactor] = []
     for f in fs:
         flip, g = f.canonical()
         sign *= flip
         fs2.append(g)
-    sc = complex(scalar) * sign
     # sh(x)^{+1} * sh(x)^{-1} == 1 exactly (removable at the common zero);
     # cancelling here keeps delta-pinned cofactors evaluable on support.
     fs3: list[TrigFactor] = []
@@ -391,12 +395,19 @@ def _canonical_term(scalar: complex, factors: Iterable[TrigFactor],
                 fs3.remove(partner)
                 continue
         fs3.append(f)
-    return Term(
-        scalar=sc,
-        factors=tuple(sorted(fs3, key=_factor_sort_key)),
-        deltas=tuple(sorted(new_deltas, key=_delta_sort_key)),
-        mat=_mat_tuple(mat),
-    )
+    return (sign, tuple(sorted(fs3, key=_factor_sort_key)),
+            tuple(sorted(new_deltas, key=_delta_sort_key)))
+
+
+def _canonical_term(scalar: complex, factors: Iterable[TrigFactor],
+                    deltas: Iterable[DeltaAtom], mat: Optional[np.ndarray]) -> Optional[Term]:
+    """The term with its shape canonicalized (``_canonical_shape``) and its
+    scalar multiplied by the shape's sign."""
+    shape = _canonical_shape(tuple(factors), tuple(deltas))
+    if shape is None:
+        return None
+    sign, fs, ds = shape
+    return Term(scalar=complex(scalar) * sign, factors=fs, deltas=ds, mat=_mat_tuple(mat))
 
 
 class DistExpr:
@@ -846,7 +857,17 @@ def sample_max(residual: Callable[[dict[str, complex]], Optional[float]],
     tries are made.  A NaN residual is an accepted point with residual
     inf (``worst_of``), so it fails the record.  Returns (worst, accepted
     count).
+
+    With no variable every try is the empty point, which draws nothing, so
+    for ``samples > 0`` the residual is valued once: accepted, it counts
+    for all ``samples`` points; rejected, for none.
     """
+    if not windows:
+        try:
+            r = residual({}) if samples > 0 else None
+        except ArithmeticError:
+            r = None
+        return (0.0, 0) if r is None else (worst_of(r), samples)
     lo: list[float] = []
     hi: list[float] = []
     slots = []   # (name, offset of the real part, offset of the imaginary part or None)
@@ -903,9 +924,12 @@ def equal_numeric(a: DistExpr, b: DistExpr, params: ParamTower,
     points drawn from ``rng`` (a seed or a generator) with every variable
     in [-2, 2] + i[-0.35/eta, 0.35/eta]; delta parts are grouped by
     canonical support and their coefficient expressions compared the same
-    way, the groups in turn on one stream.  The record is judged at the
-    smallest accepted count of its groups; two sides that are both exactly
-    zero have no group and pass as an exact identity.
+    way, the groups in turn on one stream.  A group with no variable is a
+    constant: it is valued once and draws nothing (``sample_max``), and
+    counts ``samples`` accepted points if that value is accepted.  The
+    record is judged at the smallest accepted count of its groups; two
+    sides that are both exactly zero have no group and pass as an exact
+    identity.
     """
     rng = np.random.default_rng(rng)
     w = 0.35 / params.eta

@@ -548,6 +548,21 @@ def test_memoized_values_are_bit_identical(params, a2):
     assert shared > 0
 
 
+def test_a_slot_without_a_pair_is_not_evaluated(monkeypatch):
+    # one-letter level-2 slot words have the exponent 0: exp_value is not called on them
+    calls = []
+    real = contraction.ClosedForm.exp_value
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(contraction.ClosedForm, "exp_value", counted)
+    assert report.run(report.RunConfig(algebra="D4", samples=50, seed=0))["pass"]
+    assert len(calls) == 13664
+    assert all(form.primitives for form in calls)
+
+
 def test_unbuildable_serre_words_fail_the_record(params, a2, monkeypatch):
     def unsupported(*_args):
         raise contraction.UnsupportedPairError("no closed form")

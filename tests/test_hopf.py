@@ -117,10 +117,13 @@ def test_axioms_in_level0_backend(r):
 
 def test_axiom_records_count_accepted_points(monkeypatch):
     # every other try rejected, no retries: a sampled axiom states the half
-    # it accepted; one whose sides are both zero draws nothing and states 0
+    # it accepted; a constant one is valued once and states every sample;
+    # one whose sides are both zero draws nothing and states 0
     sample_max = trigcalc.sample_max
 
     def reject_every_other(residual, windows, samples, rng, retries=200):
+        if not windows:   # no variable: one value, no other try to reject
+            return sample_max(residual, windows, samples, rng, retries=0)
         tries = []
 
         def half(pt):
@@ -133,8 +136,8 @@ def test_axiom_records_count_accepted_points(monkeypatch):
     params0 = tower(0.0)
     out = hopf.verify_axioms(evalrep.build(1, params0), params0, samples=6)
     counts = {(r["axiom"], r["generator"]): r["samples"] for r in out}
-    assert counts[("counit_plus", "c")] == 0 and counts[("counit_plus", "E_1")] == 3
-    assert set(counts.values()) == {0, 3} and all(r["pass"] for r in out)
+    assert counts[("counit_plus", "c")] == 0 and counts[("counit_plus", "E_1")] == 6
+    assert set(counts.values()) == {0, 3, 6} and all(r["pass"] for r in out)
 
 
 def test_minus_equals_shifted_plus(params):

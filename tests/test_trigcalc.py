@@ -21,6 +21,7 @@ from curalg.trigcalc import (
     ShiftExpr,
     Term,
     TrigFactor,
+    _canonical_shape,
     equal_numeric,
     judged,
     relative_residual,
@@ -484,6 +485,76 @@ def test_chained_deltas_pin_each_variable_once():
     assert t.scalar == -2.0
 
 
+def _same_terms(a, b) -> bool:
+    return len(a) == len(b) and all(
+        x.scalar == y.scalar and x.factors == y.factors and x.deltas == y.deltas
+        and (x.mat is None and y.mat is None
+             or x.mat is not None and y.mat is not None and np.array_equal(x.mat, y.mat))
+        for x, y in zip(a, b))
+
+
+def test_every_evalrep_expression_rebuilds_cold_to_the_same_terms(params, monkeypatch):
+    built = []
+    real_init = DistExpr.__init__
+
+    def recording(self, terms=(), *, _canonical=False):
+        terms = tuple(terms)
+        real_init(self, terms, _canonical=_canonical)
+        if not _canonical:
+            built.append((terms, self.terms))
+
+    monkeypatch.setattr(DistExpr, "__init__", recording)
+    evalrep.verify_all(evalrep.build(2, params), samples=3)
+    monkeypatch.undo()
+    assert len(built) > 100 and _canonical_shape.cache_info().hits > 0
+    for terms, warm in built:
+        _canonical_shape.cache_clear()
+        assert _same_terms(DistExpr(terms).terms, warm)
+
+
+def test_one_shape_signs_each_scalar():
+    # own-period lattice units: sh(x + 3i/eta_0) = -sh(x), whatever the scalar
+    fs = (TrigFactor(0, var("u") + ShiftExpr.lattice_units(0, 3), -1),
+          TrigFactor(1, var("v") + ShiftExpr.lattice_units(1, 2)))
+    _canonical_shape.cache_clear()
+    cold = DistExpr((Term(2.0, fs),)).terms
+    warm = DistExpr((Term(0.5 - 3j, fs),)).terms
+    assert _canonical_shape.cache_info()[:2] == (1, 1)
+    want = (TrigFactor(0, var("u"), -1), TrigFactor(1, var("v")))
+    assert [(t.scalar, t.factors) for t in cold + warm] == [(-2.0, want), (-0.5 + 3j, want)]
+
+
+def test_a_delta_of_a_nonzero_constant_vanishes_cold_and_warm():
+    # the second delta becomes i*hbar/2 on the first one's support
+    deltas = (DeltaAtom(var("u") - var("v")),
+              DeltaAtom(var("u") - var("v") + ShiftExpr.hbar_units(Fraction(1, 2))))
+    _canonical_shape.cache_clear()
+    for _ in range(2):
+        assert DistExpr((Term(1.0, (TrigFactor(0, var("u")),), deltas),)).terms == ()
+    assert _canonical_shape.cache_info()[:2] == (1, 1)
+    # a delta that turns zero is delta(0): no value, so the build raises
+    with pytest.raises(ReductionError):
+        DistExpr((Term(1.0, (), deltas[:1] * 2),))
+
+
+def test_the_module_run_canonicalizes_each_shape_once():
+    cfg = report.RunConfig(algebra="A4", samples=50, seed=0,
+                           suites=("trigcalc", "structfn", "evalrep", "hopf", "intertwine"),
+                           hopf_parts=("axioms",))
+    _canonical_shape.cache_clear()
+    assert report.run(cfg)["pass"]
+    info = _canonical_shape.cache_info()
+    assert (info.hits + info.misses, info.currsize) == (5159, 646)
+
+
+def test_a_warm_cache_gives_the_cold_report():
+    cfg = report.RunConfig(algebra="A2", samples=50, seed=0)
+    _canonical_shape.cache_clear()
+    cold = report.report_json(report.run(cfg))
+    assert _canonical_shape.cache_info().currsize > 0
+    assert report.report_json(report.run(cfg)) == cold
+
+
 def test_relative_residual_of_numbers_and_matrices():
     m = np.array([[2.0, 0.5j], [0.0, -3.0]], dtype=complex)
     assert relative_residual(4.0, 2.0) == 0.5
@@ -611,12 +682,41 @@ def test_sampler_without_retries_makes_exactly_samples_tries():
     worst, done = sample_max(lambda pt: seen.append(pt), _WINDOWS, 7, np.random.default_rng(0),
                              retries=0)
     assert (worst, done, len(seen)) == (0.0, 0, 7)
-    # no variable: every try evaluates the empty point and draws nothing
+    # no variable: the empty point is valued once and counts for every try
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
     seen = []
     assert sample_max(lambda pt: seen.append(pt) or 0.5, {}, 4, rng) == (0.5, 4)
-    assert seen == [{}] * 4 and rng.bit_generator.state == state
+    assert seen == [{}] and rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("samples,outcome,want", [
+    (0, 0.5, (0.0, 0)),
+    (5, 0.25, (0.25, 5)),
+    (5, None, (0.0, 0)),
+    (5, PoleProximityError, (0.0, 0)),
+    (5, float("nan"), (math.inf, 5)),
+])
+def test_a_residual_with_no_variable_is_valued_once(samples, outcome, want):
+    def residual_into(calls):
+        def residual(pt):
+            calls.append(pt)
+            if outcome is PoleProximityError:
+                raise PoleProximityError("on a pole")
+            return outcome
+        return residual
+
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    calls, ref_calls = [], []
+    got = sample_max(residual_into(calls), {}, samples, rng, retries=3)
+    ref = _scalar_sample_max(residual_into(ref_calls), {}, samples, np.random.default_rng(0), 3)
+    assert got == want and calls == [{}] * min(samples, 1)
+    assert rng.bit_generator.state == state
+    # the reference loop's count, and its worst where it has no NaN to miss
+    assert got[1] == ref[1] and ref_calls == [{}] * len(ref_calls)
+    if want[0] != math.inf:
+        assert got == ref
 
 
 def test_a_nan_residual_is_an_accepted_point_at_inf():
