@@ -35,11 +35,13 @@ from .kernel import kernel
 from .master import EULER_GAMMA
 
 
-# (cartan, tower, kind_x, j_x, kind_y, j_y, slot) -> the reduction of the pair
-# at zero arguments.  A pair's form depends on its currents' arguments only
-# through the merged variable part, which every primitive carries unchanged,
-# and the relative shift s_x - s_y, which moves every primitive's s; so one
-# reduction serves every naming and shift of the pair.
+# (tower, kind_x, kind_y, B_ij, slot) -> the reduction of the pair at zero
+# arguments.  The kernel alpha_ij sees the nodes only through B_ij, and the
+# modes g do not see them at all, so one reduction serves every node pair
+# with that entry, in every algebra.  A pair's form depends on its currents'
+# arguments only through the merged variable part, which every primitive
+# carries unchanged, and the relative shift s_x - s_y, which moves every
+# primitive's s; so one reduction serves every naming and shift of the pair.
 _PAIR_CACHE: dict[tuple, ClosedForm] = {}
 
 
@@ -47,17 +49,18 @@ def pair_exponent(x: BosonCurrent, y: BosonCurrent, cartan: CartanData,
                   params: ParamTower, pairs: Optional[dict] = None) -> ClosedForm:
     """Contraction exponent of the ordered pair X(arg_x) Y(arg_y).
 
-    The pair is reduced once per (Cartan data, tower, kinds, nodes, slot);
-    the caller's form is that reduction with the caller's merged variables
-    and every ``s`` moved by s_x - s_y, primitive for primitive in the
-    reduction's order.  ``pairs`` (a dict kept for one check) holds the
-    caller's forms by (x, y), so a repeated pair returns one shared form.
+    The pair is reduced once per (tower, kinds, B_ij, slot), whatever its
+    nodes and algebra; the caller's form is that reduction with the
+    caller's merged variables and every ``s`` moved by s_x - s_y,
+    primitive for primitive in the reduction's order.  ``pairs`` (a dict
+    kept for one check) holds the caller's forms by (x, y), so a repeated
+    pair returns one shared form.
     """
     if x.slot != y.slot:
         return ClosedForm(())  # independent mode copies never contract
     if pairs is not None and (x, y) in pairs:
         return pairs[(x, y)]
-    key = (cartan, params, x.kind, x.j, y.kind, y.j, x.slot)
+    key = (params, x.kind, y.kind, cartan.b_entry(x.j, y.j), x.slot)
     base = _PAIR_CACHE.get(key)
     if base is None:
         bx, by = replace(x, arg=ShiftExpr()), replace(y, arg=ShiftExpr())

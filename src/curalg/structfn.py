@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 from .liealg import CartanData
 from .params import ParamTower
@@ -142,22 +142,27 @@ def ratio(relation: str, i: int, j: int, cartan: CartanData,
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +-1")
-    b = cartan.b_entry(i, j)
-    cc = Fraction(c) if sign == +1 else -Fraction(c)
-    if relation in ("HE", "HF"):
-        num, den = _build(relation, b, cc, prime_period)
-    else:
-        num, den = _build(relation, b, Fraction(c), prime_period)
+    c = Fraction(c)
+    num, den = _factors(relation, cartan.b_entry(i, j), c, sign, prime_period)
+    return StructureRatio(relation, i, j, c, num, den)
+
+
+@cache
+def _factors(relation: str, b: Fraction, c: Fraction, sign: int,
+             prime: int) -> tuple[tuple[TrigFactor, ...], tuple[TrigFactor, ...]]:
+    """(num, den) of ``ratio``: they see the nodes only through B_ij, so
+    each is built once per (relation, B_ij, c, sign, prime period)."""
+    num, den = _build(relation, b, -c if sign == -1 and relation in ("HE", "HF") else c,
+                      prime)
     # Structural cancellation (B_ij = 0 makes every ratio identically 1,
     # and partial collisions can occur at special c).
-    num2, den2 = list(num), list(den)
-    for f in list(num2):
-        for g in list(den2):
+    for f in list(num):
+        for g in list(den):
             if f.period == g.period and f.arg == g.arg:
-                num2.remove(f)
-                den2.remove(g)
+                num.remove(f)
+                den.remove(g)
                 break
-    return StructureRatio(relation, i, j, Fraction(c), tuple(num2), tuple(den2))
+    return tuple(num), tuple(den)
 
 
 def serre_coefficient(params: ParamTower, side: str) -> float:

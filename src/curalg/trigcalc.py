@@ -286,9 +286,6 @@ class DeltaAtom:
             return DeltaAtom(-self.arg)
         return self
 
-    def subs(self, name: str, repl: ShiftExpr) -> "DeltaAtom":
-        return DeltaAtom(self.arg.subs(name, repl))
-
 
 # ---------------------------------------------------------------------------
 # Terms and DistExpr
@@ -493,13 +490,20 @@ class DistExpr:
         return DistExpr(out)
 
     def subs(self, name: str, repl: ShiftExpr) -> "DistExpr":
-        return DistExpr(tuple(
-            Term(t.scalar,
-                 tuple(f.subs(name, repl) for f in t.factors),
-                 tuple(d.subs(name, repl) for d in t.deltas),
-                 t.mat)
-            for t in self.terms
-        ))
+        """Substitute ``repl`` for ``name``.  A delta whose argument turns
+        constant is resolved as in ``_canonical_shape``: a nonzero constant
+        drops its term, and delta(0) raises ``ReductionError``."""
+        out = []
+        for t in self.terms:
+            args = [d.arg.subs(name, repl) for d in t.deltas]
+            constant = [a for a in args if not a.vars]
+            if any(a.is_zero() for a in constant):
+                raise ReductionError("delta(0) after substitution")
+            if constant:
+                continue  # delta of a nonzero constant: the term vanishes
+            out.append(Term(t.scalar, tuple(f.subs(name, repl) for f in t.factors),
+                            tuple(DeltaAtom(a) for a in args), t.mat))
+        return DistExpr(tuple(out))
 
     def tagged(self, name: str, bv: int) -> "DistExpr":
         """Attach a boundary-value tag to every 1/sh factor involving ``name``."""

@@ -495,15 +495,41 @@ def test_pair_forms_match_a_fresh_reduction(label, params, monkeypatch):
                             same_var += bool(got.primitives) and not got.primitives[0].vars
                         case += 1
     assert nonempty and same_var
-    assert len(checks._PAIR_CACHE) == 2 * 16 * cd.rank ** 2
+    b_values = {cd.b_entry(i, j) for i in cd.nodes() for j in cd.nodes()}
+    assert len(checks._PAIR_CACHE) == 2 * 16 * len(b_values)
 
 
 def test_the_pair_cache_holds_only_reductions(monkeypatch):
     monkeypatch.setattr(checks, "_PAIR_CACHE", {})
     rep = report.run(report.RunConfig(algebra="D4", samples=2, seed=0))
     assert rep["pass"]
-    assert len(checks._PAIR_CACHE) == 400
+    assert len(checks._PAIR_CACHE) == 75
     assert all(not p.vars for form in checks._PAIR_CACHE.values() for p in form.primitives)
+
+
+def test_the_pair_cache_is_the_same_size_for_every_algebra(monkeypatch):
+    # a reduction sees its nodes only through B_ij in {1, -1/2, 0}: at most
+    # 2 slots x 16 kind pairs x 3 entries, however many nodes the algebra has
+    keys = {}
+    for label in ("A2", "D4", "E7"):
+        monkeypatch.setattr(checks, "_PAIR_CACHE", {})
+        assert report.run(report.RunConfig(algebra=label, samples=2, seed=0))["pass"]
+        keys[label] = set(checks._PAIR_CACHE)
+        assert len(keys[label]) <= 96
+    assert keys["D4"] == keys["E7"]
+    assert len(set().union(*keys.values())) <= 96
+
+
+def test_a_report_does_not_depend_on_the_algebras_run_before(monkeypatch):
+    # the pair cache is shared across algebras: D4 after A2 and E6 in one
+    # process must write the bytes of D4 on a cleared cache
+    monkeypatch.setattr(checks, "_PAIR_CACHE", {})
+    d4 = report.RunConfig(algebra="D4", samples=2, seed=0)
+    for label in ("A2", "E6"):
+        report.run(report.RunConfig(algebra=label, samples=2, seed=0))
+    warm = report.report_json(report.run(d4))
+    checks._PAIR_CACHE.clear()
+    assert report.report_json(report.run(d4)) == warm
 
 
 def _fresh_values(entries, cd, params, pt):

@@ -143,6 +143,22 @@ def test_ratio_expression_built_once(params):
     assert sr.eval(0.3 + 0.1j, params) == sr.ratio.eval({"w": 0.3 + 0.1j}, params)
 
 
+@pytest.mark.parametrize("label", ["D4", "A4"])
+def test_ratio_matches_a_cold_build(label):
+    # the factors are shared by every node pair with the same B_ij; each
+    # warm ratio must equal one built on a cleared cache, with its own nodes
+    cd = cartan(label[0], int(label[1:]))
+    cases = [(rel, i, j, sign, c, prime) for rel in structfn.RELATIONS
+             for i in cd.nodes() for j in cd.nodes() for sign in (+1, -1)
+             for c in (0, 1, Fraction(1, 2)) for prime in (1, 2)]
+    warm = [structfn.ratio(rel, i, j, cd, c, sign, prime)
+            for rel, i, j, sign, c, prime in cases]
+    for (rel, i, j, sign, c, prime), got in zip(cases, warm):
+        structfn._factors.cache_clear()
+        assert got == structfn.ratio(rel, i, j, cd, c, sign, prime)
+        assert (got.i, got.j) == (i, j)
+
+
 def test_exchange_table_covers_every_delta_free_pair():
     kinds = ("E", "F", "H+", "H-")
     for xk in kinds:

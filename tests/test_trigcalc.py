@@ -537,6 +537,22 @@ def test_a_delta_of_a_nonzero_constant_vanishes_cold_and_warm():
         DistExpr((Term(1.0, (), deltas[:1] * 2),))
 
 
+def _pinned_at_v():
+    return DistExpr.from_factors(1.0, (TrigFactor(0, var("u")),),
+                                 (DeltaAtom(var("u") - var("v")),))
+
+
+def test_a_substitution_that_makes_a_delta_a_nonzero_constant_drops_its_term():
+    expr = _pinned_at_v() + DistExpr.scalar(2.0)
+    got = expr.subs("v", var("u") + ShiftExpr.hbar_units(Fraction(1, 2)))
+    assert [(t.scalar, t.factors, t.deltas) for t in got.terms] == [(2.0, (), ())]
+
+
+def test_a_substitution_that_makes_a_delta_zero_raises():
+    with pytest.raises(ReductionError):
+        _pinned_at_v().subs("v", var("u"))
+
+
 def test_the_module_run_canonicalizes_each_shape_once():
     cfg = report.RunConfig(algebra="A4", samples=50, seed=0,
                            suites=("trigcalc", "structfn", "evalrep", "hopf", "intertwine"),
