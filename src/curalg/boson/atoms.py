@@ -26,16 +26,6 @@ from ..params import ParamTower
 from ..trigcalc import ShiftExpr
 
 
-def _rational_level(params: ParamTower, m: int) -> Fraction:
-    c = params.c_at(m)
-    frac = params.rational_levels[m]
-    if frac is None:
-        raise ValueError(
-            f"tower level c_{m} = {c} is not exactly rational; "
-            "the contraction calculus needs rational levels")
-    return frac
-
-
 _ZERO = Fraction(0)
 
 
@@ -61,7 +51,7 @@ class ParamLin:
         Raises ValueError when a traversed level is not exactly rational.
         """
         q = Fraction(q)
-        return ParamLin(q * sum((_rational_level(params, m) for m in range(n)), _ZERO), q)
+        return ParamLin(q * sum((params.rational_level(m) for m in range(n)), _ZERO), q)
 
     def __add__(self, other: "ParamLin") -> "ParamLin":
         return ParamLin(self.h + other.h, self.e + other.e)

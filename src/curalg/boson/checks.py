@@ -111,21 +111,21 @@ def monomial_groups(terms: Iterable[tuple[complex, SlotWord]]) -> dict:
     return groups
 
 
-# The exponent of a slot word with no pair (one letter) and no e^gamma power,
-# shared by every such slot: its exp_value is exp(0) = 1.0 at any point.
+# The exponent of a slot word with no pair (one letter), shared by every
+# such slot: its exp_value is exp(0) = 1.0 at any point.
 _NO_PAIR = ClosedForm(())
-_NO_PAIR_VALUE = math.exp(0 * EULER_GAMMA)
+_NO_PAIR_VALUE = 1.0
 
 
 def _word_forms(cs: SlotWord, cartan: CartanData, params: ParamTower,
                 pairs: dict) -> list[tuple[complex, ClosedForm]]:
     """(phase, contraction exponent) of each tensor slot's word, slot by slot;
-    an exponent with no primitive and no e^gamma power is ``_NO_PAIR``."""
+    an exponent with no primitive is ``_NO_PAIR``."""
     out = []
     for s in sorted({s for s, _ in cs}):
         word = [c for sl, c in cs if sl == s]
         form = word_exponent(word, cartan, params, pairs)
-        if not (form.primitives or form.gamma_power):
+        if not form.primitives:
             form = _NO_PAIR
         out.append((word_phase(word, cartan), form))
     return out

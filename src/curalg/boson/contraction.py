@@ -176,7 +176,6 @@ class ClosedForm:
     """Finite sum of primitives; the exponent C of one contraction factor."""
 
     primitives: tuple[Primitive, ...]
-    gamma_power: int = 0  # e^{gamma * power} prefactor carried symbolically
     # (tower, float plan) of the last tower evaluated under; see _float_plan
     _plan: tuple = field(default=(None, ()), init=False, repr=False, compare=False)
 
@@ -201,7 +200,7 @@ class ClosedForm:
 
     def value(self, assignment: Mapping[str, complex], params: ParamTower) -> complex:
         """The exponent itself (principal branches; may raise off-domain)."""
-        total = complex(self.gamma_power * EULER_GAMMA)
+        total = 0j
         for _, coeff, vars_, s, eta_p, _ in self._float_plan(params):
             x = _x_value(vars_, s, assignment)
             total += coeff * (i0_closed(x) if eta_p is None else master_integral(x, eta_p))
@@ -216,7 +215,7 @@ class ClosedForm:
         The factors multiply in primitive order whether or not they were
         memoized, so the value is bit for bit the same.
         """
-        out = math.exp(self.gamma_power * EULER_GAMMA)
+        out = 1.0
         if memo is None:
             memo = {}
         for key, coeff, vars_, s, eta_p, c in self._float_plan(params):

@@ -11,8 +11,9 @@ space with basis v_0 .. v_r:
 
 The negative half currents are the -i/eta'' translates (eta'' = eta at
 level 0), which by the half-period flip coincide pointwise with the
-positive ones; total currents are boundary-value differences and reduce
-to pure delta atoms supported on u = z + (r-l)/2 * i*hbar.
+positive ones.  So a total current e+(u - i0) - e-(u + i0) is the jump of
+e+ alone across its pole line, a pure delta atom supported on
+u = z + (r-l)/2 * i*hbar.
 
 Normalization: the homogeneous exchange relations fix e, f and H only up
 to separate scalings.  The inhomogeneous E-F commutation relation pins
@@ -40,8 +41,6 @@ from . import structfn
 from .liealg import CartanData, adjacent_pairs, cartan
 from .params import ParamTower, eta_double_prime
 from .trigcalc import (
-    BV_MINUS,
-    BV_PLUS,
     DeltaAtom,
     DistExpr,
     ShiftExpr,
@@ -166,26 +165,25 @@ def negative_half_currents(rep: EvalRep) -> EvalRep:
 
 
 def total_current(rep: EvalRep, which: str, l: int, normalized: bool = True) -> DistExpr:
-    """Boundary-value difference; a pure delta atom times a matrix unit."""
+    """e+(u - i0) - e-(u + i0), or the same of f: since e- equals e+
+    pointwise (half-period flip), the jump of the plus half current across
+    its pole line, a pure delta atom times a matrix unit."""
     if which == "E":
-        plus, minus = rep.e_plus[l], rep.e_minus[l]
+        plus = rep.e_plus[l]
     elif which == "F":
-        plus, minus = rep.f_plus[l], rep.f_minus[l]
+        plus = rep.f_plus[l]
     else:
         raise ValueError("which must be 'E' or 'F'")
-    diff = plus.tagged(U, BV_MINUS) - minus.tagged(U, BV_PLUS)
-    total = diff.plemelj_reduce(U, rep.params)
-    if total.delta_free_part().terms:
-        raise AssertionError("total current kept a delta-free part")
+    total = plus.plemelj_reduce(U, rep.params)
     if normalized:
         total = total.scaled(ef_normalization(rep.params))
     return total
 
 
 def h_boundary_difference(rep: EvalRep, l: int) -> DistExpr:
-    """H+ minus H- as boundary values, reduced to its delta atom."""
-    diff = rep.h_plus[l].tagged(U, BV_MINUS) - rep.h_minus[l].tagged(U, BV_PLUS)
-    return diff.plemelj_reduce(U, rep.params)
+    """H+(u - i0) - H-(u + i0): as H- equals H+ pointwise, the jump of H+
+    across its pole line, reduced to its delta atom."""
+    return rep.h_plus[l].plemelj_reduce(U, rep.params)
 
 
 def pole_inventory(rep: EvalRep) -> list[dict]:
@@ -354,7 +352,7 @@ def smeared_total_current_check(rep: EvalRep, l: int, n_grid: int = 200001,
     function centered on the support, then Richardson-extrapolates in
     eps.  Rank-independent: the integration line runs at the height of
     the current's own pole ladder.  Compares against the delta normal
-    form produced by the Plemelj reduction.
+    form of the jump (``plemelj_reduce``).
     """
     params = rep.params
     beta = float(rep.beta(l)) * params.hbar

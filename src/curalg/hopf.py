@@ -26,7 +26,6 @@ import numpy.random
 
 from . import evalrep, structfn
 from .boson import checks as bchecks
-from .boson.atoms import _rational_level
 from .boson.currents import BosonCurrent, word_phase
 from .boson.currents import current as bcur
 from .liealg import CartanData
@@ -75,7 +74,7 @@ class CurrentExpr:
 def _c(params: ParamTower, n: int) -> Fraction:
     """Exact level c_n of the tower (0 outside the materialized range)."""
     if 0 <= n < params.max_level():
-        return _rational_level(params, n)
+        return params.rational_level(n)
     return Fraction(0)
 
 

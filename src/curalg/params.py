@@ -104,6 +104,16 @@ class ParamTower:
             out.append(frac if exact else None)
         return tuple(out)
 
+    def rational_level(self, n: int) -> Fraction:
+        """c_n exactly; raises ValueError when it is not exactly rational."""
+        c = self.c_at(n)
+        frac = self.rational_levels[n]
+        if frac is None:
+            raise ValueError(
+                f"tower level c_{n} = {c} is not exactly rational; "
+                "the contraction calculus needs rational levels")
+        return frac
+
     def inv_eta_at(self, n: int) -> float:
         if not 0 <= n < len(self._inv_etas):
             raise ParameterRangeError(

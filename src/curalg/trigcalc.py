@@ -1,4 +1,4 @@
-"""Exact calculus of trigonometric factors, boundary values and deltas.
+"""Exact calculus of trigonometric factors, their jumps and deltas.
 
 Everything downstream (structure functions, the finite-dimensional
 representation, the intertwiner catalog) evaluates through the objects
@@ -8,8 +8,7 @@ defined here:
   m_p/eta_p) + t with rational q and integer lattice coefficients m_p.
   This is the lattice all poles, zeros and delta supports live on, so it
   is kept exact (Fractions and ints), never floated until evaluation.
-* ``TrigFactor`` -- sh(pi*eta_p * arg)^(+-1), optionally tagged with a
-  boundary-value prescription (+i0 / -i0) on reciprocal factors.
+* ``TrigFactor`` -- sh(pi*eta_p * arg)^(+-1).
 * ``DistExpr`` -- finite sums  scalar * prod(TrigFactor) * prod(delta)
   * (matrix coefficient), closed under sum, product and commutator.
 
@@ -18,12 +17,11 @@ Conventions fixed here and relied on by every verification module:
 * Half-period flip: sh(x - i*pi) = -sh(x), so a factor whose argument
   carries k units of its own period lattice reduces to the unshifted
   factor times (-1)^k.  Canonicalization always performs this reduction.
-* Boundary values: the tag -i0 means the limit onto the line from below
-  (argument displaced by -i*epsilon), +i0 from above.
 * Plemelj: 1/(x - i0) - 1/(x + i0) = 2*pi*i*delta(x); for the simple
-  zero of sh(pi*eta_p*arg) this turns a matched +-i0 pair into
-  (2i/eta_p) * delta(arg) times the common cofactor frozen on the
-  support.  Only the delta of the canonical (pinched) zero is kept.
+  zero of sh(pi*eta_p*arg) the jump of a 1/sh factor across its pole
+  line, limit from below minus limit from above, is (2i/eta_p) *
+  delta(arg) times the cofactor frozen on the support.  Only the delta
+  of the canonical (pinched) zero is kept.
 """
 
 from __future__ import annotations
@@ -40,11 +38,6 @@ import numpy as np
 import numpy.random
 
 from .params import ParamTower
-
-BV_NONE = 0
-BV_PLUS = 1   # +i0: limit from above
-BV_MINUS = -1  # -i0: limit from below
-
 
 # |sh| below which evaluating a reciprocal factor raises PoleProximityError
 EPS_POLE = 1e-6
@@ -225,18 +218,15 @@ def var(name: str) -> ShiftExpr:
 
 @dataclass(frozen=True)
 class TrigFactor:
-    """sh(pi * eta_period * arg)^exponent with a boundary-value tag."""
+    """sh(pi * eta_period * arg)^exponent."""
 
     period: int
     arg: ShiftExpr
     exponent: int = 1
-    bv: int = BV_NONE
 
     def __post_init__(self) -> None:
         if self.exponent not in (1, -1):
             raise ValueError("exponent must be +-1")
-        if self.bv != BV_NONE and self.exponent != -1:
-            raise ValueError("boundary-value tags only make sense on 1/sh factors")
 
     def canonical(self) -> tuple[int, "TrigFactor"]:
         """Strip own-period lattice units; returns (sign, reduced factor)."""
@@ -245,20 +235,17 @@ class TrigFactor:
             return 1, self
         sign = -1 if k % 2 else 1
         return sign, TrigFactor(self.period, self.arg.without_lattice(self.period),
-                                self.exponent, self.bv)
+                                self.exponent)
 
     @cached_property
     def _hash(self) -> int:
-        return hash((self.period, self.arg, self.exponent, self.bv))
+        return hash((self.period, self.arg, self.exponent))
 
     def __hash__(self) -> int:
         return self._hash
 
-    def untagged(self) -> "TrigFactor":
-        return TrigFactor(self.period, self.arg, self.exponent, BV_NONE)
-
     def subs(self, name: str, repl: ShiftExpr) -> "TrigFactor":
-        return TrigFactor(self.period, self.arg.subs(name, repl), self.exponent, self.bv)
+        return TrigFactor(self.period, self.arg.subs(name, repl), self.exponent)
 
     def eval(self, assignment: Mapping[str, complex], params: ParamTower) -> complex:
         x = math.pi * params.eta_at(self.period) * self.arg.eval(assignment, params)
@@ -320,7 +307,7 @@ class Term:
 
 
 def _factor_sort_key(f: TrigFactor):
-    return (f.period, f.exponent, f.bv, str(f.arg))
+    return (f.period, f.exponent, str(f.arg))
 
 
 def _delta_sort_key(d: DeltaAtom):
@@ -385,12 +372,11 @@ def _canonical_shape(factors: tuple[TrigFactor, ...], deltas: tuple[DeltaAtom, .
     # cancelling here keeps delta-pinned cofactors evaluable on support.
     fs3: list[TrigFactor] = []
     for f in fs2:
-        if f.bv == BV_NONE:
-            partner = next((g for g in fs3 if g.bv == BV_NONE and g.period == f.period
-                            and g.arg == f.arg and g.exponent == -f.exponent), None)
-            if partner is not None:
-                fs3.remove(partner)
-                continue
+        partner = next((g for g in fs3 if g.period == f.period
+                        and g.arg == f.arg and g.exponent == -f.exponent), None)
+        if partner is not None:
+            fs3.remove(partner)
+            continue
         fs3.append(f)
     return (sign, tuple(sorted(fs3, key=_factor_sort_key)),
             tuple(sorted(new_deltas, key=_delta_sort_key)))
@@ -424,7 +410,6 @@ class DistExpr:
             self.terms: tuple[Term, ...] = tuple(terms)
             return
         buckets: dict[tuple, Term] = {}
-        order: list[tuple] = []
         for t in terms:
             ct = _canonical_term(t.scalar, t.factors, t.deltas, t.mat)
             if ct is None or ct.scalar == 0:
@@ -437,13 +422,11 @@ class DistExpr:
                 merged = _merge_terms(old, ct)
                 if merged is None:
                     del buckets[key]
-                    order.remove(key)
                 else:
                     buckets[key] = merged
             else:
                 buckets[key] = ct
-                order.append(key)
-        self.terms = tuple(buckets[k] for k in order)
+        self.terms = tuple(buckets.values())
 
     # -- constructors ------------------------------------------------------
 
@@ -505,26 +488,11 @@ class DistExpr:
                             tuple(DeltaAtom(a) for a in args), t.mat))
         return DistExpr(tuple(out))
 
-    def tagged(self, name: str, bv: int) -> "DistExpr":
-        """Attach a boundary-value tag to every 1/sh factor involving ``name``."""
-        out = []
-        for t in self.terms:
-            fs = tuple(
-                TrigFactor(f.period, f.arg, f.exponent, bv)
-                if f.exponent == -1 and f.arg.var_coeff(name) != 0 else f
-                for f in t.factors
-            )
-            out.append(Term(t.scalar, fs, t.deltas, t.mat))
-        return DistExpr(out)
-
     def free_vars(self) -> frozenset[str]:
         out: frozenset[str] = frozenset()
         for t in self.terms:
             out |= t.free_vars()
         return out
-
-    def delta_free_part(self) -> "DistExpr":
-        return DistExpr(tuple(t for t in self.terms if not t.deltas), _canonical=True)
 
     def delta_groups(self) -> dict[tuple[DeltaAtom, ...], "DistExpr"]:
         """Group terms by their (canonical) delta support; '' key = delta-free."""
@@ -596,8 +564,8 @@ class DistExpr:
         return params, shape, terms
 
     def odd_normal_form(self) -> Optional[tuple]:
-        """(scalar, frozenset of ((period, arg), exponent)) of one untagged
-        term with no delta, matrix or float offset ``t``, else None.  Each
+        """(scalar, frozenset of ((period, arg), exponent)) of one term
+        with no delta, matrix or float offset ``t``, else None.  Each
         factor whose leading variable has a negative coefficient is flipped
         by sh(-x) = -sh(x), exponents are summed per (period, arg) and zero
         sums dropped.  Equal normal forms are equal functions."""
@@ -605,7 +573,7 @@ class DistExpr:
             return None
         scalar, exps = self.terms[0].scalar, {}
         for f in self.terms[0].factors:
-            if f.bv != BV_NONE or f.arg.t != 0.0:
+            if f.arg.t != 0.0:
                 return None
             arg = f.arg
             if arg.vars and arg.vars[0][1] < 0:
@@ -618,7 +586,7 @@ class DistExpr:
 
         The reciprocal of a single term, or of a sum whose matrices are
         distinct diagonal matrix units (the H currents of the evaluation
-        module).  Boundary-value tags are dropped.
+        module).
         """
         return DistExpr(tuple(
             Term(1.0 / t.scalar,
@@ -630,52 +598,30 @@ class DistExpr:
     # -- reductions --------------------------------------------------------
 
     def plemelj_reduce(self, name: str, params: ParamTower) -> "DistExpr":
-        """Turn matched +-i0 pairs of 1/sh factors in ``name`` into deltas.
+        """The jump across the pole line in ``name``: the limit from below
+        minus the limit from above, in delta normal form.
 
-        Only the canonical pinched zero (lattice k=0) is kept.  Terms
-        without tags pass through.
+        A term with one 1/sh factor f in ``name`` jumps by (2i/eta_p) *
+        delta(f.arg) times its other factors frozen on the support; only
+        the canonical pinched zero (lattice k=0) is kept.  A term with no
+        such factor does not jump and drops out.
         """
-        tagged: dict[tuple, dict[int, Term]] = {}
-        passthrough: list[Term] = []
-        order: list[tuple] = []
+        out = []
         for t in self.terms:
-            hits = [
-                (i, f) for i, f in enumerate(t.factors)
-                if f.bv != BV_NONE and f.exponent == -1 and f.arg.var_coeff(name) != 0
-            ]
-            if len(hits) != 1:
-                passthrough.append(t)
+            hits = [i for i, f in enumerate(t.factors)
+                    if f.exponent == -1 and f.arg.var_coeff(name) != 0]
+            if not hits:
                 continue
-            i, f = hits[0]
-            rest = t.factors[:i] + t.factors[i + 1:]
-            key = (rest, t.deltas, f.untagged())
-            slot = tagged.setdefault(key, {})
-            if key not in order:
-                order.append(key)
-            if f.bv in slot:
-                raise ReductionError("duplicate boundary-value tag in pair search")
-            slot[f.bv] = t
-
-        out = list(passthrough)
-        reduced_any = False
-        for key in order:
-            slot = tagged[key]
-            if set(slot) != {BV_PLUS, BV_MINUS}:
-                out.extend(slot.values())
-                continue
-            tm, tp = slot[BV_MINUS], slot[BV_PLUS]
-            if not _mats_equal(tm.mat, tp.mat):
-                raise ReductionError("boundary-value pair differs in matrix coefficient")
-            if abs(tm.scalar + tp.scalar) > 1e-14 * max(1.0, abs(tm.scalar)):
-                raise ReductionError("boundary-value pair scalars are not opposite")
-            reduced_any = True
-            rest, deltas, bare = key
-            support = bare.arg.solve_for(name)
-            coeff = tm.scalar * 2j / params.eta_at(bare.period)
-            cof = tuple(f.subs(name, support) for f in rest)
-            out.append(Term(coeff, cof, deltas + (DeltaAtom(bare.arg),), tm.mat))
-        if not reduced_any and tagged:
-            raise ReductionError("no matching boundary-value pair")
+            if len(hits) > 1:
+                raise ReductionError(f"two 1/sh factors in {name} in one term")
+            i = hits[0]
+            f = t.factors[i]
+            support = f.arg.solve_for(name)
+            cof = tuple(g.subs(name, support) for g in t.factors[:i] + t.factors[i + 1:])
+            out.append(Term(t.scalar * 2j / params.eta_at(f.period), cof,
+                            t.deltas + (DeltaAtom(f.arg),), t.mat))
+        if not out:
+            raise ReductionError(f"nothing jumps across a pole line in {name}")
         return DistExpr(out)
 
     def residue(self, name: str, at: ShiftExpr, params: ParamTower) -> "DistExpr":
@@ -723,13 +669,15 @@ class DistExpr:
                 "t": e.t,
             }
 
+        # every factor writes "bv": 0, a fixed field of the exported
+        # catalog format (tests/golden/catalog_A2.json)
         terms = []
         for t in self.terms:
             terms.append({
                 "scalar": [t.scalar.real, t.scalar.imag],
                 "factors": [
                     {"period": f.period, "arg": shift_d(f.arg),
-                     "exp": f.exponent, "bv": f.bv}
+                     "exp": f.exponent, "bv": 0}
                     for f in t.factors
                 ],
                 "deltas": [shift_d(d.arg) for d in t.deltas],
@@ -765,14 +713,6 @@ def _mat_mul(a: Optional[np.ndarray], b: Optional[np.ndarray]) -> Optional[np.nd
     if b is None:
         return a
     return a @ b
-
-
-def _mats_equal(a: Optional[np.ndarray], b: Optional[np.ndarray]) -> bool:
-    if a is None and b is None:
-        return True
-    if a is None or b is None:
-        return False
-    return bool(np.array_equal(a, b))
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 from curalg import evalrep, intertwine, report
 from curalg.params import ParamTower
 from curalg.trigcalc import (
-    BV_MINUS,
-    BV_PLUS,
     DeltaAtom,
     DeltaPresentError,
     DistExpr,
@@ -273,7 +271,6 @@ def test_odd_normal_form_is_none_off_its_domain():
     for expr in (DistExpr.zero(), DistExpr.from_factors(1.0, (f,)) + DistExpr.scalar(1.0),
                  DistExpr.from_factors(1.0, (f,), mat=mat),
                  DistExpr.from_factors(1.0, (f,), (DeltaAtom(var("u") - var("v")),)),
-                 DistExpr.from_factors(1.0, (TrigFactor(0, f.arg, -1, BV_PLUS),)),
                  DistExpr.from_factors(1.0, (TrigFactor(0, f.arg + ShiftExpr(t=0.5), -1),))):
         assert expr.odd_normal_form() is None
 
@@ -339,14 +336,12 @@ def test_reciprocal_flips_every_factor(params):
 # ---------------------------------------------------------------------------
 
 
-def _bv_pair(period=0):
-    minus = Term(1.0, (TrigFactor(period, var("w"), -1, BV_MINUS),))
-    plus = Term(-1.0, (TrigFactor(period, var("w"), -1, BV_PLUS),))
-    return DistExpr((minus, plus))
+def _pole(period=0):
+    return DistExpr.from_factors(1.0, (TrigFactor(period, var("w"), -1),))
 
 
 def test_plemelj_principal(params):
-    red = _bv_pair().plemelj_reduce("w", params)
+    red = _pole().plemelj_reduce("w", params)
     assert len(red.terms) == 1
     t = red.terms[0]
     assert t.deltas and t.deltas[0].arg == var("w")
@@ -377,28 +372,41 @@ def test_plemelj_against_smeared_oracle(params):
     want = (2j / eta) * 1.0  # phi(0) = 1
     assert abs(level[0] - want) < 1e-6
 
-    red = _bv_pair().plemelj_reduce("w", params)
+    red = _pole().plemelj_reduce("w", params)
     assert abs(red.terms[0].scalar - want) < 1e-14
 
 
-def test_plemelj_untagged_unchanged(params):
-    expr = DistExpr.from_factors(1.0, (TrigFactor(0, var("w"), -1),))
-    assert expr.plemelj_reduce("w", params).to_json() == expr.to_json()
-
-
-def test_plemelj_unmatched_tag_raises(params):
-    expr = DistExpr((Term(1.0, (TrigFactor(0, var("w"), -1, BV_MINUS),)),))
-    with pytest.raises(ReductionError):
+def test_plemelj_without_a_pole_factor_raises(params):
+    # sh(w) and 1/sh(u) do not jump across a pole line in w
+    expr = DistExpr.from_factors(1.0, (TrigFactor(0, var("w"), 1), TrigFactor(0, var("u"), -1)))
+    with pytest.raises(ReductionError, match="nothing jumps"):
         expr.plemelj_reduce("w", params)
 
 
-def test_plemelj_matrix_mismatch(params):
-    m1 = np.eye(2, dtype=complex)
-    m2 = np.diag([1.0, 2.0]).astype(complex)
-    minus = Term(1.0, (TrigFactor(0, var("w"), -1, BV_MINUS),), (), m1)
-    plus = Term(-1.0, (TrigFactor(0, var("w"), -1, BV_PLUS),), (), m2)
-    with pytest.raises(ReductionError):
-        DistExpr((minus, plus)).plemelj_reduce("w", params)
+def test_plemelj_two_pole_factors_in_one_term_raise(params):
+    expr = DistExpr.from_factors(1.0, (TrigFactor(0, var("w"), -1),
+                                       TrigFactor(0, var("w") - var("v"), -1)))
+    with pytest.raises(ReductionError, match="two 1/sh factors"):
+        expr.plemelj_reduce("w", params)
+
+
+def test_plemelj_keeps_the_matrix_and_the_earlier_deltas(params):
+    mat = np.array([[1.0, 2.0], [0.0, -1.0]], dtype=complex)
+    earlier = DeltaAtom(var("u") - var("v"))
+    cof = TrigFactor(0, var("w") - var("v") - ShiftExpr.hbar_units(1), 1)
+    expr = DistExpr((
+        Term(0.5, (TrigFactor(0, var("w") - var("u"), -1), cof), (earlier,), mat),
+        Term(3.0, (cof,), (), mat),   # no pole in w: drops out
+    ))
+    red = expr.plemelj_reduce("w", params)
+    assert len(red.terms) == 1
+    t = red.terms[0]
+    assert np.array_equal(t.mat, mat)
+    assert abs(t.scalar - 0.5 * 2j / params.eta) < 1e-14
+    # both deltas kept; the cofactor is frozen on the support w = u = v
+    assert len(t.deltas) == 2
+    assert set().union(*(d.arg.free_vars() for d in t.deltas)) == {"u", "v", "w"}
+    assert [f.arg for f in t.factors] == [-ShiftExpr.hbar_units(1)]
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +568,7 @@ def test_the_module_run_canonicalizes_each_shape_once():
     _canonical_shape.cache_clear()
     assert report.run(cfg)["pass"]
     info = _canonical_shape.cache_info()
-    assert (info.hits + info.misses, info.currsize) == (5159, 646)
+    assert (info.hits + info.misses, info.currsize) == (4999, 622)
 
 
 def test_a_warm_cache_gives_the_cold_report():
@@ -755,7 +763,7 @@ def test_atoms_hash_and_print_once(monkeypatch):
     f = TrigFactor(1, arg, -1)
     # the dataclasses' field hashes, so set and dict orders stay as they were
     want = (hash((arg.vars, arg.q, arg.lattice, arg.t)),
-            hash((f.period, arg, f.exponent, f.bv)), "u + -3/4*ih + 2*i/eta1")
+            hash((f.period, arg, f.exponent)), "u + -3/4*ih + 2*i/eta1")
     assert (hash(arg), hash(f), str(arg)) == want
 
     def recomputed(self):
