@@ -1,4 +1,4 @@
-"""Free-field currents: zero modes, Klein phases and mode coefficients.
+"""Free-field currents: word phases and mode coefficients.
 
 The level-1 currents are
 
@@ -23,7 +23,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from ..liealg import CartanData
 from ..params import ParamTower
@@ -31,69 +31,8 @@ from ..trigcalc import ShiftExpr
 from .atoms import ExponentFn, ParamLin, spectral_exponent
 
 KINDS = ("E", "F", "H+", "H-")
-
-
-# ---------------------------------------------------------------------------
-# Zero modes
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ZeroModeWord:
-    """A word in the letters exp(2*pi*i*Q_j) (kind 'Q') and exp(P_j) ('P').
-
-    ``letters`` is a sequence of (kind, node, multiplicity).  Canonical
-    form pulls every Q letter left of every P letter, accumulating the
-    exp(2*pi*i*B) exchange phases; the rewrite is confluent because the
-    phases are central.
-    """
-
-    letters: tuple[tuple[str, int, int], ...] = ()
-
-    @staticmethod
-    def for_current(kind: str, j: int) -> "ZeroModeWord":
-        if kind == "E":
-            return ZeroModeWord((("Q", j, 1), ("P", j, 1)))
-        if kind == "F":
-            return ZeroModeWord((("Q", j, -1), ("P", j, -1)))
-        return ZeroModeWord(())
-
-    def __mul__(self, other: "ZeroModeWord") -> "ZeroModeWord":
-        return ZeroModeWord(self.letters + other.letters)
-
-    def canonicalize(self, cartan: CartanData) -> tuple[complex, tuple[tuple[int, ...], tuple[int, ...]]]:
-        """(phase, (q charges, p charges)) after moving all Q left."""
-        letters = list(self.letters)
-        phase_exponent = Fraction(0)  # in units of 2*pi*i
-        changed = True
-        while changed:
-            changed = False
-            for k in range(len(letters) - 1):
-                (ka, ja, ma), (kb, jb, mb) = letters[k], letters[k + 1]
-                if ka == "P" and kb == "Q":
-                    phase_exponent += Fraction(ma * mb) * cartan.b_entry(ja, jb)
-                    letters[k], letters[k + 1] = letters[k + 1], letters[k]
-                    changed = True
-        q = [0] * cartan.rank
-        p = [0] * cartan.rank
-        for kind, j, m in letters:
-            if kind == "Q":
-                q[j - 1] += m
-            else:
-                p[j - 1] += m
-        phase = cmath.exp(2j * math.pi * float(phase_exponent))
-        return phase, (tuple(q), tuple(p))
-
-
-def klein_phase(xi_left: Sequence[int], xi_right: Sequence[int],
-                cartan: CartanData) -> int:
-    """Multiplicative cocycle (-1)^(sum_{a<b} xi_a xi'_b A_ab)."""
-    s = 0
-    r = cartan.rank
-    for a in range(1, r + 1):
-        for b in range(a + 1, r + 1):
-            s += xi_left[a - 1] * xi_right[b - 1] * cartan.a_entry(a, b)
-    return -1 if s % 2 else 1
+# Charge of each kind on the zero-mode lattice, in units of e_j.
+CHARGE = {"E": 1, "F": -1, "H+": 0, "H-": 0}
 
 
 # ---------------------------------------------------------------------------
@@ -114,17 +53,6 @@ class BosonCurrent:
     j: int
     arg: ShiftExpr
     slot: int = 0
-
-    def charge(self, rank: int) -> tuple[int, ...]:
-        xi = [0] * rank
-        if self.kind == "E":
-            xi[self.j - 1] = 1
-        elif self.kind == "F":
-            xi[self.j - 1] = -1
-        return tuple(xi)
-
-    def zero_mode(self) -> ZeroModeWord:
-        return ZeroModeWord.for_current(self.kind, self.j)
 
     def g(self, params: ParamTower) -> ExponentFn:
         """The mode coefficient function g(lambda) of this letter, its
@@ -197,22 +125,24 @@ _PHASES: dict[tuple, complex] = {}
 def word_phase(currents: Iterable[BosonCurrent], cartan: CartanData) -> complex:
     """Scalar accumulated when normal-ordering the zero-mode/Klein part.
 
-    Pairwise over the word, left to right: canonicalization phase of the
-    concatenated zero-mode letters times the Klein cocycle of the charge
-    vectors.  Both depend only on the letters' kinds and nodes, so the
-    phase is computed once per (Cartan data, kinds and nodes).
+    For every ordered pair a < b of the word, with charges q (+1 for E,
+    -1 for F, 0 for H+-) on nodes j: exp(2*pi*i*q_a*q_b*B_{j_a j_b}) from
+    moving exp(P_{j_a}) past exp(2*pi*i*q_b*Q_{j_b}), times the Klein sign
+    (-1)^(q_a*q_b*A_{j_a j_b}) when j_a < j_b.  Both depend only on the
+    letters' kinds and nodes, so the phase is computed once per (Cartan
+    data, kinds and nodes).
     """
     cs = list(currents)
     key = (cartan, tuple((c.kind, c.j) for c in cs))
     if key not in _PHASES:
-        word = ZeroModeWord(())
-        for c in cs:
-            word = word * c.zero_mode()
-        phase, _ = word.canonicalize(cartan)
+        exponent = Fraction(0)  # in units of 2*pi*i
         klein = 1
         for a in range(len(cs)):
             for b in range(a + 1, len(cs)):
-                klein *= klein_phase(cs[a].charge(cartan.rank), cs[b].charge(cartan.rank),
-                                     cartan)
-        _PHASES[key] = phase * klein
+                qq = CHARGE[cs[a].kind] * CHARGE[cs[b].kind]
+                ja, jb = cs[a].j, cs[b].j
+                exponent += qq * cartan.b_entry(ja, jb)
+                if ja < jb and qq * cartan.a_entry(ja, jb) % 2:
+                    klein = -klein
+        _PHASES[key] = cmath.exp(2j * math.pi * float(exponent)) * klein
     return _PHASES[key]

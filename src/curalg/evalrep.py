@@ -39,7 +39,7 @@ import numpy.random
 
 from . import structfn
 from .liealg import CartanData, adjacent_pairs, cartan
-from .params import ParamTower, eta_double_prime
+from .params import ParamTower
 from .trigcalc import (
     DeltaAtom,
     DistExpr,
@@ -153,9 +153,8 @@ def build(r: int, params: ParamTower) -> EvalRep:
 
 
 def negative_half_currents(rep: EvalRep) -> EvalRep:
-    """Derive e-, f-, H- as the -i/eta'' translates (eta'' = eta here)."""
-    eta_pp = eta_double_prime(rep.params, 0.0)
-    assert abs(eta_pp - rep.params.eta) < 1e-12  # forced at level 0
+    """Derive e-, f-, H- as the -i/eta'' translates, where eta'' = eta at
+    level 0: the shift is one lattice unit of period 0."""
     shift_down = var(U) + ShiftExpr.lattice_units(0, -1)
     for l in range(1, rep.r + 1):
         rep.e_minus[l] = rep.e_plus[l].subs(U, shift_down).scaled(-1.0)
@@ -325,7 +324,7 @@ def verify_all(rep: EvalRep, samples: int = 50, tol: float = 1e-9,
     rng = np.random.default_rng(seed)
     cd = rep.cartan
     out = []
-    for rel in ("HH_pm", "HH_same", "HE", "HF", "EE", "FF"):
+    for rel in structfn.RELATIONS:
         for i in cd.nodes():
             for j in cd.nodes():
                 for sign in ((+1, -1) if rel in ("HE", "HF") else (+1,)):

@@ -33,7 +33,6 @@ from .params import ParamTower
 from .trigcalc import DistExpr, ShiftExpr, equal_numeric, judged, var, worst_of
 
 GEN_KINDS = ("E", "F", "H+", "H-")
-LETTER_KINDS = GEN_KINDS + ("H+inv", "H-inv", "one", "c")
 
 
 @dataclass(frozen=True)

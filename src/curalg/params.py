@@ -9,11 +9,9 @@ so eta^(1) is the primed scale attached to level c when c_0 = c.  The
 recursion is kept in inverse form (the inverses are the quantities that
 add) and only materialized levels may be queried.
 
-The second derived scale eta'' (used by the shift relating the two half
-currents) is never pinned down by the defining relations away from c = 0;
-this module fixes 1/eta'' = 1/eta + hbar*c/2, the midpoint of 1/eta and
-1/eta', which collapses to eta at c = 0 where every consistent choice
-must agree.
+The second derived scale eta'', which sets the shift relating the two
+half currents, is taken as eta'' = eta at c = 0, the only case any
+verification uses.
 """
 
 from __future__ import annotations
@@ -125,15 +123,3 @@ class ParamTower:
         """eta^(n) from the exact telescoped recursion; idempotent."""
         return 1.0 / self.inv_eta_at(n)
 
-
-def eta_double_prime(tower: ParamTower, c: float) -> float:
-    """The half-current shift scale: 1/eta'' = 1/eta + hbar*c/2.
-
-    At c = 0 this is forced (H^- must be the plain 1/eta translate of
-    H^+), and that is the only case exercised by verification; the c != 0
-    value is a recorded convention, symmetric between eta and eta'.
-    """
-    inv = 1.0 / tower.eta + tower.hbar * c / 2.0
-    if inv <= 0:
-        raise ParameterRangeError("1/eta'' <= 0")
-    return 1.0 / inv

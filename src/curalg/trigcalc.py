@@ -339,15 +339,8 @@ def _canonical_shape(factors: tuple[TrigFactor, ...], deltas: tuple[DeltaAtom, .
             if arg.is_zero():
                 raise ReductionError("delta(0): two deltas share one support")
             return None  # delta of a nonzero constant: term vanishes
-        target = None
-        for nm in names:
-            if arg.var_coeff(nm) in (1, -1):
-                target = nm
-                break
-        if target is None:
-            resolved.append(("", arg))  # unsolvable; keep verbatim
-            continue
-        sol = arg.solve_for(target)
+        target = next((nm for nm in names if arg.var_coeff(nm) in (1, -1)), names[0])
+        sol = arg.solve_for(target)  # ReductionError when no coefficient is +-1
         resolved.append((target, sol))
         pending = [p.subs(target, sol) for p in pending]
         fs = [f.subs(target, sol) for f in fs]
@@ -355,10 +348,7 @@ def _canonical_shape(factors: tuple[TrigFactor, ...], deltas: tuple[DeltaAtom, .
             (nm, s.subs(target, sol) if nm != target else s) for nm, s in resolved
         ]
 
-    new_deltas = []
-    for nm, s in resolved:
-        arg = ShiftExpr.of_var(nm) - s if nm else s
-        new_deltas.append(DeltaAtom(arg).canonical())
+    new_deltas = [DeltaAtom(ShiftExpr.of_var(nm) - s).canonical() for nm, s in resolved]
 
     # Half-period reduction: each factor's own-period lattice units leave
     # the sign (-1)^k; the shape's sign is their product.
@@ -602,9 +592,10 @@ class DistExpr:
         minus the limit from above, in delta normal form.
 
         A term with one 1/sh factor f in ``name`` jumps by (2i/eta_p) *
-        delta(f.arg) times its other factors frozen on the support; only
-        the canonical pinched zero (lattice k=0) is kept.  A term with no
-        such factor does not jump and drops out.
+        delta(f.arg) times its other factors; the constructor's delta
+        resolution freezes them on the support.  Only the canonical pinched
+        zero (lattice k=0) is kept.  A term with no such factor does not
+        jump and drops out.  ``name`` must have coefficient +-1 in f.arg.
         """
         out = []
         for t in self.terms:
@@ -616,9 +607,9 @@ class DistExpr:
                 raise ReductionError(f"two 1/sh factors in {name} in one term")
             i = hits[0]
             f = t.factors[i]
-            support = f.arg.solve_for(name)
-            cof = tuple(g.subs(name, support) for g in t.factors[:i] + t.factors[i + 1:])
-            out.append(Term(t.scalar * 2j / params.eta_at(f.period), cof,
+            f.arg.solve_for(name)  # ReductionError unless the coefficient is +-1
+            out.append(Term(t.scalar * 2j / params.eta_at(f.period),
+                            t.factors[:i] + t.factors[i + 1:],
                             t.deltas + (DeltaAtom(f.arg),), t.mat))
         if not out:
             raise ReductionError(f"nothing jumps across a pole line in {name}")

@@ -7,8 +7,6 @@ from itertools import permutations
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from curalg import hopf, report, structfn
 from curalg.boson import checks, contraction, master
@@ -16,9 +14,7 @@ from curalg.boson.atoms import ExponentFn, ParamLin
 from curalg.boson.contraction import product_exponent, quadrature_exponent
 from curalg.boson.currents import (
     BosonCurrent,
-    ZeroModeWord,
     current,
-    klein_phase,
     phi_value,
     word_phase,
 )
@@ -314,66 +310,42 @@ def test_g_negated_lambda(params):
 
 
 # ---------------------------------------------------------------------------
-# Zero modes and Klein phases
+# Word phases
 # ---------------------------------------------------------------------------
 
 
-letters_strategy = st.lists(
-    st.tuples(st.sampled_from(["Q", "P"]), st.integers(1, 3), st.integers(-2, 2)),
-    min_size=0, max_size=6,
-)
-
-
-@given(letters_strategy, letters_strategy)
-@settings(max_examples=60, deadline=None)
-def test_zero_mode_product_confluent(l1, l2):
-    # canonicalizing a concatenation directly or in stages gives the
-    # same phase and charges (the exchange phases are central)
-    cd = cartan("A", 3)
-    w1, w2 = ZeroModeWord(tuple(l1)), ZeroModeWord(tuple(l2))
-    ph_direct, charges_direct = (w1 * w2).canonicalize(cd)
-    ph1, (q1, p1) = w1.canonicalize(cd)
-    ph2, (q2, p2) = w2.canonicalize(cd)
-    # stage 2: canonical pieces concatenated as Q1 P1 Q2 P2 and reduced
-    staged = ZeroModeWord(
-        tuple(("Q", j + 1, m) for j, m in enumerate(q1) if m)
-        + tuple(("P", j + 1, m) for j, m in enumerate(p1) if m)
-        + tuple(("Q", j + 1, m) for j, m in enumerate(q2) if m)
-        + tuple(("P", j + 1, m) for j, m in enumerate(p2) if m)
-    )
-    ph_staged, charges_staged = staged.canonicalize(cd)
-    assert charges_staged == charges_direct
-    assert abs(ph1 * ph2 * ph_staged - ph_direct) < 1e-12
-
-
-def test_exchange_rule_single_move():
-    cd = cartan("A", 2)
-    w = ZeroModeWord((("P", 1, 1), ("Q", 2, 1)))
-    phase, (q, p) = w.canonicalize(cd)
-    assert q == (0, 1) and p == (1, 0)
-    assert abs(phase - cmath.exp(2j * math.pi * float(cd.b_entry(1, 2)))) < 1e-14
-
-
-def test_klein_cocycle_ratio(a2):
-    # epsilon(xi, xi')/epsilon(xi', xi) = (-1)^(xi . A . xi') off-diagonal
-    e1, e2 = (1, 0), (0, 1)
-    assert klein_phase(e1, e2, a2) * klein_phase(e2, e1, a2) == -1
-    assert klein_phase(e1, e1, a2) == 1
-    d = cartan("A", 3)
-    assert klein_phase((1, 0, 0), (0, 0, 1), d) == 1  # disconnected nodes
-
-
 def test_combined_exchange_phase_is_b_weighted(a2):
-    # the combined reorder phase must be e^{2 pi i q q' B_ij}
-    for (xk, yk, want) in (("E", "E", -1.0), ("E", "F", -1.0), ("F", "F", -1.0)):
-        x = current(xk, 1, "u")
-        y = current(yk, 2, "v")
-        ratio = word_phase((x, y), a2) / word_phase((y, x), a2)
+    # the combined reorder phase must be e^{2 pi i q q' B_ij}; on the
+    # disconnected nodes 1, 3 of A3 both parts are 1 and the currents commute
+    a3 = cartan("A", 3)
+    for (cd, xk, i, yk, j, want) in ((a2, "E", 1, "E", 2, -1.0), (a2, "E", 1, "F", 2, -1.0),
+                                     (a2, "F", 1, "F", 2, -1.0), (a3, "E", 1, "E", 3, 1.0)):
+        x = current(xk, i, "u")
+        y = current(yk, j, "v")
+        ratio = word_phase((x, y), cd) / word_phase((y, x), cd)
         qx = 1 if xk == "E" else -1
         qy = 1 if yk == "E" else -1
-        expect = cmath.exp(2j * math.pi * qx * qy * float(a2.b_entry(1, 2)))
+        expect = cmath.exp(2j * math.pi * qx * qy * float(cd.b_entry(i, j)))
         assert abs(ratio - expect) < 1e-12
         assert abs(expect - want) < 1e-12
+
+
+def test_word_phase_absolute_values():
+    # exchange ratios cancel the B part (B is symmetric, so it is the same
+    # for every order of a word's letters); these values pin it and the
+    # Klein sign: exp(2 pi i F) * s, compared bit for bit
+    cases = (
+        ("A3", "E1 E2", Fraction(-1, 2), -1),
+        ("A3", "E2 E1", Fraction(-1, 2), 1),
+        ("A3", "E1 F2 E3", Fraction(1), 1),
+        ("A3", "F3 H+2 E2 F1", Fraction(1), 1),
+        ("D4", "E2 E3 E4", Fraction(-1), 1),
+        ("D4", "F4 E2 F3 E1", Fraction(1, 2), -1),
+    )
+    for label, word, exponent, sign in cases:
+        letters = tuple(current(w[:-1], int(w[-1]), f"u{k}") for k, w in enumerate(word.split()))
+        got = word_phase(letters, from_label(label))
+        assert got == cmath.exp(2j * math.pi * float(exponent)) * sign, (label, word, got)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ from curalg.params import (
     ParameterRangeError,
     ParamTower,
     check_genericity,
-    eta_double_prime,
 )
 
 
@@ -52,18 +51,6 @@ def test_unmaterialized_level():
     tower = quiet_tower(0.1, 1.0, (1.0,))
     with pytest.raises(ParameterRangeError):
         tower.eta_at(2)
-
-
-def test_eta_double_prime_collapses_at_level_zero():
-    tower = quiet_tower(0.1, 1.0, (0.0,))
-    assert eta_double_prime(tower, 0.0) == tower.eta
-
-
-def test_eta_double_prime_midpoint():
-    tower = quiet_tower(0.1, 1.0, (1.0,))
-    assert abs(eta_double_prime(tower, 1.0) - 1 / 1.05) < 1e-15
-    # doubling the level reproduces the one-step primed scale
-    assert abs(eta_double_prime(tower, 2.0) - 1 / 1.1) < 1e-15
 
 
 def test_genericity_guard_warns():

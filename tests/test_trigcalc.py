@@ -545,6 +545,13 @@ def test_a_delta_of_a_nonzero_constant_vanishes_cold_and_warm():
         DistExpr((Term(1.0, (), deltas[:1] * 2),))
 
 
+def test_a_delta_with_no_unit_coefficient_raises():
+    # delta(2u - 2v) has no variable to pin
+    arg = ShiftExpr.of_var("u", 2) - ShiftExpr.of_var("v", 2)
+    with pytest.raises(ReductionError):
+        DistExpr.from_factors(1.0, (TrigFactor(0, var("u"), 1),), (DeltaAtom(arg),))
+
+
 def _pinned_at_v():
     return DistExpr.from_factors(1.0, (TrigFactor(0, var("u")),),
                                  (DeltaAtom(var("u") - var("v")),))
