@@ -331,7 +331,8 @@ def ef_delta_check(i: int, cartan: CartanData, params: ParamTower,
     report: dict = {"i": i, "poles": [str(p) for p, _ in poles]}
     if not structure_ok:
         report.update({
-            "error": f"E_{i} F_{i} contraction pole structure mismatch: "
+            # node-free, as the record of one node serves its whole class
+            "error": "E F contraction at equal nodes, pole structure mismatch: "
                      f"{[(str(p), o) for p, o in poles]}",
             **judged(math.inf, tol)})
         return report

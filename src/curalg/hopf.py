@@ -28,7 +28,7 @@ from . import evalrep, structfn
 from .boson import checks as bchecks
 from .boson.currents import BosonCurrent, word_phase
 from .boson.currents import current as bcur
-from .liealg import CartanData
+from .liealg import CartanData, node_class
 from .params import ParamTower
 from .trigcalc import DistExpr, ShiftExpr, equal_numeric, judged, var, worst_of
 
@@ -441,8 +441,11 @@ def verify_homomorphism(cartan: CartanData, params: ParamTower,
     For each delta-free relation the two ordered products of coproduct
     images are expanded into slot-tagged normal-ordered monomials; the
     per-monomial coefficient functions must match across the exchange,
-    with the level-2 structure function as the ratio.  Every relation
-    draws from one stream ``rng``, a seed or a generator.
+    with the level-2 structure function as the ratio.  A record sees its
+    nodes only through their class (``liealg.node_class``): each (relation,
+    class) is sampled at its first node pair, and the class's other
+    records carry that result.  Every relation draws from one stream
+    ``rng``, a seed or a generator.
     """
     rng = np.random.default_rng(rng)
     if relations is None:
@@ -454,17 +457,29 @@ def verify_homomorphism(cartan: CartanData, params: ParamTower,
 
     out = []
     for rel in relations:
-        kx, ky = structfn.exchange_kinds(rel)
+        classes: dict = {}
         for i in cartan.nodes():
             for j in cartan.nodes():
-                # total level 2: the primed scale of the image algebra is
-                # eta^(2) (1/eta^(2) - 1/eta^(0) = 2*hbar for unit levels)
-                sr = structfn.ratio(rel, i, j, cartan, c=2, prime_period=2)
-                res, done = bchecks.exchange_residual(image(kx, i, "u"), image(ky, j, "v"), sr,
-                                                      cartan, params, 0.15, samples, rng)
-                out.append({"relation": rel, "i": i, "j": j, "k": 2, "samples": done,
-                            **judged(res, tol, done)})
+                key = node_class(cartan, i, j)
+                if key not in classes:
+                    classes[key] = _homomorphism_record(rel, i, j, cartan, params, image,
+                                                        samples, tol, rng)
+                out.append({**classes[key], "i": i, "j": j})
     return out
+
+
+def _homomorphism_record(rel: str, i: int, j: int, cartan: CartanData, params: ParamTower,
+                         image: Callable[[str, int, str], list], samples: int, tol: float,
+                         rng: np.random.Generator) -> dict:
+    """The level-2 exchange ``rel`` of the images ``image(kind, node, name)``
+    of X_i(u) and Y_j(v), sampled at ``samples`` points drawn from ``rng``."""
+    kx, ky = structfn.exchange_kinds(rel)
+    # total level 2: the primed scale of the image algebra is
+    # eta^(2) (1/eta^(2) - 1/eta^(0) = 2*hbar for unit levels)
+    sr = structfn.ratio(rel, i, j, cartan, c=2, prime_period=2)
+    res, done = bchecks.exchange_residual(image(kx, i, "u"), image(ky, j, "v"), sr,
+                                          cartan, params, 0.15, samples, rng)
+    return {"relation": rel, "i": i, "j": j, "k": 2, "samples": done, **judged(res, tol, done)}
 
 
 def _rename_var(x: CurrentExpr, name: str) -> CurrentExpr:

@@ -32,7 +32,7 @@ import numpy as np
 import numpy.random
 
 from . import structfn
-from .liealg import CartanData
+from .liealg import CartanData, node_class
 from .params import ParamTower
 from .trigcalc import (DistExpr, ShiftExpr, Term, TrigFactor, judged, relative_residual,
                        sample_max, var)
@@ -326,14 +326,25 @@ def consistency_suite(cartan: CartanData, params: ParamTower, samples: int = 20,
     stream ``rng`` (a seed or a generator).  Every coefficient is a
     commuting scalar function, so path B is path A times rxy ryx: the
     vertex costs cancel, and a diamond holds exactly when its current
-    pair's exchange inverts.  That is decided once per ordered pair; a
-    vertex move is asked only whether it bears a delta, and the triples
-    of a pair that does not invert get the oracle's record.
+    pair's exchange inverts.  That is decided once per (kinds, node class)
+    while it holds, else per ordered pair; a vertex move is asked only
+    whether it bears a delta, and the triples of a pair that does not
+    invert get the oracle's record.
     """
     rng = np.random.default_rng(rng)
     currents = [(k, i) for k in ("H+", "H-", "E", "F") for i in cartan.nodes()]
-    inverts = {(xk, xi, yk, yi): _exchange_inverts(xk, xi, yk, yi, cartan)
-               for xk, xi in currents for yk, yi in currents}
+    # a pair's exchanges see its nodes only through their class
+    # (liealg.node_class): once a class has a pair that inverts, its later
+    # pairs do too; any other verdict is the pair's own
+    inverting: set = set()
+    inverts = {}
+    for xk, xi in currents:
+        for yk, yi in currents:
+            key = (xk, yk, node_class(cartan, xi, yi))
+            verdict = key in inverting or _exchange_inverts(xk, xi, yk, yi, cartan)
+            if verdict is True:
+                inverting.add(key)
+            inverts[(xk, xi, yk, yi)] = verdict
     _printed.cache_clear()   # every pair is decided: free the ratios before the records pile up
     out = []
     for fam in VERTEX_KINDS:

@@ -113,6 +113,19 @@ def from_label(label: str) -> CartanData:
     return cartan(label[0], rank)
 
 
+def node_class(cd: CartanData, i: int, j: int) -> tuple:
+    """The class of the node pair (i, j): ``(A_ij,)``, or ``(A_ij, i < j)``
+    when A_ij is odd.
+
+    A free-field identity of an ordered node pair sees the nodes only
+    through B = A/2 (kernel, pair reductions, structure functions) and,
+    through the Klein sign of a word's phase, the order i < j when A_ij is
+    odd.  Records of one class therefore carry one result.
+    """
+    a = cd.a_entry(i, j)
+    return (a, i < j) if a % 2 else (a,)
+
+
 def adjacent_pairs(cd: CartanData) -> list[tuple[int, int]]:
     """All directed pairs (i, j) with A_ij = -1 (both orientations)."""
     return [

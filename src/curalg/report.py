@@ -25,7 +25,7 @@ from .boson import checks as bchecks
 from .boson import master
 from .boson.currents import current as bcur
 from .boson.kernel import kernel_value
-from .liealg import CartanData, adjacent_pairs, from_label
+from .liealg import CartanData, adjacent_pairs, from_label, node_class
 from .params import ParamTower, check_genericity
 from .trigcalc import DistExpr, ShiftExpr, TrigFactor, judged, sample_max, var, worst_of
 
@@ -258,6 +258,31 @@ def _boson_pair_catalog(cd: CartanData):
     return pairs
 
 
+def _per_class(memo: dict, key, evaluate, **own) -> dict:
+    """The record of the node class ``key`` (``liealg.node_class``, with
+    what else the identity reads), evaluated once per ``memo`` by
+    ``evaluate`` and carrying the record's ``own`` id and node fields.
+    ``memo`` lasts one loop of one run."""
+    if key not in memo:
+        memo[key] = evaluate()
+    return {**memo[key], **own}
+
+
+def _exchange_record(xk: str, xi: int, yk: str, yj: int, rel: str, sign: int,
+                     cd: CartanData, params: ParamTower, samples: int, tol: float,
+                     rng: np.random.Generator) -> dict:
+    """The ``exchange_*`` record of X_xi(u) Y_yj(v), ``rel`` "one" for E-F."""
+    x = bcur(xk, xi, "u")
+    y = bcur(yk, yj, "v")
+    if rel == "one":
+        sr = structfn.StructureRatio("one", xi, yj, Fraction(1), (), ())
+    else:
+        sr = structfn.ratio(rel, xi, yj, cd, c=1, sign=sign)
+    rec = bchecks.exchange_check(x, y, sr, cd, params, samples=samples, tol=tol, rng=rng)
+    rec["closed_form"] = bchecks.word_exponent((x, y), cd, params).describe()
+    return rec
+
+
 def _suite_boson(cfg: RunConfig, rng, shared: _Shared) -> list[dict]:
     params = cfg.tower()
     cd = cfg.cartan()
@@ -290,31 +315,31 @@ def _suite_boson(cfg: RunConfig, rng, shared: _Shared) -> list[dict]:
     # k = 19 would be x = 3.0, a pole of Gamma(1 - x), where the identity has no value
     worst = worst_of(*(master.gamma_reflection_defect(0.2 + 2.8 * k / 19.0) for k in range(19)))
     out.append({"id": "gamma_reflection", **judged(worst, 1e-10)})
-    # exchange relations for every delta-free ordered pair
+    # exchange relations for every delta-free ordered pair; a record sees
+    # its nodes only through their class, evaluated at its first record
+    exchanges: dict = {}
     for (xk, xi), (yk, yj), (rel, sign) in _boson_pair_catalog(cd):
         pair_id = f"{xk}{xi}:{yk}{yj}"
         if cfg.pairs != "all" and pair_id not in cfg.pairs.split(","):
             continue
-        x = bcur(xk, xi, "u")
-        y = bcur(yk, yj, "v")
-        if rel == "one":
-            sr = structfn.StructureRatio("one", xi, yj, Fraction(1), (), ())
-        else:
-            sr = structfn.ratio(rel, xi, yj, cd, c=1, sign=sign)
-        rec = bchecks.exchange_check(x, y, sr, cd, params, samples=max(30, cfg.samples // 2),
-                                     tol=cfg.tol, rng=rng)
-        rec["id"] = f"exchange_{xk}{xi}_{yk}{yj}"
-        rec["closed_form"] = bchecks.word_exponent((x, y), cd, params).describe()
-        out.append(rec)
+        out.append(_per_class(
+            exchanges, (xk, yk, rel, sign, node_class(cd, xi, yj)),
+            lambda: _exchange_record(xk, xi, yk, yj, rel, sign, cd, params,
+                                       max(30, cfg.samples // 2), cfg.tol, rng),
+            id=f"exchange_{xk}{xi}_{yk}{yj}", pair=f"{xk}_{xi}|{yk}_{yj}"))
+    ef_deltas: dict = {}
     for i in cd.nodes():
-        rec = bchecks.ef_delta_check(i, cd, params, tol=cfg.tol, rng=rng)
-        rec["id"] = f"ef_delta_{i}"
-        out.append(rec)
+        out.append(_per_class(
+            ef_deltas, node_class(cd, i, i),
+            lambda: bchecks.ef_delta_check(i, cd, params, tol=cfg.tol, rng=rng),
+            id=f"ef_delta_{i}", i=i))
+    serres: dict = {}
     for i, j in adjacent_pairs(cd):
-        rec = bchecks.serre_check(i, j, cd, params, samples=max(10, cfg.samples // 3),
-                                  tol=1e-7, rng=rng)
-        rec["id"] = f"serre_{i}{j}"
-        out.append(rec)
+        out.append(_per_class(
+            serres, node_class(cd, i, j),
+            lambda: bchecks.serre_check(i, j, cd, params, samples=max(10, cfg.samples // 3),
+                                        tol=1e-7, rng=rng),
+            id=f"serre_{i}{j}", pair=(i, j)))
     return out
 
 
@@ -353,17 +378,20 @@ def _suite_hopf(cfg: RunConfig, rng, shared: _Shared) -> list[dict]:
                                              tol=1e-7, rng=rng):
             hrec["id"] = f"hom_k2_{hrec['relation']}_{hrec['i']}{hrec['j']}"
             out.append(hrec)
+        serres: dict = {}
         for i, j in adjacent_pairs(cd):
-            srec = hopf.verify_serre_level2(cd, tower, i, j,
-                                            samples=max(6, cfg.samples // 8), tol=1e-7,
-                                            rng=rng)
-            srec["id"] = f"hom_k2_serre_{i}{j}"
-            out.append(srec)
+            out.append(_per_class(
+                serres, node_class(cd, i, j),
+                lambda: hopf.verify_serre_level2(cd, tower, i, j,
+                                                 samples=max(6, cfg.samples // 8), tol=1e-7,
+                                                 rng=rng),
+                id=f"hom_k2_serre_{i}{j}", pair=(i, j)))
     if "audit" in parts:
+        audits: dict = {}
         for i in cd.nodes():
-            arec = hopf.ef_pole_audit_level2(cd, tower, i)
-            arec["id"] = f"ef_pole_audit_k2_{i}"
-            out.append(arec)
+            out.append(_per_class(audits, node_class(cd, i, i),
+                                  lambda: hopf.ef_pole_audit_level2(cd, tower, i),
+                                  id=f"ef_pole_audit_k2_{i}", i=i))
     return out
 
 

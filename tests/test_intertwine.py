@@ -411,7 +411,8 @@ def test_memo_builds_each_exchange_once(params, monkeypatch):
 
 
 def test_each_printed_ratio_is_built_once_per_suite(params, monkeypatch):
-    # a pair and its reverse read one printed ratio: an A4 suite needs 128
+    # a pair and its reverse read one printed ratio, and the pairs of one
+    # (kinds, node class) share one verdict: an A4 suite needs 40
     intertwine._printed.cache_clear()
     calls = []
     real = structfn.ratio
@@ -423,8 +424,8 @@ def test_each_printed_ratio_is_built_once_per_suite(params, monkeypatch):
     monkeypatch.setattr(structfn, "ratio", counted)
     cd = cartan("A", 4)
     out = consistency_suite(cd, params, samples=2)
-    assert len(calls) == len(set(calls)) == 128
-    assert consistency_suite(cd, params, samples=2) == out and calls[128:] == calls[:128]
+    assert len(calls) == len(set(calls)) == 40
+    assert consistency_suite(cd, params, samples=2) == out and calls[40:] == calls[:40]
 
 
 def test_suite_catches_an_unflipped_reverse_exchange(params, monkeypatch):
