@@ -24,10 +24,11 @@ import numpy as np
 import numpy.random
 
 from .. import structfn
+from ..evalplan import relative_residual, worst_of
 from ..liealg import CartanData
 from ..params import ParamTower
 from ..structfn import StructureRatio
-from ..trigcalc import ShiftExpr, judged, relative_residual, sample_max, worst_of
+from ..trigcalc import ShiftExpr, judged, sample_max
 from .atoms import ParamLin, spectral_exponent
 from .contraction import ClosedForm, Primitive, product_exponent
 from .currents import BosonCurrent, current, word_phase

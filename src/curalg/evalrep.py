@@ -39,6 +39,7 @@ import numpy.random
 
 from . import structfn
 from .liealg import CartanData, adjacent_pairs, cartan
+from .evalplan import worst_of
 from .params import ParamTower
 from .trigcalc import (
     DeltaAtom,
@@ -50,7 +51,6 @@ from .trigcalc import (
     judged,
     sample_max,
     var,
-    worst_of,
 )
 
 U = "u"

@@ -28,9 +28,10 @@ from . import evalrep, structfn
 from .boson import checks as bchecks
 from .boson.currents import BosonCurrent, word_phase
 from .boson.currents import current as bcur
+from .evalplan import worst_of
 from .liealg import CartanData, node_class
 from .params import ParamTower
-from .trigcalc import DistExpr, ShiftExpr, equal_numeric, judged, var, worst_of
+from .trigcalc import DistExpr, ShiftExpr, equal_numeric, judged, var
 
 GEN_KINDS = ("E", "F", "H+", "H-")
 

@@ -34,8 +34,8 @@ import numpy.random
 from . import structfn
 from .liealg import CartanData, node_class
 from .params import ParamTower
-from .trigcalc import (DistExpr, ShiftExpr, Term, TrigFactor, judged, relative_residual,
-                       sample_max, var)
+from .evalplan import relative_residual
+from .trigcalc import DistExpr, ShiftExpr, Term, TrigFactor, judged, sample_max, var
 
 VERTEX_KINDS = ("Phi", "PhiStar", "PsiStar", "Psi")
 
@@ -231,7 +231,8 @@ def _printed(rel: str, i: int, j: int, cartan: CartanData, sign: int) -> DistExp
     """The printed level-1 ratio of ``rel`` at (i, j) in w, built once: an
     ordered pair's two exchanges and its reverse pair's read the same one,
     and every reader only substitutes into the shared expression.
-    ``consistency_suite`` drops them once it has decided every pair."""
+    ``consistency_suite`` drops them on entry, so that its builds do not
+    depend on what ran before it, and once it has decided every pair."""
     return structfn.ratio(rel, i, j, cartan, c=1, sign=sign).ratio
 
 
@@ -332,6 +333,7 @@ def consistency_suite(cartan: CartanData, params: ParamTower, samples: int = 20,
     invert get the oracle's record.
     """
     rng = np.random.default_rng(rng)
+    _printed.cache_clear()
     currents = [(k, i) for k in ("H+", "H-", "E", "F") for i in cartan.nodes()]
     # a pair's exchanges see its nodes only through their class
     # (liealg.node_class): once a class has a pair that inverts, its later

@@ -25,9 +25,10 @@ from .boson import checks as bchecks
 from .boson import master
 from .boson.currents import current as bcur
 from .boson.kernel import kernel_value
+from .evalplan import worst_of
 from .liealg import CartanData, adjacent_pairs, from_label, node_class
 from .params import ParamTower, check_genericity
-from .trigcalc import DistExpr, ShiftExpr, TrigFactor, judged, sample_max, var, worst_of
+from .trigcalc import DistExpr, ShiftExpr, TrigFactor, judged, sample_max, var
 
 SUITES = ("liealg", "params", "trigcalc", "structfn", "evalrep", "boson",
           "hopf", "intertwine")

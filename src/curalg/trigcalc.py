@@ -37,19 +37,8 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 import numpy as np
 import numpy.random
 
+from .evalplan import EPS_POLE, DeltaPresentError, Plan, PoleProximityError, worst_of
 from .params import ParamTower
-
-# |sh| below which evaluating a reciprocal factor raises PoleProximityError
-EPS_POLE = 1e-6
-
-
-class PoleProximityError(ArithmeticError):
-    """Evaluation point too close to a pole of a reciprocal sh factor."""
-
-
-class DeltaPresentError(ValueError):
-    """Pointwise evaluation requested for an expression with delta atoms."""
-
 
 class ReductionError(ValueError):
     """plemelj_reduce / residue precondition failed."""
@@ -386,16 +375,15 @@ def _canonical_term(scalar: complex, factors: Iterable[TrigFactor],
 class DistExpr:
     """Finite sum of trig-factor/delta/matrix terms, canonical on build.
 
-    ``eval`` runs from a plan built at the first evaluation under a
+    ``eval`` runs from a ``Plan`` compiled at the first evaluation under a
     ParamTower and kept (in ``_plan``) until an evaluation under another
-    tower: per factor the constants of ``TrigFactor.eval`` and
-    ``ShiftExpr.eval`` already floated, per term its scalar and matrix.
+    tower.
     """
 
     __slots__ = ("terms", "_plan")
 
     def __init__(self, terms: Sequence[Term] = (), *, _canonical: bool = False):
-        self._plan: Optional[tuple] = None
+        self._plan: Optional[Plan] = None
         if _canonical:
             self.terms: tuple[Term, ...] = tuple(terms)
             return
@@ -498,60 +486,14 @@ class DistExpr:
     def eval(self, assignment: Mapping[str, complex], params: ParamTower):
         """Numeric value; complex scalar, or complex matrix if any term has one.
 
-        Term by term and factor by factor, the float operations of
-        ``ShiftExpr.eval`` and ``TrigFactor.eval`` (the references) on the
-        plan's constants, so the value is bitwise theirs.  A period the
-        tower does not materialize raises when the plan is built.
+        The one-expression case of ``Plan``: bitwise the values of
+        ``ShiftExpr.eval`` and ``TrigFactor.eval`` (the references),
+        multiplied term by term and summed entry by entry.
         """
         plan = self._plan
-        if plan is None or (plan[0] is not params and plan[0] != params):
-            plan = self._plan = self._build_plan(params)
-        _, shape, terms = plan
-        acc_mat = np.zeros(shape, dtype=complex) if shape else None
-        acc_sc = 0.0 + 0.0j
-        for val, factors, mat in terms:
-            for scale, arg, vars_, shift, exponent in factors:
-                for name, c in vars_:
-                    try:
-                        z = assignment[name]
-                    except KeyError:
-                        raise KeyError(f"unassigned variable {name!r}") from None
-                    arg += c * complex(z)
-                x = scale * (arg + shift)
-                s = cmath.sinh(x)
-                if exponent == 1:
-                    val *= s
-                elif abs(s) < EPS_POLE:
-                    raise PoleProximityError(f"sh({x}) = {s} too close to zero")
-                else:
-                    val *= 1.0 / s
-            if mat is None:
-                acc_sc += val
-            else:
-                acc_mat += val * mat
-        return acc_mat if acc_mat is not None else acc_sc
-
-    def _build_plan(self, params: ParamTower) -> tuple:
-        """(params, matrix shape or None, per term (scalar, factors, matrix)).
-
-        A factor is (pi*eta_p, t, vars, i*imag_shift, exponent); a scalar
-        term of a matrix expression carries one shared identity matrix.
-        """
-        shape = None
-        for t in self.terms:
-            if t.deltas:
-                raise DeltaPresentError("use residue/delta APIs for delta terms")
-            if t.mat is not None:
-                shape = t.mat.shape
-        eye = _mat_tuple(np.eye(shape[0], dtype=complex)) if shape else None
-        terms = tuple(
-            (t.scalar,
-             tuple((math.pi * params.eta_at(f.period), complex(f.arg.t, 0.0), f.arg.vars,
-                    1j * f.arg.imag_shift(params), f.exponent) for f in t.factors),
-             eye if t.mat is None else t.mat)
-            for t in self.terms
-        )
-        return params, shape, terms
+        if plan is None or (plan.params is not params and plan.params != params):
+            plan = self._plan = Plan((self,), params)
+        return plan.value(assignment)
 
     def odd_normal_form(self) -> Optional[tuple]:
         """(scalar, frozenset of ((period, arg), exponent)) of one term
@@ -756,13 +698,6 @@ def eval_extended(expr: DistExpr, assignment: Mapping[str, complex],
         return complex(acc_sc)
 
 
-def worst_of(*residuals: float) -> float:
-    """The largest residual, a NaN counting as inf; 0.0 when there is none."""
-    if any(map(math.isnan, residuals)):
-        return math.inf
-    return max(residuals, default=0.0)
-
-
 def judged(worst: float, tol: float, done: int = 1) -> dict:
     """The verdict of a record judged at ``done`` accepted points, with the
     ``tol`` it was judged against.
@@ -831,32 +766,14 @@ def sample_max(residual: Callable[[dict[str, complex]], Optional[float]],
     return worst_of(*accepted), len(accepted)
 
 
-def _modulus(v) -> float:
-    """|v|, or the largest entry modulus of a matrix."""
-    return float(np.abs(v).max()) if isinstance(v, np.ndarray) else abs(v)
-
-
-def relative_residual(a, b) -> float:
-    """|a - b| / max(1, |a|, |b|) of two complex numbers or matrices; a
-    number compared with a matrix stands for that multiple of the identity.
-    A NaN difference is an infinite residual (``worst_of``)."""
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        scale = max(1.0, _modulus(a), _modulus(b))
-        if not isinstance(a, np.ndarray):
-            a = a * np.eye(b.shape[0], dtype=complex)
-        if not isinstance(b, np.ndarray):
-            b = b * np.eye(a.shape[0], dtype=complex)
-        return worst_of(_modulus(a - b) / scale)
-    return worst_of(abs(a - b) / max(1.0, abs(a), abs(b)))
-
-
 def equal_numeric(a: DistExpr, b: DistExpr, params: ParamTower,
                   samples: int = 50, tol: float = 1e-9,
                   rng: int | np.random.Generator = 0) -> dict:
     """Delta-aware structural + sampled equality report.
 
-    Delta-free parts are compared pointwise, by ``relative_residual``, at
-    points drawn from ``rng`` (a seed or a generator) with every variable
+    Delta-free parts are compared pointwise, by ``evalplan.relative_residual`` from
+    one ``Plan`` of the pair (so the two sides share each factor's value),
+    at points drawn from ``rng`` (a seed or a generator) with every variable
     in [-2, 2] + i[-0.35/eta, 0.35/eta]; delta parts are grouped by
     canonical support and their coefficient expressions compared the same
     way, the groups in turn on one stream.  A group with no variable is a
@@ -874,12 +791,8 @@ def equal_numeric(a: DistExpr, b: DistExpr, params: ParamTower,
     for key in sorted(set(ga) | set(gb), key=lambda k: [str(d.arg) for d in k]):
         ca = ga.get(key, DistExpr.zero())
         cb = gb.get(key, DistExpr.zero())
-
-        def residual(pt):
-            return relative_residual(ca.eval(pt, params), cb.eval(pt, params))
-
         windows = {n: ((-2.0, 2.0), (-w, w)) for n in sorted(ca.free_vars() | cb.free_vars())}
-        worst, done = sample_max(residual, windows, samples, rng)
+        worst, done = sample_max(Plan((ca, cb), params).residual, windows, samples, rng)
         pieces.append({"support": [str(d.arg) for d in key], "max_residual": worst,
                        "samples": done})
     return {

@@ -19,9 +19,10 @@ from curalg.boson.currents import (
     word_phase,
 )
 from curalg.boson.kernel import kernel, kernel_value
+from curalg.evalplan import worst_of
 from curalg.liealg import cartan, from_label
 from curalg.params import ParamTower
-from curalg.trigcalc import ShiftExpr, worst_of
+from curalg.trigcalc import ShiftExpr
 
 
 def tower(*levels):

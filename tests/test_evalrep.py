@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from curalg import evalrep, report
+from curalg import evalrep, report, structfn
 from curalg.liealg import adjacent_pairs
 from curalg.params import ParamTower
 from curalg.trigcalc import ShiftExpr, TrigFactor
@@ -161,6 +161,19 @@ def test_verify_all(params, r):
     rep = evalrep.build(r, params)
     out = evalrep.verify_all(rep, samples=25, tol=1e-9, seed=1)
     assert all(rec["pass"] for rec in out)
+
+
+@pytest.mark.parametrize("r,records,failed", [(2, 32, 20), (4, 128, 52)])
+def test_a_swapped_exchange_ratio_fails_the_multiplicative_records(params, monkeypatch,
+                                                                   r, records, failed):
+    # with num and den swapped, den*X(u)Y(v) == num*Y(v)X(u) holds only where
+    # the ratio is +-1 or both orders vanish; E-F and Serre do not read it
+    real = evalrep._rel_vars_ratio
+    monkeypatch.setattr(evalrep, "_rel_vars_ratio", lambda sr: real(sr)[::-1])
+    out = evalrep.verify_all(evalrep.build(r, params), samples=50, seed=0)
+    mult = [rec for rec in out if rec["relation"] in structfn.RELATIONS]
+    assert (len(mult), sum(not rec["pass"] for rec in mult)) == (records, failed)
+    assert all(rec["pass"] for rec in out if rec["relation"] not in structfn.RELATIONS)
 
 
 def test_pole_inventory(rep2):

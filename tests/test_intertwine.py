@@ -22,9 +22,10 @@ from curalg.intertwine import (
     verify_consistency,
     vertex_move_coeff,
 )
+from curalg.evalplan import relative_residual
 from curalg.liealg import cartan
 from curalg.params import ParamTower
-from curalg.trigcalc import DistExpr, Term, TrigFactor, relative_residual, sample_max
+from curalg.trigcalc import DistExpr, Term, TrigFactor, sample_max
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "catalog_A2.json"
 
@@ -426,6 +427,24 @@ def test_each_printed_ratio_is_built_once_per_suite(params, monkeypatch):
     out = consistency_suite(cd, params, samples=2)
     assert len(calls) == len(set(calls)) == 40
     assert consistency_suite(cd, params, samples=2) == out and calls[40:] == calls[:40]
+
+
+def test_a_suite_builds_its_ratios_whatever_ran_before(params, monkeypatch):
+    # a direct exchange_fn call fills the printed-ratio cache; the suite
+    # clears it on entry, so it still builds all 40 of its own
+    cd = cartan("A", 4)
+    exchange_fn("E", 1, "E", 2, cd, "u", "v")
+    assert intertwine._printed.cache_info().currsize >= 1
+    calls = []
+    real = structfn.ratio
+
+    def counted(*args, **kwargs):
+        calls.append(args[:3] + (kwargs["sign"],))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(structfn, "ratio", counted)
+    consistency_suite(cd, params, samples=2)
+    assert len(calls) == len(set(calls)) == 40
 
 
 def test_suite_catches_an_unflipped_reverse_exchange(params, monkeypatch):

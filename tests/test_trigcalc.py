@@ -8,13 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curalg import evalrep, intertwine, report
+from curalg import evalrep, hopf, intertwine, report, trigcalc
+from curalg.evalplan import (
+    DeltaPresentError,
+    Plan,
+    PoleProximityError,
+    relative_residual,
+    worst_of,
+)
 from curalg.params import ParamTower
 from curalg.trigcalc import (
     DeltaAtom,
-    DeltaPresentError,
     DistExpr,
-    PoleProximityError,
     ReductionError,
     ShiftExpr,
     Term,
@@ -22,10 +27,8 @@ from curalg.trigcalc import (
     _canonical_shape,
     equal_numeric,
     judged,
-    relative_residual,
     sample_max,
     var,
-    worst_of,
 )
 
 
@@ -290,6 +293,21 @@ def test_eval_plan_scalar_matrix_and_mixed():
     assert isinstance(mixed.eval(pt, params), np.ndarray)
 
 
+def test_an_entry_of_both_parts_takes_numpys_product():
+    # merging a number term into a matrix term over the same factors gives
+    # diagonal entries of both parts, whose numpy product may be fused (FMA)
+    params = _tower()
+    f = TrigFactor(0, var("u") + var("v") + ShiftExpr.hbar_units(1) + ShiftExpr(t=1.0), -1)
+    e11 = np.diag([0.0, 1.0]).astype(complex)
+    merged = DistExpr((Term(1 + 0.5j, (f,)), Term(1j, (f,), (), e11)))
+    assert len(merged.terms) == 1
+    assert all(z.real and z.imag for z in np.diag(merged.terms[0].mat))
+    other = DistExpr.from_factors(1.0, (f,), mat=e11)
+    for pt in [{"u": 0j, "v": 0j}] + _pair_points():
+        _assert_plan_matches_reference(merged, pt, params)
+        _assert_pair_matches_reference(merged, other, pt, params)
+
+
 def test_eval_plan_pole_and_unassigned_variable():
     params = _tower()
     expr = DistExpr.from_factors(1.0, (TrigFactor(0, var("u"), 1), TrigFactor(0, var("v"), -1)))
@@ -312,6 +330,176 @@ def test_eval_plan_is_keyed_on_the_tower():
     assert expr.eval(pt, low) == a
     # an equal tower built separately reuses the plan and gives the same value
     assert expr.eval(pt, _tower(levels=(2.0,))) == b
+
+
+# ---------------------------------------------------------------------------
+# Pair plans: equal_numeric's residual against the per-factor reference
+# ---------------------------------------------------------------------------
+
+
+def _reference_residual(a, b):
+    """The relative residual by three reductions: |a|, |b| and |a - b|,
+    each a dense ``np.abs(...).max()``; a number's modulus is Python's
+    ``abs`` and the number stands for that multiple of the identity."""
+    if not (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):
+        return worst_of(abs(a - b) / max(1.0, abs(a), abs(b)))
+
+    def modulus(v):
+        return float(np.abs(v).max()) if isinstance(v, np.ndarray) else abs(v)
+
+    scale = max(1.0, modulus(a), modulus(b))
+    if not isinstance(a, np.ndarray):
+        a = a * np.eye(b.shape[0], dtype=complex)
+    if not isinstance(b, np.ndarray):
+        b = b * np.eye(a.shape[0], dtype=complex)
+    return worst_of(modulus(a - b) / scale)
+
+
+class _ReferencePlan:
+    """``evalplan.Plan`` of a pair by the reference: each side by
+    ``_reference_eval``, the residual by ``_reference_residual``."""
+
+    def __init__(self, exprs, params):
+        self.exprs, self.params = exprs, params
+
+    def residual(self, pt):
+        return _reference_residual(*(_reference_eval(e, pt, self.params) for e in self.exprs))
+
+
+def _reference_equal_numeric(*args, **kwargs):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trigcalc, "Plan", _ReferencePlan)
+        return equal_numeric(*args, **kwargs)
+
+
+def _assert_pair_matches_reference(a, b, pt, params):
+    try:
+        want = _ReferencePlan((a, b), params).residual(pt)
+    except PoleProximityError:
+        with pytest.raises(PoleProximityError):
+            Plan((a, b), params).residual(pt)
+        return
+    got = Plan((a, b), params).residual(pt)
+    assert _bits(got) == _bits(want)
+
+
+def _pair_points(n=20):
+    rng = np.random.default_rng(3)
+    return [{"u": complex(rng.uniform(-2, 2), rng.uniform(-0.3, 0.3)),
+             "v": complex(rng.uniform(-2, 2), rng.uniform(-0.3, 0.3))} for _ in range(n)]
+
+
+def test_a_matrix_pair_sharing_factors_matches_the_reference():
+    params = _tower()
+    f = TrigFactor(0, var("u") - var("v") + ShiftExpr.hbar_units(1), 1)
+    g = TrigFactor(1, var("u") - ShiftExpr.hbar_units(Fraction(1, 2)), -1)
+    f_inv = TrigFactor(f.period, f.arg, -1)
+    e01, e11 = np.zeros((3, 3), dtype=complex), np.zeros((3, 3), dtype=complex)
+    e01[0, 1], e11[1, 1] = 1.0, -0.5j
+    # f is sh on one side and 1/sh on the other; g is shared as 1/sh
+    a = DistExpr((Term(2.0, (f, g), (), e01), Term(1.5j, (g,), (), e11), Term(0.25, (f,))))
+    b = DistExpr((Term(-1.0, (f_inv,), (), e01), Term(0.5, (g,), (), e11 + e01)))
+    plan = Plan((a, b), params)
+    assert len(plan.factors) == 2     # f and g, each valued once per point
+    for pt in _pair_points():
+        _assert_pair_matches_reference(a, b, pt, params)
+        _assert_pair_matches_reference(a, a.scaled(1.0 + 1e-12), pt, params)
+    # the sampled record is the reference's, draw for draw
+    rec = equal_numeric(a, b, params, samples=30, rng=5)
+    assert _reference_equal_numeric(a, b, params, samples=30, rng=5) == rec
+
+
+def test_a_number_against_a_matrix_keeps_pythons_abs_in_the_scale():
+    params = _tower()
+    f = TrigFactor(0, var("u") + ShiftExpr.hbar_units(2), 1)
+    number = DistExpr.from_factors(3.0 - 1.0j, (f,))
+    matrix = DistExpr.from_factors(0.5, (TrigFactor(0, var("v"), 1),), mat=np.diag([1.0, -2.0]))
+    values = []
+    for pt in _pair_points():
+        _assert_pair_matches_reference(number, matrix, pt, params)
+        _assert_pair_matches_reference(matrix, number, pt, params)
+        _assert_pair_matches_reference(matrix, DistExpr.zero(), pt, params)
+        values.append(number.eval(pt, params))
+    # the points reach numbers whose Python abs and numpy abs differ
+    assert any(abs(v) != float(np.abs(v)) and abs(v) > 1.0 for v in values)
+
+
+def test_a_pair_rejects_a_point_only_where_a_reciprocal_use_is_near_its_pole():
+    params = _tower()
+    m = np.diag([1.0, 2.0]).astype(complex)
+    sh_u = DistExpr.from_factors(1.0, (TrigFactor(0, var("u"), 1),), mat=m)
+    inv_u = DistExpr.from_factors(1.0, (TrigFactor(0, var("u"), -1),
+                                        TrigFactor(0, var("v"), 1)), mat=m)
+    sh_v = DistExpr.from_factors(1.0, (TrigFactor(0, var("v"), 1),), mat=m)
+    near = {"u": 1e-9 + 0j, "v": 0.3 + 0j}
+    # sh(pi*u) used as sh only is a value at u = 1e-9 ...
+    _assert_pair_matches_reference(sh_u, sh_v, near, params)
+    assert Plan((sh_u, sh_v), params).residual(near) > 0.0
+    # ... and its 1/sh use on the other side rejects the point, as the reference does
+    with pytest.raises(PoleProximityError):
+        _reference_eval(inv_u, near, params)
+    with pytest.raises(PoleProximityError):
+        Plan((sh_u, inv_u), params).residual(near)
+    _assert_pair_matches_reference(sh_u, inv_u, {"u": 0.2 + 0j, "v": 0.3 + 0j}, params)
+
+
+pool_strategy = st.lists(factor_strategy, min_size=1, max_size=3)
+
+
+@given(pool_strategy, st.data(), point_strategy)
+@settings(max_examples=150, deadline=None)
+def test_a_pair_plan_bitwise_equals_reference(pool, data, pt):
+    # two sides whose terms draw their factors, with either exponent, from one pool
+    def side():
+        factor = st.builds(lambda i, e: TrigFactor(pool[i].period, pool[i].arg, e),
+                           st.integers(0, len(pool) - 1), st.sampled_from((1, -1)))
+        term = st.builds(lambda t, fs: Term(t.scalar, tuple(fs), (), t.mat),
+                         term_strategy, st.lists(factor, max_size=3))
+        return DistExpr(data.draw(st.lists(term, max_size=3)))
+
+    _assert_pair_matches_reference(side(), side(), pt, _tower())
+
+
+def test_the_a2_report_is_the_references(monkeypatch):
+    cfg = report.RunConfig(algebra="A2", samples=50, seed=0)
+    want = report.report_json(report.run(cfg))
+    for module in (evalrep, hopf):
+        monkeypatch.setattr(module, "equal_numeric", _reference_equal_numeric)
+    assert report.report_json(report.run(cfg)) == want
+
+
+def test_every_compiled_matrix_entry_is_real_or_imaginary(monkeypatch):
+    # the plan's Python product with an entry is numpy's only for such entries
+    entries = []
+
+    class Recording(Plan):
+        __slots__ = ()
+
+        def __init__(self, exprs, params):
+            super().__init__(exprs, params)
+            entries.extend(z for _, terms in self.exprs for t in terms for _, z in t[2])
+
+    monkeypatch.setattr(trigcalc, "Plan", Recording)
+    report.run(report.RunConfig(algebra="A2", samples=5, seed=0))
+    assert entries and not any(z.real and z.imag for z in entries)
+
+
+def test_the_module_run_values_each_factor_once_per_point(monkeypatch):
+    # one sh value per distinct factor of a compared pair per point: the
+    # per-term evaluation made 55,699 calls on this run
+    calls = [0]
+    real = cmath.sinh
+
+    def counted(x):
+        calls[0] += 1
+        return real(x)
+
+    monkeypatch.setattr(cmath, "sinh", counted)
+    cfg = report.RunConfig(algebra="A4", samples=50, seed=0,
+                           suites=("trigcalc", "structfn", "evalrep", "hopf", "intertwine"),
+                           hopf_parts=("axioms",))
+    assert report.run(cfg)["pass"]
+    assert calls[0] <= 25_099
 
 
 def test_reciprocal_flips_every_factor(params):
