@@ -82,7 +82,9 @@ class EvalRep:
     e_minus: dict[int, DistExpr] = field(default_factory=dict)
     f_minus: dict[int, DistExpr] = field(default_factory=dict)
     h_minus: dict[int, DistExpr] = field(default_factory=dict)
-    _ops: dict[tuple[str, int], DistExpr] = field(default_factory=dict, init=False, repr=False)
+    _ops: dict[tuple, DistExpr] = field(default_factory=dict, init=False, repr=False)
+    _cleared: dict[tuple, tuple[DistExpr, DistExpr]] = field(
+        default_factory=dict, init=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -95,16 +97,21 @@ class EvalRep:
     def beta(self, l: int) -> Fraction:
         return Fraction(self.r - l, 2)
 
-    def op(self, kind: str, l: int) -> DistExpr:
-        """The operator of ``kind`` at node l, in u; each is built once.
+    def op(self, kind: str, l: int, at: ShiftExpr | None = None) -> DistExpr:
+        """The operator of ``kind`` at node l, in u or, given ``at``, with
+        ``at`` substituted for u; each (kind, l, at) is built once.
 
         Kinds: the half currents e+, f+, H+, e-, f-, H- (H+ and H- are
         also the total Cartan currents), the normalized total currents E
         and F, and the reciprocals H+inv and H-inv.
         """
-        key = (kind, l)
+        if at == var(U):
+            at = None   # u for u leaves the operator as it is
+        key = (kind, l, at)
         if key not in self._ops:
-            if kind in ("E", "F"):
+            if at is not None:
+                self._ops[key] = self.op(kind, l).subs(U, at)
+            elif kind in ("E", "F"):
                 self._ops[key] = total_current(self, kind, l)
             elif kind in ("H+inv", "H-inv"):
                 self._ops[key] = self.op(kind[:2], l).reciprocal()
@@ -114,6 +121,14 @@ class EvalRep:
                     "e-": self.e_minus, "f-": self.f_minus, "H-": self.h_minus,
                 }[kind][l]
         return self._ops[key]
+
+    def _cleared_ratio(self, sr: structfn.StructureRatio) -> tuple[DistExpr, DistExpr]:
+        """``_rel_vars_ratio(sr)``, built once per (num, den) factor pair:
+        at level 0 once per (relation, B_ij, sign)."""
+        key = (sr.num, sr.den)
+        if key not in self._cleared:
+            self._cleared[key] = _rel_vars_ratio(sr)
+        return self._cleared[key]
 
 
 def _pole_factor(r: int, l: int) -> TrigFactor:
@@ -244,9 +259,9 @@ def verify_relation(rep: EvalRep, relation: str, i: int, j: int,
     if relation in structfn.RELATIONS:
         kx, ky = structfn.exchange_kinds(relation, sign)
         x = rep.op(kx, i)
-        y = rep.op(ky, j).subs(U, var("v"))
+        y = rep.op(ky, j, var("v"))
         sr = structfn.ratio(relation, i, j, cd, c=0, sign=sign)
-        num, den = _rel_vars_ratio(sr)
+        num, den = rep._cleared_ratio(sr)
         lhs = den * (x * y)
         rhs = num * (y * x)
         rep_cmp = equal_numeric(lhs, rhs, params, samples=samples, tol=tol, rng=rng)
@@ -255,7 +270,7 @@ def verify_relation(rep: EvalRep, relation: str, i: int, j: int,
 
     if relation == "EF":
         e_tot = rep.op("E", i)
-        f_tot = rep.op("F", j).subs(U, var("v"))
+        f_tot = rep.op("F", j, var("v"))
         lhs = e_tot * f_tot - f_tot * e_tot
         if i != j:
             rep_cmp = equal_numeric(lhs, DistExpr.zero(), params, samples=samples,
@@ -305,9 +320,9 @@ def verify_serre(rep: EvalRep, i: int, j: int, tol: float = 1e-9) -> dict:
     if rep.cartan.a_entry(i, j) != -1:
         raise ValueError("serre relation only applies to adjacent pairs")
     coef = structfn.serre_coefficient(rep.params, "E")
-    e_i1 = rep.op("E", i).subs(U, var("u1"))
-    e_i2 = rep.op("E", i).subs(U, var("u2"))
-    e_j = rep.op("E", j).subs(U, var("v"))
+    e_i1 = rep.op("E", i, var("u1"))
+    e_i2 = rep.op("E", i, var("u2"))
+    e_j = rep.op("E", j, var("v"))
     total = DistExpr.zero()
     for a, b in ((e_i1, e_i2), (e_i2, e_i1)):
         total = total + (a * b * e_j) - (a * e_j * b).scaled(coef) + (e_j * a * b)

@@ -268,7 +268,7 @@ def module_expr(rep: evalrep.EvalRep, x: CurrentExpr) -> DistExpr:
             elif l.kind == "c":
                 term = term * DistExpr.zero()  # the central element acts by 0 at level 0
             else:
-                term = term * rep.op(l.kind, l.i).subs(evalrep.U, l.arg)
+                term = term * rep.op(l.kind, l.i, l.arg)
         acc = acc + term
     return acc
 

@@ -108,7 +108,12 @@ class InterRelation:
         return base - ShiftExpr.hbar_units(Fraction(1, 2))
 
 
+@cache
 def _ratio_expr(period: int, r: int, j: int, num_off: int, extra: Fraction) -> DistExpr:
+    """The printed coefficient sh(base - (r-j+num_off)/2 ih) / sh(base -
+    (r-j)/2 ih), base = u - z - extra ih: exact, so built once for all the
+    suite's readers (``period_discipline``, ``variant_report``, the
+    degeneration report).  The intertwine suite drops them on entry."""
     base = var("u") - var("z") - ShiftExpr.hbar_units(extra)
     num = TrigFactor(period, base - ShiftExpr.hbar_units(Fraction(r - j + num_off, 2)), 1)
     den = TrigFactor(period, base - ShiftExpr.hbar_units(Fraction(r - j, 2)), -1)
@@ -314,7 +319,9 @@ def _exchange_inverts(xk: str, xi: int, yk: str, yi: int,
         rxy = exchange_fn(xk, xi, yk, yi, cartan, "u", "v")
         ryx = exchange_fn(yk, yi, xk, xi, cartan, "v", "u")
     except DeltaBearingMove as exc:
-        return exc
+        # kept without its traceback, whose frames would hold the suite's
+        # records in a reference cycle until the next garbage collection
+        return exc.with_traceback(None)
     return (rxy * ryx).odd_normal_form() == (1.0, frozenset())
 
 
@@ -357,7 +364,7 @@ def consistency_suite(cartan: CartanData, params: ParamTower, samples: int = 20,
                         _move_case(fam, a, xk, xi)
                         _move_case(fam, a, yk, yi)
                     except DeltaBearingMove as exc:
-                        verdict = exc
+                        verdict = exc.with_traceback(None)   # as in _exchange_inverts
                     else:
                         verdict = inverts[(xk, xi, yk, yi)]
                     if verdict is False:

@@ -86,7 +86,15 @@ def config_from_sources(file_vals: dict | None, overrides: dict) -> RunConfig:
         vals["suites"] = tuple(vals["suites"])
     if "hopf_parts" in vals:
         vals["hopf_parts"] = tuple(vals["hopf_parts"])
-    return RunConfig(**vals)
+    cfg = RunConfig(**vals)
+    if cfg.variant not in ("printed", "normalized"):
+        raise ValueError(f"variant {cfg.variant!r}: expected 'printed' or 'normalized'")
+    if cfg.pairs != "all":
+        known = {_pair_id(x, y) for x, y, _rel in _boson_pair_catalog(cfg.cartan())}
+        unknown = [p for p in cfg.pairs.split(",") if p not in known]
+        if unknown:
+            raise ValueError(f"pairs {','.join(unknown)}: no exchange pair of {cfg.algebra}")
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +267,11 @@ def _boson_pair_catalog(cd: CartanData):
     return pairs
 
 
+def _pair_id(x: tuple[str, int], y: tuple[str, int]) -> str:
+    """A catalog pair as the ``pairs`` filter names it, e.g. ``H+1:F2``."""
+    return f"{x[0]}{x[1]}:{y[0]}{y[1]}"
+
+
 def _per_class(memo: dict, key, evaluate, **own) -> dict:
     """The record of the node class ``key`` (``liealg.node_class``, with
     what else the identity reads), evaluated once per ``memo`` by
@@ -320,8 +333,7 @@ def _suite_boson(cfg: RunConfig, rng, shared: _Shared) -> list[dict]:
     # its nodes only through their class, evaluated at its first record
     exchanges: dict = {}
     for (xk, xi), (yk, yj), (rel, sign) in _boson_pair_catalog(cd):
-        pair_id = f"{xk}{xi}:{yk}{yj}"
-        if cfg.pairs != "all" and pair_id not in cfg.pairs.split(","):
+        if cfg.pairs != "all" and _pair_id((xk, xi), (yk, yj)) not in cfg.pairs.split(","):
             continue
         out.append(_per_class(
             exchanges, (xk, yk, rel, sign, node_class(cd, xi, yj)),
@@ -402,6 +414,7 @@ def _suite_intertwine(cfg: RunConfig, rng, shared: _Shared) -> list[dict]:
         return [{"id": "skipped_non_A_series", "pass": True, "max_residual": 0.0,
                  "note": "vertex operators intertwine with the A-series module only"}]
     params = cfg.tower()
+    intertwine._ratio_expr.cache_clear()
     cat = intertwine.catalog(cd.rank, params)
     out = []
     counts = intertwine.catalog_counts(cat)

@@ -253,3 +253,23 @@ def test_configuration_errors_surface_cleanly(capsys):
     assert "configuration error" in capsys.readouterr().err
     assert main(["verify-all", "--algebra", "A1", "--levels", "banana"]) == 2
     assert "bad configuration" in capsys.readouterr().err
+
+
+def test_a_pairs_filter_naming_no_pair_is_a_configuration_error(capsys):
+    # E1:E9 names no pair of A2: the run would verify no exchange and pass
+    assert main(["verify-boson", "--algebra", "A2", "--pairs", "E1:E9"]) == 2
+    assert "E1:E9" in capsys.readouterr().err
+    assert main(["verify-boson", "--algebra", "A2", "--pairs", "E1:E2,F2:F3"]) == 2
+    err = capsys.readouterr().err
+    assert "F2:F3" in err and "E1:E2" not in err
+    cfg = config_from_sources(None, {"algebra": "A2", "pairs": "E1:E2,H+1:F1"})
+    assert cfg.pairs == "E1:E2,H+1:F1"
+
+
+def test_a_config_file_variant_must_be_printed_or_normalized(tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text('algebra = "A2"\nvariant = "normalised"\n')
+    assert main(["export-catalog", "--config", str(cfg_file)]) == 2
+    assert "normalised" in capsys.readouterr().err
+    cfg_file.write_text('algebra = "A2"\nvariant = "printed"\n')
+    assert config_from_sources(parse_config_file(str(cfg_file)), {}).variant == "printed"

@@ -6,10 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from curalg import evalrep, report, structfn
+from curalg import evalrep, hopf, report, structfn
 from curalg.liealg import adjacent_pairs
 from curalg.params import ParamTower
-from curalg.trigcalc import ShiftExpr, TrigFactor
+from curalg.trigcalc import DistExpr, ShiftExpr, TrigFactor, var
 
 
 @pytest.fixture(scope="module")
@@ -251,3 +251,49 @@ def test_each_total_current_is_built_once_per_module(monkeypatch):
     assert report.run(cfg)["pass"]
     assert len({id(rep) for rep in built}) == 1
     assert len(built) == 2 * 4
+
+
+def _module_letter_args(r, params):
+    """Every spectral argument a letter of the axiom sides carries."""
+    gens = [("c", 0)] + [(k, i) for k in hopf.GEN_KINDS for i in range(1, r + 1)]
+    return {l.arg for kind, i in gens
+            for _name, lhs, rhs in hopf._axiom_sides(kind, i, 0, params)
+            for x in (lhs, rhs) for w in x.words for slot in w.slots
+            for l in slot if l.arg is not None}
+
+
+def test_an_operator_at_an_argument_is_built_once_and_equals_its_substitution(params):
+    rep = evalrep.build(3, params)
+    letters = _module_letter_args(3, params)
+    assert letters   # at level 0 the coproduct shifts vanish: every letter is at u
+    kinds = ("e+", "f+", "H+", "e-", "f-", "H-", "E", "F", "H+inv", "H-inv")
+    for at in sorted({var("v"), var("u1"), var("u2")} | letters, key=str):
+        for kind in kinds:
+            for l in rep.cartan.nodes():
+                got = rep.op(kind, l, at)
+                assert rep.op(kind, l, at) is got
+                fresh = rep.op(kind, l).subs(evalrep.U, at)
+                assert len(got.terms) == len(fresh.terms), (kind, l, at)
+                for a, b in zip(got.terms, fresh.terms):
+                    assert (a.factors, a.deltas, a.scalar) == (b.factors, b.deltas, b.scalar)
+                    assert (a.mat is None) == (b.mat is None)
+                    assert a.mat is None or a.mat.tobytes() == b.mat.tobytes()
+
+
+def test_the_module_run_substitutes_each_operator_once(monkeypatch):
+    # each operator at an argument, and each cleared ratio, is built once
+    # per module, and an operator at u is the operator itself: 178
+    # substitutions where rebuilding them took 718
+    calls = []
+    subs = DistExpr.subs
+
+    def counted(self, name, repl):
+        calls.append(name)
+        return subs(self, name, repl)
+
+    monkeypatch.setattr(DistExpr, "subs", counted)
+    cfg = report.RunConfig(algebra="A4", samples=50, seed=0,
+                           suites=("trigcalc", "structfn", "evalrep", "hopf", "intertwine"),
+                           hopf_parts=("axioms",))
+    assert report.run(cfg)["pass"]
+    assert len(calls) == 178

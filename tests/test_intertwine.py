@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import gc
 import json
 import math
 import pathlib
@@ -524,3 +525,17 @@ def test_catalog_golden_file(params, cat2):
     got = json.dumps({"records": export_catalog(cat2, 2)}, sort_keys=True, indent=2)
     want = GOLDEN.read_text()
     assert got.strip() == want.strip()
+
+
+def test_a_suite_leaves_no_reference_cycle(params):
+    # a kept DeltaBearingMove verdict carries no traceback: its frames would
+    # hold the suite's records in a cycle until the next garbage collection
+    gc.collect()
+    gc.disable()
+    try:
+        out = consistency_suite(cartan("A", 3), params, samples=2)
+        assert any(r["skipped"] for r in out)
+        del out
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
