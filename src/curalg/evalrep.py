@@ -10,10 +10,10 @@ space with basis v_0 .. v_r:
   and 1 elsewhere.
 
 The negative half currents are the -i/eta'' translates (eta'' = eta at
-level 0), which by the half-period flip coincide pointwise with the
-positive ones.  So a total current e+(u - i0) - e-(u + i0) is the jump of
-e+ alone across its pole line, a pure delta atom supported on
-u = z + (r-l)/2 * i*hbar.
+level 0), derived on first read; by the half-period flip they coincide
+pointwise with the positive ones.  So a total current e+(u - i0) -
+e-(u + i0) is the jump of e+ alone across its pole line, a pure delta
+atom supported on u = z + (r-l)/2 * i*hbar.
 
 Normalization: the homogeneous exchange relations fix e, f and H only up
 to separate scalings.  The inhomogeneous E-F commutation relation pins
@@ -72,16 +72,11 @@ def ef_normalization(params: ParamTower) -> float:
 
 @dataclass
 class EvalRep:
-    """Half currents of the rank-r module, as matrix-valued DistExpr in u."""
+    """Half currents of the rank-r module, as matrix-valued DistExpr in u:
+    ``build`` enters e+, f+ and H+, and ``op`` derives every other kind."""
 
     r: int
     params: ParamTower
-    e_plus: dict[int, DistExpr] = field(default_factory=dict)
-    f_plus: dict[int, DistExpr] = field(default_factory=dict)
-    h_plus: dict[int, DistExpr] = field(default_factory=dict)
-    e_minus: dict[int, DistExpr] = field(default_factory=dict)
-    f_minus: dict[int, DistExpr] = field(default_factory=dict)
-    h_minus: dict[int, DistExpr] = field(default_factory=dict)
     _ops: dict[tuple, DistExpr] = field(default_factory=dict, init=False, repr=False)
     _cleared: dict[tuple, tuple[DistExpr, DistExpr]] = field(
         default_factory=dict, init=False, repr=False)
@@ -103,7 +98,9 @@ class EvalRep:
 
         Kinds: the half currents e+, f+, H+, e-, f-, H- (H+ and H- are
         also the total Cartan currents), the normalized total currents E
-        and F, and the reciprocals H+inv and H-inv.
+        and F, and the reciprocals H+inv and H-inv.  A minus half is the
+        -i/eta'' translate of its plus half (eta'' = eta at level 0: one
+        lattice unit of period 0), e- and f- with the sign flipped.
         """
         if at == var(U):
             at = None   # u for u leaves the operator as it is
@@ -115,11 +112,10 @@ class EvalRep:
                 self._ops[key] = total_current(self, kind, l)
             elif kind in ("H+inv", "H-inv"):
                 self._ops[key] = self.op(kind[:2], l).reciprocal()
-            else:
-                self._ops[key] = {
-                    "e+": self.e_plus, "f+": self.f_plus, "H+": self.h_plus,
-                    "e-": self.e_minus, "f-": self.f_minus, "H-": self.h_minus,
-                }[kind][l]
+            else:   # a KeyError for an unknown kind or node
+                minus = self._ops[(kind[0] + "+", l, None)].subs(
+                    U, var(U) + ShiftExpr.lattice_units(0, -1))
+                self._ops[key] = minus if kind == "H-" else minus.scaled(-1.0)
         return self._ops[key]
 
     def _cleared_ratio(self, sr: structfn.StructureRatio) -> tuple[DistExpr, DistExpr]:
@@ -143,7 +139,7 @@ def _num_factor(r: int, l: int, offset: int) -> TrigFactor:
 
 
 def build(r: int, params: ParamTower) -> EvalRep:
-    """Construct all positive and negative half currents (level 0 only)."""
+    """Construct the positive half currents (level 0 only)."""
     if r < 1:
         raise ValueError("rank must be >= 1")
     if params.max_level() < 1 or params.c_at(0) != 0:
@@ -153,28 +149,18 @@ def build(r: int, params: ParamTower) -> EvalRep:
     rep = EvalRep(r=r, params=params)
     for l in range(1, r + 1):
         pole = _pole_factor(r, l)
-        rep.e_plus[l] = DistExpr((Term(s_coef, (pole,), (), matrix_unit(l - 1, l, dim)),))
-        rep.f_plus[l] = DistExpr((Term(s_coef, (pole,), (), matrix_unit(l, l - 1, dim)),))
         rest = np.eye(dim, dtype=complex)
         rest[l, l] = 0.0
         rest[l - 1, l - 1] = 0.0
-        rep.h_plus[l] = DistExpr((
-            Term(1.0, (_num_factor(r, l, -2), pole), (), matrix_unit(l, l, dim)),
-            Term(1.0, (_num_factor(r, l, +2), pole), (), matrix_unit(l - 1, l - 1, dim)),
-            Term(1.0, (), (), rest),
-        ))
-    negative_half_currents(rep)
-    return rep
-
-
-def negative_half_currents(rep: EvalRep) -> EvalRep:
-    """Derive e-, f-, H- as the -i/eta'' translates, where eta'' = eta at
-    level 0: the shift is one lattice unit of period 0."""
-    shift_down = var(U) + ShiftExpr.lattice_units(0, -1)
-    for l in range(1, rep.r + 1):
-        rep.e_minus[l] = rep.e_plus[l].subs(U, shift_down).scaled(-1.0)
-        rep.f_minus[l] = rep.f_plus[l].subs(U, shift_down).scaled(-1.0)
-        rep.h_minus[l] = rep.h_plus[l].subs(U, shift_down)
+        rep._ops.update({
+            ("e+", l, None): DistExpr((Term(s_coef, (pole,), (), matrix_unit(l - 1, l, dim)),)),
+            ("f+", l, None): DistExpr((Term(s_coef, (pole,), (), matrix_unit(l, l - 1, dim)),)),
+            ("H+", l, None): DistExpr((
+                Term(1.0, (_num_factor(r, l, -2), pole), (), matrix_unit(l, l, dim)),
+                Term(1.0, (_num_factor(r, l, +2), pole), (), matrix_unit(l - 1, l - 1, dim)),
+                Term(1.0, (), (), rest),
+            )),
+        })
     return rep
 
 
@@ -182,13 +168,9 @@ def total_current(rep: EvalRep, which: str, l: int, normalized: bool = True) -> 
     """e+(u - i0) - e-(u + i0), or the same of f: since e- equals e+
     pointwise (half-period flip), the jump of the plus half current across
     its pole line, a pure delta atom times a matrix unit."""
-    if which == "E":
-        plus = rep.e_plus[l]
-    elif which == "F":
-        plus = rep.f_plus[l]
-    else:
+    if which not in ("E", "F"):
         raise ValueError("which must be 'E' or 'F'")
-    total = plus.plemelj_reduce(U, rep.params)
+    total = rep.op(which.lower() + "+", l).plemelj_reduce(U, rep.params)
     if normalized:
         total = total.scaled(ef_normalization(rep.params))
     return total
@@ -197,7 +179,7 @@ def total_current(rep: EvalRep, which: str, l: int, normalized: bool = True) -> 
 def h_boundary_difference(rep: EvalRep, l: int) -> DistExpr:
     """H+(u - i0) - H-(u + i0): as H- equals H+ pointwise, the jump of H+
     across its pole line, reduced to its delta atom."""
-    return rep.h_plus[l].plemelj_reduce(U, rep.params)
+    return rep.op("H+", l).plemelj_reduce(U, rep.params)
 
 
 def pole_inventory(rep: EvalRep) -> list[dict]:
@@ -373,14 +355,14 @@ def smeared_total_current_check(rep: EvalRep, l: int, n_grid: int = 200001,
     z0 = 0.3
     xs = np.linspace(z0 - 8.0, z0 + 8.0, n_grid)
     phi = np.exp(-((xs - z0) ** 2))
+    e_plus, e_minus = rep.op("e+", l), rep.op("e-", l)
 
     def smear(eps: float) -> complex:
         acc = np.zeros(rep.dim * rep.dim, dtype=complex)
         for kx, x in enumerate(xs):
             u_lo = complex(x, beta - eps)
             u_hi = complex(x, beta + eps)
-            val = rep.e_plus[l].eval({U: u_lo, Z: z0}, params) \
-                - rep.e_minus[l].eval({U: u_hi, Z: z0}, params)
+            val = e_plus.eval({U: u_lo, Z: z0}, params) - e_minus.eval({U: u_hi, Z: z0}, params)
             acc += val.ravel() * phi[kx]
         return complex(acc[np.argmax(np.abs(acc))]) * (xs[1] - xs[0])
 
@@ -411,11 +393,11 @@ def degeneration_report(r: int, hbar: float = 0.1, eta_small: float = 1e-4,
         u = complex(pt[U].real, pt[U].imag * hbar)
         z = pt[Z]
         beta = float(rep.beta(l)) * hbar
-        trig = rep.e_plus[l].eval({U: u, Z: z}, params)
+        trig = rep.op("e+", l).eval({U: u, Z: z}, params)
         rational = -1j * hbar / (u - z - 1j * beta) * matrix_unit(l - 1, l, r + 1)
         scale = max(1.0, float(np.max(np.abs(rational))))
         e_res = float(np.max(np.abs(trig - rational))) / scale
-        ht = rep.h_plus[l].eval({U: u, Z: z}, params)
+        ht = rep.op("H+", l).eval({U: u, Z: z}, params)
         hr = np.eye(r + 1, dtype=complex)
         hr[l, l] = (u - z - 1j * (float(rep.beta(l)) - 1.0) * hbar) / (u - z - 1j * beta)
         hr[l - 1, l - 1] = (u - z - 1j * (float(rep.beta(l)) + 1.0) * hbar) / (u - z - 1j * beta)

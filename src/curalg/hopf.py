@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -400,25 +400,12 @@ def iteration_order_report(kind: str, i: int, params: ParamTower) -> dict:
         "identical": same,
         "left_words": len(left.words),
         "right_words": len(right.words),
-        "left": _pretty_words(left),
-        "right": _pretty_words(right),
     }
 
 
-def _pretty_words(x: CurrentExpr) -> list[str]:
-    out = []
-    for w in x.words:
-        slots = []
-        for slot in w.slots:
-            slots.append("*".join(
-                f"{l.kind}{l.i}[{l.arg}]@{l.tag}" if l.arg is not None else f"{l.kind}@{l.tag}"
-                for l in slot) or "1")
-        out.append(" (x) ".join(slots))
-    return sorted(out)
-
-
-def _slot_words(x: CurrentExpr) -> list[tuple[complex, bchecks.SlotWord]]:
-    """Each tensor word as (coefficient, its letters as slot-tagged free-field currents)."""
+def _slot_words(x: CurrentExpr, name: str) -> list[tuple[complex, bchecks.SlotWord]]:
+    """Each tensor word as (coefficient, its letters as slot-tagged
+    free-field currents), with the variable ``name`` in place of u."""
     out = []
     for w in x.words:
         cs = []
@@ -428,7 +415,8 @@ def _slot_words(x: CurrentExpr) -> list[tuple[complex, bchecks.SlotWord]]:
                     continue
                 if l.kind not in GEN_KINDS:
                     raise ValueError(f"free-field backend cannot realize {l.kind}")
-                cs.append((slot_idx, BosonCurrent(l.kind, l.i, l.arg, slot=l.tag)))
+                cs.append((slot_idx, BosonCurrent(l.kind, l.i, l.arg.subs("u", var(name)),
+                                                  slot=l.tag)))
         out.append((w.coeff, cs))
     return out
 
@@ -483,22 +471,10 @@ def _homomorphism_record(rel: str, i: int, j: int, cartan: CartanData, params: P
     return {"relation": rel, "i": i, "j": j, "k": 2, "samples": done, **judged(res, tol, done)}
 
 
-def _rename_var(x: CurrentExpr, name: str) -> CurrentExpr:
-    out = []
-    for w in x.words:
-        slots = []
-        for slot in w.slots:
-            slots.append(tuple(
-                l if l.arg is None else replace(l, arg=l.arg.subs("u", var(name)))
-                for l in slot))
-        out.append(Word(w.coeff, tuple(slots)))
-    return CurrentExpr(out)
-
-
 def _level2_slot_words(kind: str, node: int, name: str,
                        params: ParamTower) -> list[tuple[complex, bchecks.SlotWord]]:
     """Slot words of the level-2 image of the generator kind_node(name)."""
-    return _slot_words(_rename_var(level_k_currents(kind, node, 2, params), name))
+    return _slot_words(level_k_currents(kind, node, 2, params), name)
 
 
 def verify_serre_level2(cartan: CartanData, params: ParamTower, i: int, j: int,

@@ -388,28 +388,22 @@ def variant_report(r: int, params: ParamTower) -> dict:
     catalog's printed support (its bracketed note aside) names the index
     l, which the j-indexed relation leaves unbound.
     """
-    printed = {rec.rid: rec.delta_support_printed for rec in catalog(r, params)}
     out = {}
-    for fam in VERTEX_KINDS:
-        _vl, period = FAMILY[fam]
-        dcase, _payload = EMBEDDED_DELTA[fam]
-        cur = "E" if fam in ("PsiStar", "Psi") else "F"
-        extra = EXTRAS[fam][cur]
-        rid = f"{fam}.{cur}.{dcase}"
-        l_unbound = re.search(r"\bl\b", printed[rid].split("[")[0]) is not None
+    for rec in catalog(r, params):
+        if not rec.has_embedded_delta:
+            continue
+        l_unbound = re.search(r"\bl\b", rec.delta_support_printed.split("[")[0]) is not None
         checks = {}
         for j in range(1, r + 1):
-            ratio = _ratio_expr(period, r, j, _CASE_OFFSETS[dcase], extra)
-            den_args = [f.arg for t in ratio.terms for f in t.factors if f.exponent == -1]
-            support_norm = var("u") - var("z") - ShiftExpr.hbar_units(
-                Fraction(r - j, 2) + Fraction(1, 2))
-            on_pole = any((arg - support_norm).is_zero() for arg in den_args)
+            support = rec.delta_support_normalized(r, j)
+            on_pole = any((f.arg - support).is_zero() for t in rec.coeff(r, j).terms
+                          for f in t.factors if f.exponent == -1)
             checks[f"j={j}"] = {
-                "normalized_on_denominator_zero": bool(on_pole),
+                "normalized_on_denominator_zero": on_pole,
                 "printed_l_unbound": l_unbound,
             }
         on_every_pole = all(c["normalized_on_denominator_zero"] for c in checks.values())
-        out[rid] = {
+        out[rec.rid] = {
             "self_consistent_variant": "normalized" if on_every_pole else None,
             "cases": checks,
         }

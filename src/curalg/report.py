@@ -50,6 +50,15 @@ class RunConfig:
     pairs: str = "all"           # boson exchange filter: all | X1:Y2,...
     hopf_parts: tuple[str, ...] = ("axioms", "structural", "homomorphism", "audit")
 
+    def __post_init__(self):
+        if self.variant not in ("printed", "normalized"):
+            raise ValueError(f"variant {self.variant!r}: expected 'printed' or 'normalized'")
+        if self.pairs != "all":
+            known = {_pair_id(x, y) for x, y, _rel in _boson_pair_catalog(self.cartan())}
+            unknown = [p for p in self.pairs.split(",") if p not in known]
+            if unknown:
+                raise ValueError(f"pairs {','.join(unknown)}: no exchange pair of {self.algebra}")
+
     def cartan(self) -> CartanData:
         return from_label(self.algebra)
 
@@ -86,15 +95,7 @@ def config_from_sources(file_vals: dict | None, overrides: dict) -> RunConfig:
         vals["suites"] = tuple(vals["suites"])
     if "hopf_parts" in vals:
         vals["hopf_parts"] = tuple(vals["hopf_parts"])
-    cfg = RunConfig(**vals)
-    if cfg.variant not in ("printed", "normalized"):
-        raise ValueError(f"variant {cfg.variant!r}: expected 'printed' or 'normalized'")
-    if cfg.pairs != "all":
-        known = {_pair_id(x, y) for x, y, _rel in _boson_pair_catalog(cfg.cartan())}
-        unknown = [p for p in cfg.pairs.split(",") if p not in known]
-        if unknown:
-            raise ValueError(f"pairs {','.join(unknown)}: no exchange pair of {cfg.algebra}")
-    return cfg
+    return RunConfig(**vals)
 
 
 # ---------------------------------------------------------------------------
@@ -470,16 +471,8 @@ def _jsonable(x):
         return {k: _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
-    if isinstance(x, (np.floating,)):
-        return float(x)
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    if isinstance(x, (np.bool_,)):
-        return bool(x)
     if isinstance(x, complex):
         return [x.real, x.imag]
-    if isinstance(x, Fraction):
-        return [x.numerator, x.denominator]
     return x
 
 

@@ -152,7 +152,7 @@ def test_leggauss_is_the_gauss_legendre_rule(n):
 
 def test_a_perturbed_lanczos_coefficient_fails_the_reflection_record(monkeypatch):
     def reflection_record():
-        cfg = report.RunConfig(algebra="A1", samples=2, seed=0, suites=("boson",), pairs="")
+        cfg = report.RunConfig(algebra="A1", samples=2, seed=0, suites=("boson",), pairs="E1:E1")
         checks_ = report.run(cfg)["suites"][0]["checks"]
         return next(c for c in checks_ if c["id"] == "gamma_reflection")
 

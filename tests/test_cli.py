@@ -266,6 +266,13 @@ def test_a_pairs_filter_naming_no_pair_is_a_configuration_error(capsys):
     assert cfg.pairs == "E1:E2,H+1:F1"
 
 
+@pytest.mark.parametrize("field,value", [("pairs", "E1:E9"), ("variant", "normalised")])
+def test_a_run_config_built_directly_is_checked_too(field, value):
+    # without the check a boson run filtered to no pair passes with no exchange record
+    with pytest.raises(ValueError, match=value):
+        RunConfig(algebra="A2", suites=("boson",), **{field: value})
+
+
 def test_a_config_file_variant_must_be_printed_or_normalized(tmp_path, capsys):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text('algebra = "A2"\nvariant = "normalised"\n')

@@ -32,7 +32,7 @@ def test_rank1_e_plus_entry(params):
     # coefficient -sh(i pi eta hbar)/sh(pi eta (u - z)) on v_1 -> v_0
     rep = evalrep.build(1, params)
     u, z = 0.73, 0.11
-    mat = rep.e_plus[1].eval({"u": u, "z": z}, params)
+    mat = rep.op("e+", 1).eval({"u": u, "z": z}, params)
     want = -sh(1j * math.pi * 0.1) / sh(math.pi * (u - z))
     assert abs(mat[0, 1] - want) < 1e-14
     assert abs(mat).sum() == pytest.approx(abs(want), abs=1e-14)
@@ -41,7 +41,7 @@ def test_rank1_e_plus_entry(params):
 def test_rank2_h_plus_eigenvalues(rep2, params):
     # l = 1, j = 1: sh(pi eta (u - z + i hbar/2)) / sh(pi eta (u - z - i hbar/2))
     u, z = 0.42, -0.3
-    mat = rep2.h_plus[1].eval({"u": u, "z": z}, params)
+    mat = rep2.op("H+", 1).eval({"u": u, "z": z}, params)
     w = u - z
     want = sh(math.pi * (w + 0.05j)) / sh(math.pi * (w - 0.05j))
     assert abs(mat[1, 1] - want) < 1e-13
@@ -54,11 +54,11 @@ def test_rank2_h_plus_eigenvalues(rep2, params):
 
 def test_shape_law(rep2):
     for l in (1, 2):
-        me = rep2.e_plus[l].terms[0].mat
-        mf = rep2.f_plus[l].terms[0].mat
+        me = rep2.op("e+", l).terms[0].mat
+        mf = rep2.op("f+", l).terms[0].mat
         assert me[l - 1, l] == 1.0 and np.count_nonzero(me) == 1
         assert mf[l, l - 1] == 1.0 and np.count_nonzero(mf) == 1
-        for t in rep2.h_plus[l].terms:
+        for t in rep2.op("H+", l).terms:
             assert np.allclose(t.mat, np.diag(np.diag(t.mat)))
 
 
@@ -70,10 +70,10 @@ def test_negative_halves_equal_positive_pointwise(rep2, params):
             pt = {"u": complex(rng.uniform(-2, 2), rng.uniform(-0.3, 0.3)),
                   "z": complex(rng.uniform(-1, 1), 0.0)}
             try:
-                a = rep2.e_minus[l].eval(pt, params)
-                b = rep2.e_plus[l].eval(pt, params)
-                fa = rep2.f_minus[l].eval(pt, params)
-                fb = rep2.f_plus[l].eval(pt, params)
+                a = rep2.op("e-", l).eval(pt, params)
+                b = rep2.op("e+", l).eval(pt, params)
+                fa = rep2.op("f-", l).eval(pt, params)
+                fb = rep2.op("f+", l).eval(pt, params)
             except ArithmeticError:
                 continue
             assert np.allclose(a, b, atol=1e-12)
@@ -83,14 +83,37 @@ def test_negative_halves_equal_positive_pointwise(rep2, params):
 def test_h_minus_structurally_equal(rep2):
     # each minus half current has its plus half's canonical terms, so a
     # total current is the plus half's jump alone (``total_current``)
-    for minus, plus in ((rep2.e_minus, rep2.e_plus), (rep2.f_minus, rep2.f_plus),
-                        (rep2.h_minus, rep2.h_plus)):
+    for kind in ("e", "f", "H"):
         for l in (1, 2):
-            assert len(minus[l].terms) == len(plus[l].terms)
-            for tm, tp in zip(minus[l].terms, plus[l].terms):
+            minus, plus = rep2.op(kind + "-", l), rep2.op(kind + "+", l)
+            assert len(minus.terms) == len(plus.terms)
+            for tm, tp in zip(minus.terms, plus.terms):
                 # == on the scalar: a real part may differ by the sign of zero
                 assert (tm.factors, tm.deltas, tm.scalar) == (tp.factors, tp.deltas, tp.scalar)
                 assert np.array_equal(tm.mat, tp.mat)
+
+
+def test_build_enters_the_plus_halves_and_a_minus_half_is_derived_on_first_read(
+        params, monkeypatch):
+    calls = []
+    subs = DistExpr.subs
+
+    def counted(self, name, repl):
+        calls.append(name)
+        return subs(self, name, repl)
+
+    monkeypatch.setattr(DistExpr, "subs", counted)
+    rep = evalrep.build(3, params)
+    assert calls == []
+    shift_down = var("u") + ShiftExpr.lattice_units(0, -1)
+    for l in (1, 2, 3):
+        minus = rep.op("e-", l)
+        assert rep.op("e-", l) is minus
+        plus = rep.op("e+", l, shift_down)
+        assert len(minus.terms) == len(plus.terms)
+        for tm, tp in zip(minus.terms, plus.terms):
+            assert (tm.factors, tm.deltas, tm.scalar) == (tp.factors, tp.deltas, -tp.scalar)
+            assert np.array_equal(tm.mat, tp.mat)
 
 
 def test_total_current_single_delta(rep2, params):
@@ -206,7 +229,7 @@ def test_h_asymptotics(rep2, params):
     # sh-ratio tends to a unit-modulus constant e^{+-i pi eta hbar (..)};
     # the distance to the identity is bounded by the shift scale
     big = 40.0
-    mat = rep2.h_plus[1].eval({"u": big, "z": 0.0}, params)
+    mat = rep2.op("H+", 1).eval({"u": big, "z": 0.0}, params)
     assert np.max(np.abs(np.abs(np.diag(mat)) - 1.0)) < 1e-12
     assert np.max(np.abs(mat - np.eye(3))) < 2 * math.sin(math.pi * params.eta * params.hbar)
 
@@ -282,8 +305,9 @@ def test_an_operator_at_an_argument_is_built_once_and_equals_its_substitution(pa
 
 def test_the_module_run_substitutes_each_operator_once(monkeypatch):
     # each operator at an argument, and each cleared ratio, is built once
-    # per module, and an operator at u is the operator itself: 178
-    # substitutions where rebuilding them took 718
+    # per module, an operator at u is the operator itself, and a minus
+    # half is built only when read: 158 substitutions where rebuilding
+    # them took 718
     calls = []
     subs = DistExpr.subs
 
@@ -296,4 +320,4 @@ def test_the_module_run_substitutes_each_operator_once(monkeypatch):
                            suites=("trigcalc", "structfn", "evalrep", "hopf", "intertwine"),
                            hopf_parts=("axioms",))
     assert report.run(cfg)["pass"]
-    assert len(calls) == 178
+    assert len(calls) == 158

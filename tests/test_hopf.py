@@ -171,7 +171,6 @@ def test_level3_iteration_orders_compared(params):
     assert rec["left_words"] == 3 and rec["right_words"] == 3
     # no coassociativity claim: the difference is reported, not asserted
     assert rec["identical"] is False
-    assert rec["left"] != rec["right"]
     # H+ image: single product either way, different tags/shifts
     rec = hopf.iteration_order_report("H+", 1, params)
     assert rec["left_words"] == rec["right_words"] == 1

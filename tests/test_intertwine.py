@@ -482,6 +482,27 @@ def test_variant_report_fails_off_the_pole(params, monkeypatch):
     assert checks["variant_report"]["pass"] is True
 
 
+def test_the_variant_report_keys_each_embedded_delta_where_the_catalog_puts_it(
+        params, monkeypatch):
+    # the Phi/F embedded delta moved from the j case to the j-1 case
+    build = intertwine.catalog
+    delta = ("has_embedded_delta", "delta_scalar", "delta_support_printed", "delta_payload")
+
+    def moved(r, p):
+        recs = {rec.rid: rec for rec in build(r, p)}
+        src = recs["Phi.F.j"]
+        recs["Phi.F.j"] = dataclasses.replace(src, **{k: None for k in delta[1:]},
+                                              has_embedded_delta=False)
+        recs["Phi.F.j-1"] = dataclasses.replace(recs["Phi.F.j-1"],
+                                                **{k: getattr(src, k) for k in delta})
+        return list(recs.values())
+
+    monkeypatch.setattr(intertwine, "catalog", moved)
+    rep = variant_report(2, params)
+    assert "Phi.F.j" not in rep and "Phi.F.j-1" in rep
+    assert len(rep) == 4 and len(rep["Phi.F.j-1"]["cases"]) == 2
+
+
 def test_printed_support_in_j_fails_the_record(params, monkeypatch):
     # the Phi/F embedded delta transcribed in the bound index j instead of l
     build = intertwine.catalog
