@@ -13,7 +13,8 @@ The negative half currents are the -i/eta'' translates (eta'' = eta at
 level 0), derived on first read; by the half-period flip they coincide
 pointwise with the positive ones.  So a total current e+(u - i0) -
 e-(u + i0) is the jump of e+ alone across its pole line, a pure delta
-atom supported on u = z + (r-l)/2 * i*hbar.
+atom supported on u = z + (r-l)/2 * i*hbar (the operator "jump e+"), and
+H+(u - i0) - H-(u + i0) is the jump of H+.
 
 Normalization: the homogeneous exchange relations fix e, f and H only up
 to separate scalings.  The inhomogeneous E-F commutation relation pins
@@ -23,8 +24,12 @@ verbatim it closes only after rescaling both total currents by
     nu = sqrt(pi*eta / (hbar * sin(pi*eta*hbar))),
 
 the unique positive constant doing so (nu -> 1/hbar in the rational
-limit).  ``total_current`` applies nu by default and the verification
-report carries the raw mismatch ratio alongside.
+limit).  The total currents E and F are the jumps times nu, and the
+verification report carries the raw mismatch ratio alongside.
+
+Each module's operators are memoized on its ``EvalRep``, since they
+carry the tower's floats; the cleared exchange ratios are exact and are
+built once per process.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 import numpy.random
@@ -78,8 +84,6 @@ class EvalRep:
     r: int
     params: ParamTower
     _ops: dict[tuple, DistExpr] = field(default_factory=dict, init=False, repr=False)
-    _cleared: dict[tuple, tuple[DistExpr, DistExpr]] = field(
-        default_factory=dict, init=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -97,10 +101,13 @@ class EvalRep:
         ``at`` substituted for u; each (kind, l, at) is built once.
 
         Kinds: the half currents e+, f+, H+, e-, f-, H- (H+ and H- are
-        also the total Cartan currents), the normalized total currents E
-        and F, and the reciprocals H+inv and H-inv.  A minus half is the
-        -i/eta'' translate of its plus half (eta'' = eta at level 0: one
-        lattice unit of period 0), e- and f- with the sign flipped.
+        also the total Cartan currents); a plus half's jump across its
+        pole line, "jump e+", "jump f+" and "jump H+" (``plemelj_reduce``);
+        the normalized total currents E and F, the jumps of e+ and f+
+        times ``ef_normalization``; and the reciprocals H+inv and H-inv.
+        A minus half is the -i/eta'' translate of its plus half (eta'' =
+        eta at level 0: one lattice unit of period 0), e- and f- with the
+        sign flipped.
         """
         if at == var(U):
             at = None   # u for u leaves the operator as it is
@@ -108,8 +115,11 @@ class EvalRep:
         if key not in self._ops:
             if at is not None:
                 self._ops[key] = self.op(kind, l).subs(U, at)
+            elif kind.startswith("jump "):
+                self._ops[key] = self.op(kind[5:], l).plemelj_reduce(U, self.params)
             elif kind in ("E", "F"):
-                self._ops[key] = total_current(self, kind, l)
+                self._ops[key] = self.op(f"jump {kind.lower()}+", l).scaled(
+                    ef_normalization(self.params))
             elif kind in ("H+inv", "H-inv"):
                 self._ops[key] = self.op(kind[:2], l).reciprocal()
             else:   # a KeyError for an unknown kind or node
@@ -117,14 +127,6 @@ class EvalRep:
                     U, var(U) + ShiftExpr.lattice_units(0, -1))
                 self._ops[key] = minus if kind == "H-" else minus.scaled(-1.0)
         return self._ops[key]
-
-    def _cleared_ratio(self, sr: structfn.StructureRatio) -> tuple[DistExpr, DistExpr]:
-        """``_rel_vars_ratio(sr)``, built once per (num, den) factor pair:
-        at level 0 once per (relation, B_ij, sign)."""
-        key = (sr.num, sr.den)
-        if key not in self._cleared:
-            self._cleared[key] = _rel_vars_ratio(sr)
-        return self._cleared[key]
 
 
 def _pole_factor(r: int, l: int) -> TrigFactor:
@@ -164,24 +166,6 @@ def build(r: int, params: ParamTower) -> EvalRep:
     return rep
 
 
-def total_current(rep: EvalRep, which: str, l: int, normalized: bool = True) -> DistExpr:
-    """e+(u - i0) - e-(u + i0), or the same of f: since e- equals e+
-    pointwise (half-period flip), the jump of the plus half current across
-    its pole line, a pure delta atom times a matrix unit."""
-    if which not in ("E", "F"):
-        raise ValueError("which must be 'E' or 'F'")
-    total = rep.op(which.lower() + "+", l).plemelj_reduce(U, rep.params)
-    if normalized:
-        total = total.scaled(ef_normalization(rep.params))
-    return total
-
-
-def h_boundary_difference(rep: EvalRep, l: int) -> DistExpr:
-    """H+(u - i0) - H-(u + i0): as H- equals H+ pointwise, the jump of H+
-    across its pole line, reduced to its delta atom."""
-    return rep.op("H+", l).plemelj_reduce(U, rep.params)
-
-
 def pole_inventory(rep: EvalRep) -> list[dict]:
     """Exact pole positions of every reciprocal factor, per current.
 
@@ -214,11 +198,15 @@ def pole_inventory(rep: EvalRep) -> list[dict]:
     return out
 
 
-def _rel_vars_ratio(sr: structfn.StructureRatio) -> tuple[DistExpr, DistExpr]:
+@cache
+def _rel_vars_ratio(num: tuple[TrigFactor, ...],
+                    den: tuple[TrigFactor, ...]) -> tuple[DistExpr, DistExpr]:
+    """An exchange ratio's numerator and denominator with u - v for w,
+    substituted factor by factor and built once per process for each
+    factor pair: at level 0 once per (relation, B_ij, sign)."""
     w_sub = var(U) - var("v")
-    num = sr.num_expr().subs("w", w_sub)
-    den = sr.den_expr().subs("w", w_sub)
-    return num, den
+    return tuple(DistExpr((Term(1.0, tuple(f.subs("w", w_sub) for f in fs)),))
+                 for fs in (num, den))
 
 
 def verify_relation(rep: EvalRep, relation: str, i: int, j: int,
@@ -243,7 +231,7 @@ def verify_relation(rep: EvalRep, relation: str, i: int, j: int,
         x = rep.op(kx, i)
         y = rep.op(ky, j, var("v"))
         sr = structfn.ratio(relation, i, j, cd, c=0, sign=sign)
-        num, den = rep._cleared_ratio(sr)
+        num, den = _rel_vars_ratio(sr.num, sr.den)
         lhs = den * (x * y)
         rhs = num * (y * x)
         rep_cmp = equal_numeric(lhs, rhs, params, samples=samples, tol=tol, rng=rng)
@@ -261,11 +249,11 @@ def verify_relation(rep: EvalRep, relation: str, i: int, j: int,
             return report
         dd = DistExpr.from_factors(2.0 * math.pi / params.hbar, (),
                                    (_delta_uv(),))
-        rhs = dd * h_boundary_difference(rep, i)
+        rhs = dd * rep.op("jump H+", i)
         rep_cmp = equal_numeric(lhs, rhs, params, samples=samples, tol=tol, rng=rng)
         report.update(rep_cmp)
         report["ef_normalization"] = ef_normalization(params)
-        report["raw_coefficient_ratio"] = _raw_ef_ratio(rep, i)
+        report["raw_coefficient_ratio"] = _raw_ef_ratio(rep, i, rhs)
         return report
 
     if relation == "serre":
@@ -279,15 +267,14 @@ def _delta_uv():
     return DeltaAtom(var(U) - var("v"))
 
 
-def _raw_ef_ratio(rep: EvalRep, l: int) -> complex:
-    """Measured LHS/RHS delta-coefficient ratio with the verbatim
-    (un-normalized) matrices; analytically hbar*sin(pi*eta*hbar)/(pi*eta)."""
+def _raw_ef_ratio(rep: EvalRep, l: int, rhs: DistExpr) -> complex:
+    """Measured LHS/RHS delta-coefficient ratio of the E-F relation at
+    node l with the verbatim (un-normalized) matrices, against that
+    relation's ``rhs``; analytically hbar*sin(pi*eta*hbar)/(pi*eta)."""
     p = rep.params
-    e_tot = total_current(rep, "E", l, normalized=False)
-    f_tot = total_current(rep, "F", l, normalized=False).subs(U, var("v"))
+    e_tot = rep.op("jump e+", l)
+    f_tot = rep.op("jump f+", l, var("v"))
     lhs = e_tot * f_tot - f_tot * e_tot
-    dd = DistExpr.from_factors(2.0 * math.pi / p.hbar, (), (_delta_uv(),))
-    rhs = dd * h_boundary_difference(rep, l)
     gl = lhs.delta_groups()
     gr = rhs.delta_groups()
     key = next(iter(gl))
@@ -372,8 +359,7 @@ def smeared_total_current_check(rep: EvalRep, l: int, n_grid: int = 200001,
                  for k in range(len(level) - 1)]
     smeared = level[0]
 
-    tot = total_current(rep, "E", l, normalized=False)
-    t = tot.terms[0]
+    t = rep.op("jump e+", l).terms[0]
     want = t.scalar * float(np.max(np.abs(t.mat)))  # phi(support) = 1 on line
     resid = abs(smeared - want) / abs(want)
     return {"l": l, "smeared": smeared, "delta_coefficient": want,

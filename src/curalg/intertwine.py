@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 import numpy.random
@@ -34,7 +34,7 @@ import numpy.random
 from . import structfn
 from .liealg import CartanData, node_class
 from .params import ParamTower
-from .evalplan import relative_residual
+from .evalplan import Plan
 from .trigcalc import DistExpr, ShiftExpr, Term, TrigFactor, judged, sample_max, var
 
 VERTEX_KINDS = ("Phi", "PhiStar", "PsiStar", "Psi")
@@ -111,9 +111,9 @@ class InterRelation:
 @cache
 def _ratio_expr(period: int, r: int, j: int, num_off: int, extra: Fraction) -> DistExpr:
     """The printed coefficient sh(base - (r-j+num_off)/2 ih) / sh(base -
-    (r-j)/2 ih), base = u - z - extra ih: exact, so built once for all the
-    suite's readers (``period_discipline``, ``variant_report``, the
-    degeneration report).  The intertwine suite drops them on entry."""
+    (r-j)/2 ih), base = u - z - extra ih: exact, so built once per process
+    for all its readers (``period_discipline``, ``variant_report``, the
+    degeneration report)."""
     base = var("u") - var("z") - ShiftExpr.hbar_units(extra)
     num = TrigFactor(period, base - ShiftExpr.hbar_units(Fraction(r - j + num_off, 2)), 1)
     den = TrigFactor(period, base - ShiftExpr.hbar_units(Fraction(r - j, 2)), -1)
@@ -231,16 +231,6 @@ def vertex_move_coeff(fam: str, a: int, cur: str, i: int, r: int,
     return expr if FAMILY[fam][0] else expr.reciprocal()
 
 
-@cache
-def _printed(rel: str, i: int, j: int, cartan: CartanData, sign: int) -> DistExpr:
-    """The printed level-1 ratio of ``rel`` at (i, j) in w, built once: an
-    ordered pair's two exchanges and its reverse pair's read the same one,
-    and every reader only substitutes into the shared expression.
-    ``consistency_suite`` drops them on entry, so that its builds do not
-    depend on what ran before it, and once it has decided every pair."""
-    return structfn.ratio(rel, i, j, cartan, c=1, sign=sign).ratio
-
-
 def exchange_fn(xk: str, xi: int, yk: str, yi: int, cartan: CartanData,
                 u_name: str, v_name: str) -> DistExpr:
     """R with X(u) Y(v) = R * Y(v) X(u) at level 1; raises on delta pairs."""
@@ -252,12 +242,13 @@ def exchange_fn(xk: str, xi: int, yk: str, yi: int, cartan: CartanData,
     forward = structfn.exchange_relation(xk, yk)
     if forward is not None:
         rel, sign = forward
-        return _printed(rel, xi, yi, cartan, sign).subs("w", w_fwd)
+        return structfn.ratio(rel, xi, yi, cartan, c=1, sign=sign).ratio.subs("w", w_fwd)
     backward = structfn.exchange_relation(yk, xk)
     if backward is not None:
         # printed orientation is Y X; invert it at the swapped argument
         rel, sign = backward
-        return _printed(rel, yi, xi, cartan, sign).subs("w", -w_fwd).reciprocal()
+        return structfn.ratio(rel, yi, xi, cartan, c=1, sign=sign).ratio.subs(
+            "w", -w_fwd).reciprocal()
     raise DeltaBearingMove(f"no delta-free exchange for {xk},{yk}")
 
 
@@ -286,8 +277,8 @@ def verify_consistency(fam: str, a: int, xk: str, xi: int, yk: str, yi: int,
     When the two paths have one odd-sh normal form
     (``DistExpr.odd_normal_form``) the triple is proven: no point is
     evaluated or drawn, and the record has ``proven: True``, ``samples:
-    0`` and residual 0.0.  Otherwise both paths are sampled at points
-    drawn from ``rng``, a seed or a generator.
+    0`` and residual 0.0.  Otherwise both paths are sampled, through one
+    ``evalplan.Plan``, at points drawn from ``rng``, a seed or a generator.
     """
     rng = np.random.default_rng(rng)
     triple = f"{fam}_{a} | {xk}_{xi}(u) | {yk}_{yi}(v)"
@@ -302,11 +293,8 @@ def verify_consistency(fam: str, a: int, xk: str, xi: int, yk: str, yi: int,
     form = path_a.odd_normal_form()
     if form is not None and form == path_b.odd_normal_form():   # the diamond holds exactly
         return _settled(triple)
-
-    def residual(pt):
-        return relative_residual(path_a.eval(pt, params), path_b.eval(pt, params))
-
-    worst, done = sample_max(residual, _DIAMOND_WINDOWS, samples, rng)
+    worst, done = sample_max(Plan((path_a, path_b), params).residual, _DIAMOND_WINDOWS,
+                             samples, rng)
     return {"triple": triple, "skipped": False, "proven": False, "samples": done,
             **judged(worst, tol, done)}
 
@@ -327,11 +315,11 @@ def _exchange_inverts(xk: str, xi: int, yk: str, yi: int,
 
 def consistency_suite(cartan: CartanData, params: ParamTower, samples: int = 20,
                       tol: float = 1e-9,
-                      rng: int | np.random.Generator = 37) -> list[dict]:
+                      rng: int | np.random.Generator = 37) -> Iterator[dict]:
     """All triples over the generator set; delta-bearing ones are skipped.
 
-    The records are those of ``verify_consistency`` per triple on one
-    stream ``rng`` (a seed or a generator).  Every coefficient is a
+    Yields the records of ``verify_consistency`` per triple, in order, on
+    one stream ``rng`` (a seed or a generator).  Every coefficient is a
     commuting scalar function, so path B is path A times rxy ryx: the
     vertex costs cancel, and a diamond holds exactly when its current
     pair's exchange inverts.  That is decided once per (kinds, node class)
@@ -340,7 +328,6 @@ def consistency_suite(cartan: CartanData, params: ParamTower, samples: int = 20,
     invert get the oracle's record.
     """
     rng = np.random.default_rng(rng)
-    _printed.cache_clear()
     currents = [(k, i) for k in ("H+", "H-", "E", "F") for i in cartan.nodes()]
     # a pair's exchanges see its nodes only through their class
     # (liealg.node_class): once a class has a pair that inverts, its later
@@ -354,8 +341,6 @@ def consistency_suite(cartan: CartanData, params: ParamTower, samples: int = 20,
             if verdict is True:
                 inverting.add(key)
             inverts[(xk, xi, yk, yi)] = verdict
-    _printed.cache_clear()   # every pair is decided: free the ratios before the records pile up
-    out = []
     for fam in VERTEX_KINDS:
         for a in range(0, cartan.rank + 1):
             for xk, xi in currents:
@@ -375,8 +360,7 @@ def consistency_suite(cartan: CartanData, params: ParamTower, samples: int = 20,
                                        None if verdict is True else verdict)
                     rec.update({"family": fam, "component": a,
                                 "x": f"{xk}_{xi}", "y": f"{yk}_{yi}"})
-                    out.append(rec)
-    return out
+                    yield rec
 
 
 def variant_report(r: int, params: ParamTower) -> dict:

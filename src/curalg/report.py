@@ -32,6 +32,7 @@ from .trigcalc import DistExpr, ShiftExpr, TrigFactor, judged, sample_max, var
 
 SUITES = ("liealg", "params", "trigcalc", "structfn", "evalrep", "boson",
           "hopf", "intertwine")
+HOPF_PARTS = ("axioms", "structural", "homomorphism", "audit")
 
 
 @dataclass
@@ -48,11 +49,15 @@ class RunConfig:
     out: str | None = None
     variant: str = "normalized"
     pairs: str = "all"           # boson exchange filter: all | X1:Y2,...
-    hopf_parts: tuple[str, ...] = ("axioms", "structural", "homomorphism", "audit")
+    hopf_parts: tuple[str, ...] = HOPF_PARTS
 
     def __post_init__(self):
         if self.variant not in ("printed", "normalized"):
             raise ValueError(f"variant {self.variant!r}: expected 'printed' or 'normalized'")
+        for name, known in (("suites", SUITES), ("hopf_parts", HOPF_PARTS)):
+            unknown = [x for x in getattr(self, name) if x not in known]
+            if unknown:
+                raise ValueError(f"{name} {unknown}: expected some of {known}")
         if self.pairs != "all":
             known = {_pair_id(x, y) for x, y, _rel in _boson_pair_catalog(self.cartan())}
             unknown = [p for p in self.pairs.split(",") if p not in known]
@@ -415,7 +420,6 @@ def _suite_intertwine(cfg: RunConfig, rng, shared: _Shared) -> list[dict]:
         return [{"id": "skipped_non_A_series", "pass": True, "max_residual": 0.0,
                  "note": "vertex operators intertwine with the A-series module only"}]
     params = cfg.tower()
-    intertwine._ratio_expr.cache_clear()
     cat = intertwine.catalog(cd.rank, params)
     out = []
     counts = intertwine.catalog_counts(cat)
@@ -501,6 +505,9 @@ def run(cfg: RunConfig) -> dict:
                 checks = _SUITE_FNS[name](cfg, rng, shared)
             except Exception as exc:   # one failing record; the later suites still run
                 checks = [_suite_error(exc)]
+            if not checks:   # a suite that checked nothing has not passed
+                checks = [{"id": "no_checks", "pass": False, "max_residual": float("inf"),
+                           "note": "the suite ran no check"}]
             ok = all(c.get("pass", False) for c in checks)
             overall = overall and ok
             suites_out.append({"suite": name, "pass": ok, "checks": _jsonable(checks)})

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 
 from .liealg import CartanData
 from .params import ParamTower
@@ -73,17 +73,10 @@ class StructureRatio:
     num: tuple[TrigFactor, ...]
     den: tuple[TrigFactor, ...]
 
-    @cached_property
+    @property
     def ratio(self) -> DistExpr:
-        """num / den as one DistExpr, built once per instance."""
-        inv = tuple(TrigFactor(f.period, f.arg, -1) for f in self.den)
-        return DistExpr((Term(1.0, self.num + inv),))
-
-    def num_expr(self) -> DistExpr:
-        return DistExpr((Term(1.0, self.num),))
-
-    def den_expr(self) -> DistExpr:
-        return DistExpr((Term(1.0, self.den),))
+        """num / den as one DistExpr, shared by every ratio with these factors."""
+        return _ratio(self.num, self.den)
 
     def eval(self, w: complex, params: ParamTower) -> complex:
         return self.ratio.eval({"w": w}, params)
@@ -163,6 +156,13 @@ def _factors(relation: str, b: Fraction, c: Fraction, sign: int,
                 den.remove(g)
                 break
     return tuple(num), tuple(den)
+
+
+@cache
+def _ratio(num: tuple[TrigFactor, ...], den: tuple[TrigFactor, ...]) -> DistExpr:
+    """num / den in w, built once per process for each factor pair."""
+    inv = tuple(TrigFactor(f.period, f.arg, -1) for f in den)
+    return DistExpr((Term(1.0, num + inv),))
 
 
 def serre_coefficient(params: ParamTower, side: str) -> float:

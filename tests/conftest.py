@@ -1,7 +1,27 @@
 import pytest
 
-from curalg import intertwine
+from curalg import evalrep, intertwine, structfn, trigcalc
 from curalg.trigcalc import DistExpr, ShiftExpr, Term, TrigFactor
+
+
+def pytest_configure(config):
+    config.addinivalue_line("markers", "cold_memos: a work-count pin on cleared process memos")
+
+
+def pytest_collection_modifyitems(items):
+    # ``-m cold_memos`` selects every test that uses the fixture below
+    for item in items:
+        if "cold_memos" in item.fixturenames:
+            item.add_marker("cold_memos")
+
+
+@pytest.fixture
+def cold_memos():
+    """Clear every process memo of exact expressions that a work count
+    reads, so a pinned count does not depend on what ran before it."""
+    for memo in (trigcalc._canonical_shape, structfn._factors, structfn._ratio,
+                 evalrep._rel_vars_ratio, intertwine._ratio_expr):
+        memo.cache_clear()
 
 
 @pytest.fixture

@@ -280,3 +280,24 @@ def test_a_config_file_variant_must_be_printed_or_normalized(tmp_path, capsys):
     assert "normalised" in capsys.readouterr().err
     cfg_file.write_text('algebra = "A2"\nvariant = "printed"\n')
     assert config_from_sources(parse_config_file(str(cfg_file)), {}).variant == "printed"
+
+
+@pytest.mark.parametrize("field,value", [("suites", ("bosn",)), ("hopf_parts", ("axiom",))])
+def test_a_run_config_names_only_known_suites_and_hopf_parts(field, value, tmp_path, capsys):
+    # an unknown name selects nothing: the run would check nothing and pass
+    with pytest.raises(ValueError, match=value[0]):
+        RunConfig(algebra="A2", **{field: value})
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f'algebra = "A2"\n{field} = {json.dumps(value)}\n')
+    assert main(["verify-hopf", "--config", str(cfg_file)]) == 2
+    assert value[0] in capsys.readouterr().err
+
+
+def test_a_suite_that_checks_nothing_fails(capsys):
+    # the coproduct axioms act on the A-series module only
+    assert main(["verify-hopf", "--algebra", "D4", "--axioms"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] suite hopf (1 checks)" in out and "FAIL no_checks" in out
+    rep = run(RunConfig(algebra="D4", suites=("hopf",), hopf_parts=("axioms",)))
+    assert rep["pass"] is False
+    assert [c["id"] for c in rep["suites"][0]["checks"]] == ["no_checks"]

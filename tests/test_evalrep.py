@@ -82,7 +82,7 @@ def test_negative_halves_equal_positive_pointwise(rep2, params):
 
 def test_h_minus_structurally_equal(rep2):
     # each minus half current has its plus half's canonical terms, so a
-    # total current is the plus half's jump alone (``total_current``)
+    # total current is the plus half's jump alone (``op("jump e+", l)``)
     for kind in ("e", "f", "H"):
         for l in (1, 2):
             minus, plus = rep2.op(kind + "-", l), rep2.op(kind + "+", l)
@@ -118,7 +118,7 @@ def test_build_enters_the_plus_halves_and_a_minus_half_is_derived_on_first_read(
 
 def test_total_current_single_delta(rep2, params):
     for l in (1, 2):
-        tot = evalrep.total_current(rep2, "E", l, normalized=False)
+        tot = rep2.op("jump e+", l)
         assert len(tot.terms) == 1
         t = tot.terms[0]
         assert len(t.deltas) == 1
@@ -131,8 +131,13 @@ def test_total_current_single_delta(rep2, params):
         want_c = (2j / params.eta) * (-sh(1j * math.pi * params.eta * params.hbar))
         assert abs(coef - want_c) < 1e-13
         # F sits at the same height
-        totf = evalrep.total_current(rep2, "F", l, normalized=False)
+        totf = rep2.op("jump f+", l)
         assert totf.terms[0].deltas[0].arg == t.deltas[0].arg
+        # the normalized total currents are the jumps times nu, bit for bit
+        nu = evalrep.ef_normalization(params)
+        for kind, jump in (("E", tot), ("F", totf)):
+            (got,) = rep2.op(kind, l).terms
+            assert (got.scalar, got.deltas) == (jump.terms[0].scalar * nu, jump.terms[0].deltas)
 
 
 def test_total_current_consistent_with_half_current_transform(rep2, params):
@@ -144,8 +149,7 @@ def test_total_current_consistent_with_half_current_transform(rep2, params):
     delta coefficient.
     """
     l = 1
-    tot = evalrep.total_current(rep2, "E", l, normalized=False)
-    a_coef = tot.terms[0].scalar
+    a_coef = rep2.op("jump e+", l).terms[0].scalar
     s = -sh(1j * math.pi * params.eta * params.hbar)  # e+ numerator
     a_from_transform = s * 2j / params.eta
     assert abs(a_coef - a_from_transform) < 1e-14
@@ -192,7 +196,7 @@ def test_a_swapped_exchange_ratio_fails_the_multiplicative_records(params, monke
     # with num and den swapped, den*X(u)Y(v) == num*Y(v)X(u) holds only where
     # the ratio is +-1 or both orders vanish; E-F and Serre do not read it
     real = evalrep._rel_vars_ratio
-    monkeypatch.setattr(evalrep, "_rel_vars_ratio", lambda sr: real(sr)[::-1])
+    monkeypatch.setattr(evalrep, "_rel_vars_ratio", lambda num, den: real(num, den)[::-1])
     out = evalrep.verify_all(evalrep.build(r, params), samples=50, seed=0)
     mult = [rec for rec in out if rec["relation"] in structfn.RELATIONS]
     assert (len(mult), sum(not rec["pass"] for rec in mult)) == (records, failed)
@@ -259,21 +263,21 @@ def test_smeared_total_current_slow_oracle(params):
 
 def test_each_total_current_is_built_once_per_module(monkeypatch):
     # the A4 module run: every relation and every axiom of the run reads
-    # the same 2r normalized total currents of one module
+    # the same 3r jumps of e+, f+ and H+ of one module, the normalized and
+    # the raw E-F comparisons alike
     built = []
-    total = evalrep.total_current
+    jump = DistExpr.plemelj_reduce
 
-    def counted(rep, which, l, normalized=True):
-        if normalized:
-            built.append(rep)
-        return total(rep, which, l, normalized)
+    def counted(self, name, params):
+        built.append((self, name, params))
+        return jump(self, name, params)
 
-    monkeypatch.setattr(evalrep, "total_current", counted)
+    monkeypatch.setattr(DistExpr, "plemelj_reduce", counted)
     cfg = report.RunConfig(algebra="A4", samples=8, suites=("evalrep", "hopf"),
                            hopf_parts=("axioms",))
     assert report.run(cfg)["pass"]
-    assert len({id(rep) for rep in built}) == 1
-    assert len(built) == 2 * 4
+    assert len({id(params) for _, _, params in built}) == 1
+    assert len(built) == len({id(half) for half, _, _ in built}) == 3 * 4
 
 
 def _module_letter_args(r, params):
@@ -303,11 +307,11 @@ def test_an_operator_at_an_argument_is_built_once_and_equals_its_substitution(pa
                     assert a.mat is None or a.mat.tobytes() == b.mat.tobytes()
 
 
-def test_the_module_run_substitutes_each_operator_once(monkeypatch):
-    # each operator at an argument, and each cleared ratio, is built once
-    # per module, an operator at u is the operator itself, and a minus
-    # half is built only when read: 158 substitutions where rebuilding
-    # them took 718
+def test_the_module_run_substitutes_each_operator_once(monkeypatch, cold_memos):
+    # each operator at an argument is built once per module, an operator
+    # at u is the operator itself, a minus half is built only when read,
+    # and a cleared ratio substitutes its factors: 144 substitutions where
+    # rebuilding them took 718
     calls = []
     subs = DistExpr.subs
 
@@ -320,4 +324,4 @@ def test_the_module_run_substitutes_each_operator_once(monkeypatch):
                            suites=("trigcalc", "structfn", "evalrep", "hopf", "intertwine"),
                            hopf_parts=("axioms",))
     assert report.run(cfg)["pass"]
-    assert len(calls) == 158
+    assert len(calls) == 144

@@ -23,7 +23,7 @@ from curalg.intertwine import (
     verify_consistency,
     vertex_move_coeff,
 )
-from curalg.evalplan import relative_residual
+from curalg.evalplan import Plan, relative_residual
 from curalg.liealg import cartan
 from curalg.params import ParamTower
 from curalg.trigcalc import DistExpr, Term, TrigFactor, sample_max
@@ -143,7 +143,7 @@ def test_triple_disconnected_trivial(params):
 @pytest.mark.parametrize("label", ["A1", "A2"])
 def test_consistency_suite(label, params):
     cd = cartan(label[0], int(label[1]))
-    out = consistency_suite(cd, params, samples=12, tol=1e-9)
+    out = list(consistency_suite(cd, params, samples=12, tol=1e-9))
     ran = [r for r in out if not r.get("skipped")]
     assert ran, "no admissible triples found"
     assert all(r["pass"] for r in ran)
@@ -164,7 +164,7 @@ def _triples(cd):
 @pytest.mark.parametrize("rank,samples", [(2, 10), (3, 4)])
 def test_suite_memo_gives_the_records_of_fresh_triples(rank, samples, params):
     cd = cartan("A", rank)
-    got = consistency_suite(cd, params, samples=samples, rng=11)
+    got = list(consistency_suite(cd, params, samples=samples, rng=11))
     rng = np.random.default_rng(11)
     want = []
     for fam, a, xk, xi, yk, yi in _triples(cd):
@@ -251,14 +251,14 @@ def test_triples_match_evaluating_both_paths_with_scalar_draws(params,
 
 
 def _suite_evals(cd, params, monkeypatch):
-    """The suite's records, the DistExpr evaluations it made, and per
-    ``verify_consistency`` call the record and the evaluations inside it."""
+    """The suite's records, the points it evaluated, and per
+    ``verify_consistency`` call the record and the points inside it."""
     evals, calls = [0], []
-    real_eval, real_verify = DistExpr.eval, intertwine.verify_consistency
+    real_values, real_verify = Plan.values, intertwine.verify_consistency
 
-    def counted_eval(self, pt, p):
+    def counted_values(self, pt):
         evals[0] += 1
-        return real_eval(self, pt, p)
+        return real_values(self, pt)
 
     def verify(*args):
         before = evals[0]
@@ -266,9 +266,9 @@ def _suite_evals(cd, params, monkeypatch):
         calls.append((rec, evals[0] - before))
         return rec
 
-    monkeypatch.setattr(DistExpr, "eval", counted_eval)
+    monkeypatch.setattr(Plan, "values", counted_values)
     monkeypatch.setattr(intertwine, "verify_consistency", verify)
-    out = consistency_suite(cd, params, samples=2)
+    out = list(consistency_suite(cd, params, samples=2))
     monkeypatch.undo()
     return out, evals[0], calls
 
@@ -355,20 +355,20 @@ def test_batched_draws_follow_the_scalar_stream_through_rejections(offset, sampl
     # by 1 + offset and no normal form; every point with Re u > 0 is
     # rejected, about half, and samples=300 exhausts the samples + 200
     # tries before reaching its count
-    real_fn, real_eval = intertwine.exchange_fn, DistExpr.eval
+    real_fn, real_values = intertwine.exchange_fn, Plan.values
 
     def scaled(*args):
         expr = real_fn(*args)
         return expr.scaled(1.0 + offset) if args[5] == "v" else expr
 
-    def rejecting(self, pt, p):
+    def rejecting(self, pt):
         if pt["u"].real > 0:
             raise ArithmeticError("rejected")
-        return real_eval(self, pt, p)
+        return real_values(self, pt)
 
     monkeypatch.setattr(intertwine, "exchange_fn", scaled)
     monkeypatch.setattr(DistExpr, "odd_normal_form", lambda self: None)
-    monkeypatch.setattr(DistExpr, "eval", rejecting)
+    monkeypatch.setattr(Plan, "values", rejecting)
     cd, triple = cartan("A", 1), ("Phi", 0, "H+", 1, "H+", 1)
     rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
     rec = verify_consistency(*triple, cd, params, samples, 1e-9, rng_a)
@@ -384,12 +384,12 @@ def test_diamonds_are_blind_to_the_vertex_coefficients(params, monkeypatch, requ
     # A times rxy ryx and the vertex costs cancel: moving the catalog's
     # shift offsets and one quarter-shift changes no record
     cd = cartan("A", 2)
-    want = consistency_suite(cd, params, samples=5)
+    want = list(consistency_suite(cd, params, samples=5))
     before = vertex_move_coeff("Phi", 1, "H+", 1, 2, "u").to_json()
     monkeypatch.setattr(intertwine, "_CASE_OFFSETS", {"j": -3, "j-1": +5, "other": 0})
     monkeypatch.setitem(intertwine.EXTRAS["Phi"], "H+", Fraction(7, 5))
     assert vertex_move_coeff("Phi", 1, "H+", 1, 2, "u").to_json() != before
-    assert consistency_suite(cd, params, samples=5) == want
+    assert list(consistency_suite(cd, params, samples=5)) == want
     # the exchanges are what the suite tests: a flipped one still fails
     # exactly its triples
     flipped = request.getfixturevalue("sign_flipped_exchange")
@@ -407,45 +407,34 @@ def test_memo_builds_each_exchange_once(params, monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(intertwine, "exchange_fn", counted)
-    out = consistency_suite(cartan("A", 2), params, samples=2)
+    out = list(consistency_suite(cartan("A", 2), params, samples=2))
     assert len(calls) == len(set(calls))
     assert any(r["skipped"] for r in out) and all(r["pass"] for r in out)
 
 
-def test_each_printed_ratio_is_built_once_per_suite(params, monkeypatch):
-    # a pair and its reverse read one printed ratio, and the pairs of one
-    # (kinds, node class) share one verdict: an A4 suite needs 40
-    intertwine._printed.cache_clear()
-    calls = []
+def test_each_ratio_expression_is_built_once_per_factor_pair(params, monkeypatch,
+                                                              cold_memos):
+    # a pair and its reverse, and every node pair with the same B_ij, read
+    # one printed ratio expression: an A4 suite asks for 112 ratios of 40
+    # distinct (relation, i, j, sign), which have 17 distinct (num, den)
+    asked = []
     real = structfn.ratio
 
-    def counted(*args, **kwargs):
-        calls.append(args[:3] + (kwargs["sign"],))
-        return real(*args, **kwargs)
+    def recorded(*args, **kwargs):
+        sr = real(*args, **kwargs)
+        asked.append((args[:3] + (kwargs["sign"],), (sr.num, sr.den), sr.ratio))
+        return sr
 
-    monkeypatch.setattr(structfn, "ratio", counted)
+    monkeypatch.setattr(structfn, "ratio", recorded)
     cd = cartan("A", 4)
-    out = consistency_suite(cd, params, samples=2)
-    assert len(calls) == len(set(calls)) == 40
-    assert consistency_suite(cd, params, samples=2) == out and calls[40:] == calls[:40]
-
-
-def test_a_suite_builds_its_ratios_whatever_ran_before(params, monkeypatch):
-    # a direct exchange_fn call fills the printed-ratio cache; the suite
-    # clears it on entry, so it still builds all 40 of its own
-    cd = cartan("A", 4)
-    exchange_fn("E", 1, "E", 2, cd, "u", "v")
-    assert intertwine._printed.cache_info().currsize >= 1
-    calls = []
-    real = structfn.ratio
-
-    def counted(*args, **kwargs):
-        calls.append(args[:3] + (kwargs["sign"],))
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(structfn, "ratio", counted)
-    consistency_suite(cd, params, samples=2)
-    assert len(calls) == len(set(calls)) == 40
+    out = list(consistency_suite(cd, params, samples=2))
+    shared = {key: {id(expr) for _, k, expr in asked if k == key} for _, key, _ in asked}
+    assert (len(asked), len({a for a, _, _ in asked}), len(shared)) == (112, 40, 17)
+    assert all(len(ids) == 1 for ids in shared.values())
+    assert structfn._ratio.cache_info().misses == 17
+    # a second suite builds none and gives the same records
+    assert list(consistency_suite(cd, params, samples=2)) == out
+    assert structfn._ratio.cache_info().misses == 17
 
 
 def test_suite_catches_an_unflipped_reverse_exchange(params, monkeypatch):
@@ -554,7 +543,7 @@ def test_a_suite_leaves_no_reference_cycle(params):
     gc.collect()
     gc.disable()
     try:
-        out = consistency_suite(cartan("A", 3), params, samples=2)
+        out = list(consistency_suite(cartan("A", 3), params, samples=2))
         assert any(r["skipped"] for r in out)
         del out
         assert gc.collect() == 0

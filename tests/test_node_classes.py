@@ -116,7 +116,6 @@ def _exchange_classes(cd):
             except intertwine.DeltaBearingMove as exc:
                 got = type(exc)
             out[(xk, yk, node_class(cd, xi, yi))].append(got)
-    intertwine._printed.cache_clear()   # as consistency_suite leaves it
     return out
 
 

@@ -6,9 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from curalg import structfn
+from curalg import evalrep, structfn
 from curalg.liealg import cartan
 from curalg.params import ParamTower
+from curalg.trigcalc import DistExpr, Term, var
 
 
 @pytest.fixture(scope="module")
@@ -141,22 +142,46 @@ def test_ratio_expression_built_once(params):
     sr = structfn.ratio("HE", 1, 2, cartan("A", 2), c=1)
     assert sr.ratio is sr.ratio
     assert sr.eval(0.3 + 0.1j, params) == sr.ratio.eval({"w": 0.3 + 0.1j}, params)
+    # B_12 = B_21 on A2, and B_12 = B_23 on A3: one expression for all three
+    assert structfn.ratio("HE", 2, 1, cartan("A", 2), c=1).ratio is sr.ratio
+    assert structfn.ratio("HE", 2, 3, cartan("A", 3), c=1).ratio is sr.ratio
+
+
+def _exprs(sr):
+    """The terms of the ratio in w and of the cleared pair in u - v of
+    ``sr``, as (scalar, factors, deltas) (no term has a matrix)."""
+    return [_terms(e) for e in (sr.ratio, *evalrep._rel_vars_ratio(sr.num, sr.den))]
+
+
+def _terms(expr):
+    return [(t.scalar, t.factors, t.deltas) for t in expr.terms]
 
 
 @pytest.mark.parametrize("label", ["D4", "A4"])
-def test_ratio_matches_a_cold_build(label):
-    # the factors are shared by every node pair with the same B_ij; each
-    # warm ratio must equal one built on a cleared cache, with its own nodes
+def test_ratio_matches_a_cold_build(label, cold_memos):
+    # the factors, the ratio and the cleared pair are shared by every node
+    # pair with the same B_ij; each warm one must equal, term for term, one
+    # built on cleared memos, with its own nodes
     cd = cartan(label[0], int(label[1:]))
     cases = [(rel, i, j, sign, c, prime) for rel in structfn.RELATIONS
              for i in cd.nodes() for j in cd.nodes() for sign in (+1, -1)
              for c in (0, 1, Fraction(1, 2)) for prime in (1, 2)]
     warm = [structfn.ratio(rel, i, j, cd, c, sign, prime)
             for rel, i, j, sign, c, prime in cases]
-    for (rel, i, j, sign, c, prime), got in zip(cases, warm):
-        structfn._factors.cache_clear()
-        assert got == structfn.ratio(rel, i, j, cd, c, sign, prime)
+    warm_exprs = [_exprs(sr) for sr in warm]
+    w_sub = var("u") - var("v")
+    for (rel, i, j, sign, c, prime), got, got_exprs in zip(cases, warm, warm_exprs):
+        for memo in (structfn._factors, structfn._ratio, evalrep._rel_vars_ratio):
+            memo.cache_clear()
+        cold = structfn.ratio(rel, i, j, cd, c, sign, prime)
+        assert got == cold
         assert (got.i, got.j) == (i, j)
+        cold_exprs = _exprs(cold)
+        assert got_exprs == cold_exprs
+        # the cleared pair substitutes factor by factor, as substituting
+        # into the built numerator and denominator does
+        assert cold_exprs[1:] == [_terms(DistExpr((Term(1.0, fs),)).subs("w", w_sub))
+                                  for fs in (cold.num, cold.den)]
 
 
 def test_exchange_table_covers_every_delta_free_pair():

@@ -708,11 +708,10 @@ def test_every_evalrep_expression_rebuilds_cold_to_the_same_terms(params, monkey
         assert _same_terms(DistExpr(terms).terms, warm)
 
 
-def test_one_shape_signs_each_scalar():
+def test_one_shape_signs_each_scalar(cold_memos):
     # own-period lattice units: sh(x + 3i/eta_0) = -sh(x), whatever the scalar
     fs = (TrigFactor(0, var("u") + ShiftExpr.lattice_units(0, 3), -1),
           TrigFactor(1, var("v") + ShiftExpr.lattice_units(1, 2)))
-    _canonical_shape.cache_clear()
     cold = DistExpr((Term(2.0, fs),)).terms
     warm = DistExpr((Term(0.5 - 3j, fs),)).terms
     assert _canonical_shape.cache_info()[:2] == (1, 1)
@@ -720,11 +719,10 @@ def test_one_shape_signs_each_scalar():
     assert [(t.scalar, t.factors) for t in cold + warm] == [(-2.0, want), (-0.5 + 3j, want)]
 
 
-def test_a_delta_of_a_nonzero_constant_vanishes_cold_and_warm():
+def test_a_delta_of_a_nonzero_constant_vanishes_cold_and_warm(cold_memos):
     # the second delta becomes i*hbar/2 on the first one's support
     deltas = (DeltaAtom(var("u") - var("v")),
               DeltaAtom(var("u") - var("v") + ShiftExpr.hbar_units(Fraction(1, 2))))
-    _canonical_shape.cache_clear()
     for _ in range(2):
         assert DistExpr((Term(1.0, (TrigFactor(0, var("u")),), deltas),)).terms == ()
     assert _canonical_shape.cache_info()[:2] == (1, 1)
@@ -756,19 +754,17 @@ def test_a_substitution_that_makes_a_delta_zero_raises():
         _pinned_at_v().subs("v", var("u"))
 
 
-def test_the_module_run_canonicalizes_each_shape_once():
+def test_the_module_run_canonicalizes_each_shape_once(cold_memos):
     cfg = report.RunConfig(algebra="A4", samples=50, seed=0,
                            suites=("trigcalc", "structfn", "evalrep", "hopf", "intertwine"),
                            hopf_parts=("axioms",))
-    _canonical_shape.cache_clear()
     assert report.run(cfg)["pass"]
     info = _canonical_shape.cache_info()
-    assert (info.hits + info.misses, info.currsize) == (3023, 618)
+    assert (info.hits + info.misses, info.currsize) == (2856, 606)
 
 
-def test_a_warm_cache_gives_the_cold_report():
+def test_a_warm_cache_gives_the_cold_report(cold_memos):
     cfg = report.RunConfig(algebra="A2", samples=50, seed=0)
-    _canonical_shape.cache_clear()
     cold = report.report_json(report.run(cfg))
     assert _canonical_shape.cache_info().currsize > 0
     assert report.report_json(report.run(cfg)) == cold
@@ -985,7 +981,7 @@ def test_records_fail_when_every_point_is_rejected(monkeypatch, sign_flipped_exc
     monkeypatch.setattr(report, "kernel_value", _reject_every_point)
     assert report._suite_boson(cfg, rng, shared)[0] == {
         "id": "kernel_symmetries", "pass": False, "max_residual": math.inf, "tol": 1e-12}
-    monkeypatch.setattr(DistExpr, "eval", _reject_every_point)
+    monkeypatch.setattr(Plan, "values", _reject_every_point)
     failed = [r["id"] for r in report._suite_structfn(cfg, rng, shared) if not r["pass"]]
     assert failed == ["inversion", "hh_pm_level0_trivial", "degeneration"]
     for deg in (evalrep.degeneration_report(2), intertwine.degeneration_report(2)):
