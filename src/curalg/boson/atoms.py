@@ -78,9 +78,8 @@ class ParamLin:
         return e * params.inv_eta_at(0) + h * params.hbar
 
     def integer_ratio(self, other: "ParamLin") -> int | None:
-        """m in 1..8 with self == m * other exactly, if any (other nonzero)."""
-        if not (other.h or other.e):
-            return None
+        """m in 1..8 with self == m * other exactly, if any; ``other`` is
+        nonzero (``contraction._normalize_sh_list`` refuses a zero scale)."""
         m = self.h / other.h if other.h else self.e / other.e
         if m.denominator == 1 and 1 <= m <= 8 and self == other * m:
             return int(m)
@@ -143,12 +142,9 @@ def spectral_exponent(arg: ShiftExpr,
     """Split e^{i*lambda*arg} into variable part and exact real shift.
 
     arg = vars + i*(q*hbar + sum n_p/eta_p) turns into e^{i*lambda*vars}
-    times e^{-(q*hbar + sum n_p/eta_p)*lambda}; a nonzero real offset t
-    has no exact slot here and is rejected.  Cached: every pair form of a
-    current splits its argument again.
+    times e^{-(q*hbar + sum n_p/eta_p)*lambda}, the shift exact.  Cached:
+    every pair form of a current splits its argument again.
     """
-    if arg.t != 0.0:
-        raise ValueError("spectral arguments with float offsets are not supported")
     shift = ParamLin.hbar(-arg.q)
     for p, n in arg.lattice:
         shift = shift + ParamLin.inv_eta(p, params, -n)

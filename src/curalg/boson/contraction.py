@@ -248,29 +248,23 @@ class ClosedForm:
                      imag_bound: float) -> list[tuple[ParamLin, int, float]]:
         """Zeros/poles of exp(C) in w = (+var) - (-var), |Im w| <= bound.
 
-        Every primitive must depend on exactly the pair (wvar_plus,
-        +1), (wvar_minus, -1).  Returns (position p [w = i*p], order,
-        numeric height); order > 0 means pole.
+        Every primitive must be an I0 primitive in exactly the pair
+        (wvar_plus, +1), (wvar_minus, -1).  The E-F forms this is asked
+        about are: their sh factors cancel to sh(hbar)/sh(hbar/2) for any
+        parameters.  An M primitive, whose Gamma poles form a ladder,
+        raises.  Returns (position p [w = i*p], order, numeric height);
+        order > 0 means pole.
         """
+        expect = tuple(sorted(((wvar_plus, 1), (wvar_minus, -1))))
         ladder: dict[ParamLin, int] = {}
-
-        def add(pos: ParamLin, order: int) -> None:
-            if abs(pos.value(params)) <= imag_bound + 1e-12:
-                ladder[pos] = ladder.get(pos, 0) + order
-
         for p in self.primitives:
-            expect = tuple(sorted(((wvar_plus, 1), (wvar_minus, -1))))
             if tuple(sorted(p.vars)) != expect:
                 raise ValueError("pole catalog needs primitives in one difference variable")
-            if p.beta is None:
-                # (e^,-gamma}/x)^c: x = 0 at w = i*s
-                add(p.s, p.coeff)
-            else:
-                beta_val = p.beta.value(params)
-                m = 0
-                while m * beta_val <= (imag_bound + abs(p.s.value(params))) + 1e-12:
-                    add(p.s - p.beta * m, p.coeff)
-                    m += 1
+            if p.beta is not None:
+                raise ValueError("pole catalog of an M primitive (a Gamma-pole ladder)")
+            # (e^{-gamma}/x)^c: x = 0 at w = i*s
+            if abs(p.s.value(params)) <= imag_bound + 1e-12:
+                ladder[p.s] = ladder.get(p.s, 0) + p.coeff
         out = [(pos, order, pos.value(params)) for pos, order in ladder.items() if order != 0]
         out.sort(key=lambda rec: rec[2])
         return out

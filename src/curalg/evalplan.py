@@ -65,7 +65,7 @@ class Plan:
 
     ``factors`` holds each distinct (period, arg) of the expressions once,
     with the constants ``ShiftExpr.eval`` and ``TrigFactor.eval`` float and
-    whether a term uses its 1/sh: (pi*eta_p, t, vars, i*imag_shift, 1/sh
+    whether a term uses its 1/sh: (pi*eta_p, vars, i*imag_shift, 1/sh
     used).  Per expression, ``exprs`` holds whether it is a matrix and, per
     term, its scalar, the slots of its factor values (``values``) in term
     order and its matrix's nonzero entries as (position, entry), a scalar
@@ -101,9 +101,9 @@ class Plan:
                     row = rows.get((f.period, f.arg))
                     if row is None:
                         row = rows[f.period, f.arg] = [
-                            len(rows), math.pi * params.eta_at(f.period), complex(f.arg.t, 0.0),
-                            f.arg.vars, 1j * f.arg.imag_shift(params), False]
-                    row[5] = row[5] or f.exponent == -1
+                            len(rows), math.pi * params.eta_at(f.period), f.arg.vars,
+                            1j * f.arg.imag_shift(params), False]
+                    row[4] = row[4] or f.exponent == -1
                     slots.append(2 * row[0] + (f.exponent == -1))
                 mat = np.eye(shape[0], dtype=complex) if is_matrix and t.mat is None else t.mat
                 terms.append((t.scalar, tuple(slots), () if mat is None else
@@ -122,7 +122,8 @@ class Plan:
         """Each factor's sh and, where a term uses it, 1/sh at the point:
         the slots 2*row and 2*row + 1."""
         vals = []
-        for scale, arg, vars_, shift, inv in self.factors:
+        for scale, vars_, shift, inv in self.factors:
+            arg = 0j
             for name, c in vars_:
                 try:
                     z = assignment[name]

@@ -326,16 +326,16 @@ def verify_all(rep: EvalRep, samples: int = 50, tol: float = 1e-9,
     return out
 
 
-def smeared_total_current_check(rep: EvalRep, l: int, n_grid: int = 200001,
-                                eps0: float = 0.05, levels: int = 4) -> dict:
+def smeared_total_current_check(rep: EvalRep, l: int, n_grid: int = 200001) -> dict:
     """Slow oracle: the total-current delta coefficient by Gaussian smearing.
 
     Integrates the boundary-value difference of the half currents along
     lines displaced by +-eps into the two strips against a Gaussian test
     function centered on the support, then Richardson-extrapolates in
-    eps.  Rank-independent: the integration line runs at the height of
-    the current's own pole ladder.  Compares against the delta normal
-    form of the jump (``plemelj_reduce``).
+    eps = 0.05, 0.025, 0.0125, 0.00625.  Rank-independent: the
+    integration line runs at the height of the current's own pole ladder.
+    Compares against the delta normal form of the jump
+    (``plemelj_reduce``).
     """
     params = rep.params
     beta = float(rep.beta(l)) * params.hbar
@@ -353,8 +353,8 @@ def smeared_total_current_check(rep: EvalRep, l: int, n_grid: int = 200001,
             acc += val.ravel() * phi[kx]
         return complex(acc[np.argmax(np.abs(acc))]) * (xs[1] - xs[0])
 
-    level = [smear(eps0 / 2 ** k) for k in range(levels)]
-    for m in range(1, levels):
+    level = [smear(0.05 / 2 ** k) for k in range(4)]
+    for m in range(1, 4):
         level = [(2 ** m * level[k + 1] - level[k]) / (2 ** m - 1)
                  for k in range(len(level) - 1)]
     smeared = level[0]

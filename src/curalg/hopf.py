@@ -498,8 +498,7 @@ def verify_serre_level2(cartan: CartanData, params: ParamTower, i: int, j: int,
             **judged(worst, tol, done)}
 
 
-def ef_pole_audit_level2(cartan: CartanData, params: ParamTower, i: int,
-                         tol: float = 1e-8) -> dict:
+def ef_pole_audit_level2(cartan: CartanData, params: ParamTower, i: int) -> dict:
     """Pole/residue audit of the level-2 commutator of E_i(u), F_i(v).
 
     Only the two monomials with an E-F pair inside one slot produce
@@ -541,5 +540,5 @@ def ef_pole_audit_level2(cartan: CartanData, params: ParamTower, i: int,
         "zero_support_cancellation": cancel_res,
         "surviving_coefficient_residual": surv_res,
         # a wrong pole inventory fails the record at residual inf
-        **judged(worst_of(cancel_res, surv_res) if inventory_ok else math.inf, tol),
+        **judged(worst_of(cancel_res, surv_res) if inventory_ok else math.inf, 1e-8),
     }

@@ -92,10 +92,6 @@ def cartan(series: str, rank: int) -> CartanData:
     for i, j in edges:
         a[i - 1][j - 1] = -1
         a[j - 1][i - 1] = -1
-    for i in range(rank):
-        for j in range(rank):
-            if a[i][j] != a[j][i]:
-                raise CartanError("constructed Cartan matrix is not symmetric")
     mat = tuple(tuple(row) for row in a)
     half = tuple(tuple(Fraction(x, 2) for x in row) for row in a)
     return CartanData(series=series, rank=rank, a=mat, b=half)

@@ -32,18 +32,18 @@ class GenericityWarning(UserWarning):
     """hbar close to a small rational multiple of 1/eta."""
 
 
-def check_genericity(hbar: float, eta: float, max_den: int = 12, tol: float = 1e-9) -> bool:
-    """Warn when hbar*eta is numerically a rational p/q with q <= max_den.
+def check_genericity(hbar: float, eta: float) -> bool:
+    """Warn when hbar*eta is within 1e-9 of a rational p/q with q <= 12.
 
     Returns True when the pair looks generic.  Non-generic pairs make the
     sh-ratio structure functions degenerate (zeros colliding with poles),
     so they are flagged but not rejected.
     """
     x = hbar * eta
-    frac = Fraction(x).limit_denominator(max_den)
-    if abs(x - float(frac)) < tol:
+    frac = Fraction(x).limit_denominator(12)
+    if abs(x - float(frac)) < 1e-9:
         warnings.warn(
-            f"hbar*eta = {x!r} is within {tol} of {frac}; "
+            f"hbar*eta = {x!r} is within 1e-09 of {frac}; "
             "deformation parameters are not generic",
             GenericityWarning,
             stacklevel=2,

@@ -75,17 +75,24 @@ class RunConfig:
 
 
 def parse_config_file(path: str) -> dict:
-    """Flat ``key = value`` lines; values in JSON syntax; '#' comments."""
+    """Flat ``key = value`` lines; values in JSON syntax; a '#' comment on
+    a line of its own or after a value (a '#' inside a JSON string is the
+    string's)."""
+    decode = json.JSONDecoder().raw_decode
     out: dict = {}
     with open(path) as fh:
         for ln, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+            line = raw.strip()
+            if not line or line.startswith("#"):
                 continue
-            if "=" not in line:
+            key, eq, val = line.partition("=")
+            if not eq or "#" in key:
                 raise ValueError(f"{path}:{ln}: expected 'key = value'")
-            key, val = (s.strip() for s in line.split("=", 1))
-            out[key] = json.loads(val)
+            val = val.strip()
+            out[key.strip()], end = decode(val)
+            rest = val[end:].lstrip()
+            if rest and not rest.startswith("#"):
+                raise ValueError(f"{path}:{ln}: {rest!r} after the value; expected a '#' comment")
     return out
 
 

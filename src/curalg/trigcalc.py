@@ -5,7 +5,7 @@ representation, the intertwiner catalog) evaluates through the objects
 defined here:
 
 * ``ShiftExpr`` -- an exact point  sum_k n_k*var_k + i*(q*hbar + sum_p
-  m_p/eta_p) + t with rational q and integer lattice coefficients m_p.
+  m_p/eta_p) with rational q and integer lattice coefficients m_p.
   This is the lattice all poles, zeros and delta supports live on, so it
   is kept exact (Fractions and ints), never floated until evaluation.
 * ``TrigFactor`` -- sh(pi*eta_p * arg)^(+-1).
@@ -51,12 +51,16 @@ class ReductionError(ValueError):
 
 @dataclass(frozen=True)
 class ShiftExpr:
-    """var part + i*(q*hbar + sum_p lattice_p / eta_p) + t, all exact."""
+    """var part + i*(q*hbar + sum_p lattice_p / eta_p), all exact: every
+    shift of the relations is a rational multiple of i*hbar or of some
+    i/eta^(p), so a point has no real offset."""
 
     vars: tuple[tuple[str, int], ...] = ()
     q: Fraction = Fraction(0)
     lattice: tuple[tuple[int, int], ...] = ()
-    t: float = 0.0
+    # not a field: the real offset is always zero; the constant stays only
+    # because perfbench/tracer.py:pair_key still reads ``arg.t``
+    t = 0.0
 
     @staticmethod
     def of_var(name: str, coeff: int = 1) -> "ShiftExpr":
@@ -85,21 +89,17 @@ class ShiftExpr:
         l = self._ldict()
         for p, n in other.lattice:
             l[p] = l.get(p, 0) + n
-        return _mk_shift(v, self.q + other.q, l, self.t + other.t)
+        return _mk_shift(v, self.q + other.q, l)
 
     def __neg__(self) -> "ShiftExpr":
-        return _mk_shift(
-            {k: -c for k, c in self.vars},
-            -self.q,
-            {p: -n for p, n in self.lattice},
-            -self.t,
-        )
+        return _mk_shift({k: -c for k, c in self.vars}, -self.q,
+                         {p: -n for p, n in self.lattice})
 
     def __sub__(self, other: "ShiftExpr") -> "ShiftExpr":
         return self + (-other)
 
     def is_zero(self) -> bool:
-        return not self.vars and self.q == 0 and not self.lattice and self.t == 0.0
+        return not self.vars and self.q == 0 and not self.lattice
 
     def var_coeff(self, name: str) -> int:
         return self._vdict().get(name, 0)
@@ -110,7 +110,7 @@ class ShiftExpr:
     def without_lattice(self, period: int) -> "ShiftExpr":
         l = self._ldict()
         l.pop(period, None)
-        return _mk_shift(self._vdict(), self.q, l, self.t)
+        return _mk_shift(self._vdict(), self.q, l)
 
     def subs(self, name: str, repl: "ShiftExpr") -> "ShiftExpr":
         c = self.var_coeff(name)
@@ -118,7 +118,7 @@ class ShiftExpr:
             return self
         v = self._vdict()
         del v[name]
-        base = _mk_shift(v, self.q, self._ldict(), self.t)
+        base = _mk_shift(v, self.q, self._ldict())
         scaled = repl
         if c != 1:
             scaled = _scale_int(repl, c)
@@ -144,7 +144,7 @@ class ShiftExpr:
         return val
 
     def eval(self, assignment: Mapping[str, complex], params: ParamTower) -> complex:
-        val = complex(self.t, 0.0)
+        val = 0j
         for name, c in self.vars:
             if name not in assignment:
                 raise KeyError(f"unassigned variable {name!r}")
@@ -159,7 +159,7 @@ class ShiftExpr:
     # them once; the hash is the dataclass's own field hash.
     @cached_property
     def _hash(self) -> int:
-        return hash((self.vars, self.q, self.lattice, self.t))
+        return hash((self.vars, self.q, self.lattice))
 
     def __hash__(self) -> int:
         return self._hash
@@ -173,27 +173,21 @@ class ShiftExpr:
             bits.append(f"{self.q}*ih")
         for p, n in self.lattice:
             bits.append(f"{n}*i/eta{p}")
-        if self.t:
-            bits.append(repr(self.t))
         return " + ".join(bits) if bits else "0"
 
     def __str__(self) -> str:
         return self._text
 
 
-def _mk_shift(v: Mapping[str, int], q: Fraction, l: Mapping[int, int], t: float) -> ShiftExpr:
+def _mk_shift(v: Mapping[str, int], q: Fraction, l: Mapping[int, int]) -> ShiftExpr:
     vs = tuple(sorted((k, c) for k, c in v.items() if c != 0))
     ls = tuple(sorted((p, n) for p, n in l.items() if n != 0))
-    return ShiftExpr(vars=vs, q=q, lattice=ls, t=t + 0.0)
+    return ShiftExpr(vars=vs, q=q, lattice=ls)
 
 
 def _scale_int(e: ShiftExpr, c: int) -> ShiftExpr:
-    return _mk_shift(
-        {k: c * v for k, v in e.vars},
-        c * e.q,
-        {p: c * n for p, n in e.lattice},
-        c * e.t,
-    )
+    return _mk_shift({k: c * v for k, v in e.vars}, c * e.q,
+                     {p: c * n for p, n in e.lattice})
 
 
 def var(name: str) -> ShiftExpr:
@@ -497,7 +491,7 @@ class DistExpr:
 
     def odd_normal_form(self) -> Optional[tuple]:
         """(scalar, frozenset of ((period, arg), exponent)) of one term
-        with no delta, matrix or float offset ``t``, else None.  Each
+        with no delta or matrix, else None.  Each
         factor whose leading variable has a negative coefficient is flipped
         by sh(-x) = -sh(x), exponents are summed per (period, arg) and zero
         sums dropped.  Equal normal forms are equal functions."""
@@ -505,8 +499,6 @@ class DistExpr:
             return None
         scalar, exps = self.terms[0].scalar, {}
         for f in self.terms[0].factors:
-            if f.arg.t != 0.0:
-                return None
             arg = f.arg
             if arg.vars and arg.vars[0][1] < 0:
                 arg, scalar = -arg, -scalar
@@ -599,11 +591,11 @@ class DistExpr:
                 "vars": [[n, c] for n, c in e.vars],
                 "q": [e.q.numerator, e.q.denominator],
                 "lattice": [[p, n] for p, n in e.lattice],
-                "t": e.t,
+                "t": 0.0,
             }
 
-        # every factor writes "bv": 0, a fixed field of the exported
-        # catalog format (tests/golden/catalog_A2.json)
+        # every point writes "t": 0.0 and every factor "bv": 0, fixed
+        # fields of the exported catalog format (tests/golden/catalog_A2.json)
         terms = []
         for t in self.terms:
             terms.append({
@@ -621,9 +613,6 @@ class DistExpr:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    def __repr__(self) -> str:
-        return f"DistExpr({len(self.terms)} terms)"
 
 
 def _merge_terms(a: Term, b: Term) -> Optional[Term]:
@@ -653,18 +642,17 @@ def _mat_mul(a: Optional[np.ndarray], b: Optional[np.ndarray]) -> Optional[np.nd
 # ---------------------------------------------------------------------------
 
 
-def eval_extended(expr: DistExpr, assignment: Mapping[str, complex],
-                  params: ParamTower, dps: int = 40):
+def eval_extended(expr: DistExpr, assignment: Mapping[str, complex], params: ParamTower):
     """Optional extended-precision evaluation pass (mpmath backend).
 
     Used to validate double-precision results near strip edges, where
     the sh factors are badly conditioned; matrix terms are accumulated
-    entrywise at the requested decimal precision and returned as a
-    complex (array) rounded back to double.
+    entrywise at 40 decimal digits and returned as a complex (array)
+    rounded back to double.
     """
     import mpmath as mp
 
-    with mp.workdps(dps):
+    with mp.workdps(40):
         shape = None
         for t in expr.terms:
             if t.deltas:
@@ -681,7 +669,6 @@ def eval_extended(expr: DistExpr, assignment: Mapping[str, complex],
                     arg += c * mp.mpc(assignment[name])
                 arg += mp.mpc(0, 1) * (mp.mpf(float(f.arg.q)) * params.hbar
                                        + sum(n / params.eta_at(p) for p, n in f.arg.lattice))
-                arg += f.arg.t
                 s = mp.sinh(mp.pi * params.eta_at(f.period) * arg)
                 val = val * s if f.exponent == 1 else val / s
             if t.mat is not None:

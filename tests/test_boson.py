@@ -636,6 +636,17 @@ def test_ef_delta_pole_mismatch_fails_the_record(params, a2, monkeypatch):
     assert rep["poles"] == ["1/2*h"] and "pole structure mismatch" in rep["error"]
 
 
+def test_pole_catalog_raises_on_an_m_primitive(params, a2):
+    # an E-F form is pure I0 (its sh factors cancel to sh(hbar)/sh(hbar/2));
+    # a Gamma-pole ladder of an M primitive has no catalog and raises
+    cform = checks.word_exponent((current("E", 1, "u"), current("F", 1, "v")), a2, params)
+    assert cform.primitives and all(p.beta is None for p in cform.primitives)
+    assert len(checks.strip_poles(cform, params)) == 2
+    ladder = contraction.Primitive(1, cform.primitives[0].vars, ParamLin(), ParamLin.hbar(1))
+    with pytest.raises(ValueError, match="M primitive"):
+        checks.strip_poles(contraction.ClosedForm(cform.primitives + (ladder,)), params)
+
+
 def _ef_delta_check_a2(params):
     return checks.ef_delta_check(1, cartan("A", 2), params)
 

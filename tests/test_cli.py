@@ -38,6 +38,23 @@ def test_config_file_rejects_garbage(tmp_path):
         parse_config_file(str(bad))
 
 
+def test_config_file_comments_end_after_the_value(tmp_path, capsys):
+    # a '#' inside a JSON string belongs to the string, not to a comment
+    cfg_file = tmp_path / "run.cfg"
+    out = tmp_path / "run#1.json"
+    cfg_file.write_text(f'algebra = "A1"  # a trailing comment\nout = {json.dumps(str(out))}  # where\n'
+                        'samples = 5\n')
+    assert parse_config_file(str(cfg_file)) == {"algebra": "A1", "out": str(out), "samples": 5}
+    assert main(["verify-all", "--config", str(cfg_file)]) == 0
+    assert json.loads(out.read_text())["pass"] is True
+    # anything but a comment after the value is still refused
+    cfg_file.write_text("samples = 5 6\n")
+    with pytest.raises(ValueError):
+        parse_config_file(str(cfg_file))
+    assert main(["verify-all", "--config", str(cfg_file)]) == 2
+    assert "bad configuration" in capsys.readouterr().err
+
+
 def test_every_record_with_a_tolerance_passes_by_one_rule():
     judged = [c for suite in run(RunConfig(algebra="A2", samples=10))["suites"]
               for c in suite["checks"] if "max_residual" in c and "tol" in c]

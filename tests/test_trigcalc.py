@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import warnings
 from fractions import Fraction
@@ -45,14 +46,14 @@ def params():
 
 
 shift_strategy = st.builds(
-    lambda cu, cv, qn, qd, l0, t: (
-        ShiftExpr(q=Fraction(qn, qd), t=float(t))
+    lambda cu, cv, qn, qd, l0: (
+        ShiftExpr(q=Fraction(qn, qd))
         + ShiftExpr.of_var("u", cu) + ShiftExpr.of_var("v", cv)
         + ShiftExpr.lattice_units(0, l0)
     ),
     st.integers(-3, 3), st.integers(-3, 3),
     st.integers(-6, 6), st.integers(1, 4),
-    st.integers(-2, 2), st.integers(-2, 2),
+    st.integers(-2, 2),
 )
 
 
@@ -273,8 +274,7 @@ def test_odd_normal_form_is_none_off_its_domain():
     assert DistExpr.from_factors(2.0, (f,)).odd_normal_form() is not None
     for expr in (DistExpr.zero(), DistExpr.from_factors(1.0, (f,)) + DistExpr.scalar(1.0),
                  DistExpr.from_factors(1.0, (f,), mat=mat),
-                 DistExpr.from_factors(1.0, (f,), (DeltaAtom(var("u") - var("v")),)),
-                 DistExpr.from_factors(1.0, (TrigFactor(0, f.arg + ShiftExpr(t=0.5), -1),))):
+                 DistExpr.from_factors(1.0, (f,), (DeltaAtom(var("u") - var("v")),))):
         assert expr.odd_normal_form() is None
 
 
@@ -297,7 +297,7 @@ def test_an_entry_of_both_parts_takes_numpys_product():
     # merging a number term into a matrix term over the same factors gives
     # diagonal entries of both parts, whose numpy product may be fused (FMA)
     params = _tower()
-    f = TrigFactor(0, var("u") + var("v") + ShiftExpr.hbar_units(1) + ShiftExpr(t=1.0), -1)
+    f = TrigFactor(0, var("u") + var("v") + ShiftExpr.hbar_units(1), -1)
     e11 = np.diag([0.0, 1.0]).astype(complex)
     merged = DistExpr((Term(1 + 0.5j, (f,)), Term(1j, (f,), (), e11)))
     assert len(merged.terms) == 1
@@ -953,7 +953,8 @@ def test_atoms_hash_and_print_once(monkeypatch):
     arg = var("u") - ShiftExpr.hbar_units(Fraction(3, 4)) + ShiftExpr.lattice_units(1, 2)
     f = TrigFactor(1, arg, -1)
     # the dataclasses' field hashes, so set and dict orders stay as they were
-    want = (hash((arg.vars, arg.q, arg.lattice, arg.t)),
+    assert [fl.name for fl in dataclasses.fields(ShiftExpr)] == ["vars", "q", "lattice"]
+    want = (hash((arg.vars, arg.q, arg.lattice)),
             hash((f.period, arg, f.exponent)), "u + -3/4*ih + 2*i/eta1")
     assert (hash(arg), hash(f), str(arg)) == want
 
