@@ -181,7 +181,7 @@ def cubic_residual(u1: list, u2: list, v: list, cartan: CartanData,
         try:
             for entries in forms.values():
                 vals = group_values(entries, params, pt, memo)
-                if not all(np.isfinite(abs(x)) for x in vals):
+                if not all(math.isfinite(abs(x)) for x in vals):
                     return None
                 scale = max(1.0, max(abs(x) for x in vals))
                 res_here = max(res_here, abs(sum(vals)) / scale)

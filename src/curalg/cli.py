@@ -31,7 +31,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", help="write the JSON report here")
-    p.add_argument("--variant", choices=("printed", "normalized"))
+    p.add_argument("--variant", choices=("printed", "normalized"),
+                   help="what export-catalog writes; verify-* only echo it")
     p.add_argument("--pairs", help="boson exchange filter: all or E1:E2,H+1:F1,...")
     p.add_argument("--axioms", action="store_true",
                    help="restrict the coproduct suite to the axiom checks")

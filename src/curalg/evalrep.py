@@ -50,6 +50,7 @@ from .params import ParamTower
 from .trigcalc import (
     DeltaAtom,
     DistExpr,
+    Mat,
     ShiftExpr,
     Term,
     TrigFactor,
@@ -63,10 +64,9 @@ U = "u"
 Z = "z"
 
 
-def matrix_unit(i: int, j: int, dim: int) -> np.ndarray:
-    m = np.zeros((dim, dim), dtype=complex)
-    m[i, j] = 1.0
-    return m
+def matrix_unit(i: int, j: int) -> Mat:
+    """The matrix unit E_ij, its one entry."""
+    return (((i, j), 1 + 0j),)
 
 
 def ef_normalization(params: ParamTower) -> float:
@@ -146,20 +146,17 @@ def build(r: int, params: ParamTower) -> EvalRep:
         raise ValueError("rank must be >= 1")
     if params.max_level() < 1 or params.c_at(0) != 0:
         raise ValueError("level-0 module needs a tower materialized with c_0 = 0")
-    dim = r + 1
     s_coef = -cmath.sinh(1j * math.pi * params.eta * params.hbar)
     rep = EvalRep(r=r, params=params)
     for l in range(1, r + 1):
         pole = _pole_factor(r, l)
-        rest = np.eye(dim, dtype=complex)
-        rest[l, l] = 0.0
-        rest[l - 1, l - 1] = 0.0
+        rest = tuple(((k, k), 1 + 0j) for k in range(r + 1) if k not in (l - 1, l))
         rep._ops.update({
-            ("e+", l, None): DistExpr((Term(s_coef, (pole,), (), matrix_unit(l - 1, l, dim)),)),
-            ("f+", l, None): DistExpr((Term(s_coef, (pole,), (), matrix_unit(l, l - 1, dim)),)),
+            ("e+", l, None): DistExpr((Term(s_coef, (pole,), (), matrix_unit(l - 1, l)),)),
+            ("f+", l, None): DistExpr((Term(s_coef, (pole,), (), matrix_unit(l, l - 1)),)),
             ("H+", l, None): DistExpr((
-                Term(1.0, (_num_factor(r, l, -2), pole), (), matrix_unit(l, l, dim)),
-                Term(1.0, (_num_factor(r, l, +2), pole), (), matrix_unit(l - 1, l - 1, dim)),
+                Term(1.0, (_num_factor(r, l, -2), pole), (), matrix_unit(l, l)),
+                Term(1.0, (_num_factor(r, l, +2), pole), (), matrix_unit(l - 1, l - 1)),
                 Term(1.0, (), (), rest),
             )),
         })
@@ -295,8 +292,7 @@ def verify_serre(rep: EvalRep, i: int, j: int, tol: float = 1e-9) -> dict:
     total = DistExpr.zero()
     for a, b in ((e_i1, e_i2), (e_i2, e_i1)):
         total = total + (a * b * e_j) - (a * e_j * b).scaled(coef) + (e_j * a * b)
-    residual = worst_of(*(abs(t.scalar) if t.mat is None
-                          else abs(t.scalar) * float(np.max(np.abs(t.mat)))
+    residual = worst_of(*(abs(t.scalar) * float(np.abs([z for _, z in t.mat]).max())
                           for t in total.terms))
     return {**judged(residual, tol), "samples": 1}
 
@@ -345,13 +341,13 @@ def smeared_total_current_check(rep: EvalRep, l: int, n_grid: int = 200001) -> d
     e_plus, e_minus = rep.op("e+", l), rep.op("e-", l)
 
     def smear(eps: float) -> complex:
-        acc = np.zeros(rep.dim * rep.dim, dtype=complex)
-        for kx, x in enumerate(xs):
-            u_lo = complex(x, beta - eps)
-            u_hi = complex(x, beta + eps)
-            val = e_plus.eval({U: u_lo, Z: z0}, params) - e_minus.eval({U: u_hi, Z: z0}, params)
-            acc += val.ravel() * phi[kx]
-        return complex(acc[np.argmax(np.abs(acc))]) * (xs[1] - xs[0])
+        acc: dict[tuple[int, int], complex] = {}
+        for x, weight in zip(xs.tolist(), phi.tolist()):
+            lo = e_plus.eval({U: complex(x, beta - eps), Z: z0}, params)
+            hi = e_minus.eval({U: complex(x, beta + eps), Z: z0}, params)
+            for ij in lo.keys() | hi.keys():
+                acc[ij] = acc.get(ij, 0j) + (lo.get(ij, 0j) - hi.get(ij, 0j)) * weight
+        return max(acc.values(), key=abs) * (xs[1] - xs[0])
 
     level = [smear(0.05 / 2 ** k) for k in range(4)]
     for m in range(1, 4):
@@ -360,7 +356,7 @@ def smeared_total_current_check(rep: EvalRep, l: int, n_grid: int = 200001) -> d
     smeared = level[0]
 
     t = rep.op("jump e+", l).terms[0]
-    want = t.scalar * float(np.max(np.abs(t.mat)))  # phi(support) = 1 on line
+    want = t.scalar * max(abs(z) for _, z in t.mat)  # phi(support) = 1 on line
     resid = abs(smeared - want) / abs(want)
     return {"l": l, "smeared": smeared, "delta_coefficient": want,
             "max_residual": resid, "pass": bool(resid < 1e-6)}
@@ -374,21 +370,22 @@ def degeneration_report(r: int, hbar: float = 0.1, eta_small: float = 1e-4,
     params = ParamTower(hbar, eta_small, (0.0,))
     rep = build(r, params)
 
+    def off(got: dict, want: dict) -> float:
+        # the largest entry modulus of got - want over that of want, at least 1
+        diff = [got.get(ij, 0j) - want.get(ij, 0j) for ij in got.keys() | want.keys()]
+        return float(np.abs(diff).max()) / max(1.0, float(np.abs(list(want.values())).max()))
+
     def residual(l, pt):
         # the imaginary window is [-0.2, 0.2) in units of hbar
         u = complex(pt[U].real, pt[U].imag * hbar)
         z = pt[Z]
         beta = float(rep.beta(l)) * hbar
         trig = rep.op("e+", l).eval({U: u, Z: z}, params)
-        rational = -1j * hbar / (u - z - 1j * beta) * matrix_unit(l - 1, l, r + 1)
-        scale = max(1.0, float(np.max(np.abs(rational))))
-        e_res = float(np.max(np.abs(trig - rational))) / scale
-        ht = rep.op("H+", l).eval({U: u, Z: z}, params)
-        hr = np.eye(r + 1, dtype=complex)
+        rational = {(l - 1, l): -1j * hbar / (u - z - 1j * beta)}
+        hr = {(k, k): 1 + 0j for k in range(r + 1)}
         hr[l, l] = (u - z - 1j * (float(rep.beta(l)) - 1.0) * hbar) / (u - z - 1j * beta)
         hr[l - 1, l - 1] = (u - z - 1j * (float(rep.beta(l)) + 1.0) * hbar) / (u - z - 1j * beta)
-        return worst_of(e_res,
-                        float(np.max(np.abs(ht - hr))) / max(1.0, float(np.max(np.abs(hr)))))
+        return worst_of(off(trig, rational), off(rep.op("H+", l).eval({U: u, Z: z}, params), hr))
 
     windows = {U: ((-2.0, 2.0), (-0.2, 0.2)), Z: ((-2.0, 2.0), None)}
     worst, done = 0.0, 0

@@ -258,7 +258,7 @@ def counit_slot(x: CurrentExpr, slot: int) -> CurrentExpr:
 def module_expr(rep: evalrep.EvalRep, x: CurrentExpr) -> DistExpr:
     """A single-slot expression in the level-0 module (all tags equal):
     each word is the product of its letters' operators."""
-    one = DistExpr.matrix(np.eye(rep.dim, dtype=complex))
+    one = DistExpr.matrix(tuple(((k, k), 1 + 0j) for k in range(rep.dim)))
     acc = DistExpr.zero()
     for w in _single_slot(x, "the level-0 module").words:
         term = one.scaled(w.coeff)

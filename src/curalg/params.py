@@ -66,6 +66,8 @@ class ParamTower:
     _inv_etas: tuple[float, ...] = field(init=False, repr=False, default=())
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.hbar, self.eta, *self.levels))):
+            raise ParameterRangeError("hbar, eta and every level must be finite")
         if self.hbar <= 0 or self.eta <= 0:
             raise ParameterRangeError("hbar and eta must be positive")
         inv = [1.0 / self.eta]
@@ -97,8 +99,8 @@ class ParamTower:
         c_n is not one to 1e-12; computed once per tower."""
         out = []
         for c in self.levels:
-            frac = Fraction(c).limit_denominator(64) if math.isfinite(c) else None
-            exact = frac is not None and abs(float(frac) - c) <= 1e-12
+            frac = Fraction(c).limit_denominator(64)
+            exact = abs(float(frac) - c) <= 1e-12
             out.append(frac if exact else None)
         return tuple(out)
 

@@ -11,6 +11,10 @@ defined here:
 * ``TrigFactor`` -- sh(pi*eta_p * arg)^(+-1).
 * ``DistExpr`` -- finite sums  scalar * prod(TrigFactor) * prod(delta)
   * (matrix coefficient), closed under sum, product and commutator.
+* ``Mat`` -- a matrix coefficient of the level-0 module, its nonzero
+  entries ((row, col), value) sorted by position.  The module's matrices
+  are matrix units and diagonal matrices, so products and merges read
+  only the entries that are there.
 
 Conventions fixed here and relied on by every verification module:
 
@@ -262,12 +266,8 @@ class DeltaAtom:
 # ---------------------------------------------------------------------------
 
 
-def _mat_tuple(mat: Optional[np.ndarray]) -> Optional[np.ndarray]:
-    if mat is None:
-        return None
-    arr = np.asarray(mat, dtype=complex)
-    arr.setflags(write=False)
-    return arr
+# a module matrix: its nonzero entries ((row, col), value), sorted by position
+Mat = tuple[tuple[tuple[int, int], complex], ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,7 +275,7 @@ class Term:
     scalar: complex
     factors: tuple[TrigFactor, ...] = ()
     deltas: tuple[DeltaAtom, ...] = ()
-    mat: Optional[np.ndarray] = None
+    mat: Optional[Mat] = None
 
     def signature(self) -> tuple:
         return (self.factors, self.deltas)
@@ -356,14 +356,14 @@ def _canonical_shape(factors: tuple[TrigFactor, ...], deltas: tuple[DeltaAtom, .
 
 
 def _canonical_term(scalar: complex, factors: Iterable[TrigFactor],
-                    deltas: Iterable[DeltaAtom], mat: Optional[np.ndarray]) -> Optional[Term]:
+                    deltas: Iterable[DeltaAtom], mat: Optional[Mat]) -> Optional[Term]:
     """The term with its shape canonicalized (``_canonical_shape``) and its
     scalar multiplied by the shape's sign."""
     shape = _canonical_shape(tuple(factors), tuple(deltas))
     if shape is None:
         return None
     sign, fs, ds = shape
-    return Term(scalar=complex(scalar) * sign, factors=fs, deltas=ds, mat=_mat_tuple(mat))
+    return Term(scalar=complex(scalar) * sign, factors=fs, deltas=ds, mat=mat)
 
 
 class DistExpr:
@@ -384,9 +384,7 @@ class DistExpr:
         buckets: dict[tuple, Term] = {}
         for t in terms:
             ct = _canonical_term(t.scalar, t.factors, t.deltas, t.mat)
-            if ct is None or ct.scalar == 0:
-                continue
-            if ct.mat is not None and not ct.mat.any():
+            if ct is None or ct.scalar == 0 or ct.mat == ():
                 continue
             key = ct.signature()
             if key in buckets:
@@ -412,12 +410,12 @@ class DistExpr:
 
     @staticmethod
     def from_factors(scalar: complex, factors: Sequence[TrigFactor],
-                     deltas: Sequence[DeltaAtom] = (), mat=None) -> "DistExpr":
-        return DistExpr((Term(scalar, tuple(factors), tuple(deltas), _mat_tuple(mat)),))
+                     deltas: Sequence[DeltaAtom] = (), mat: Optional[Mat] = None) -> "DistExpr":
+        return DistExpr((Term(scalar, tuple(factors), tuple(deltas), mat),))
 
     @staticmethod
-    def matrix(mat: np.ndarray) -> "DistExpr":
-        return DistExpr((Term(1.0, (), (), _mat_tuple(mat)),))
+    def matrix(mat: Mat) -> "DistExpr":
+        return DistExpr((Term(1.0, (), (), mat),))
 
     # -- algebra -----------------------------------------------------------
 
@@ -478,7 +476,8 @@ class DistExpr:
     # -- evaluation --------------------------------------------------------
 
     def eval(self, assignment: Mapping[str, complex], params: ParamTower):
-        """Numeric value; complex scalar, or complex matrix if any term has one.
+        """Numeric value: a complex number, or for a matrix expression its
+        entries ``{(row, col): value}`` at the positions some term reaches.
 
         The one-expression case of ``Plan``: bitwise the values of
         ``ShiftExpr.eval`` and ``TrigFactor.eval`` (the references),
@@ -607,7 +606,7 @@ class DistExpr:
                 ],
                 "deltas": [shift_d(d.arg) for d in t.deltas],
                 "mat": None if t.mat is None else
-                       [[[z.real, z.imag] for z in row] for row in t.mat.tolist()],
+                       [[list(ij), [z.real, z.imag]] for ij, z in t.mat],
             })
         return {"terms": terms}
 
@@ -616,25 +615,36 @@ class DistExpr:
 
 
 def _merge_terms(a: Term, b: Term) -> Optional[Term]:
-    if a.mat is None and b.mat is None:
+    """The sum of two terms over the same factors and deltas, or None where
+    it is zero; a matrix term sums entry by entry, a missing entry read as
+    0j.  A number term and a matrix term have no sum."""
+    if (a.mat is None) != (b.mat is None):
+        raise ValueError("a sum of a number term and a matrix term")
+    if a.mat is None:
         s = a.scalar + b.scalar
         if abs(s) < 1e-300:
             return None
         return Term(s, a.factors, a.deltas, None)
-    ma = a.mat if a.mat is not None else np.eye(b.mat.shape[0], dtype=complex)
-    mb = b.mat if b.mat is not None else np.eye(a.mat.shape[0], dtype=complex)
-    m = a.scalar * ma + b.scalar * mb
-    if np.max(np.abs(m)) < 1e-300:
-        return None
-    return Term(1.0 + 0j, a.factors, a.deltas, _mat_tuple(m))
+    za, zb = dict(a.mat), dict(b.mat)
+    m = tuple((ij, z) for ij in sorted(za.keys() | zb.keys())
+              if (z := a.scalar * za.get(ij, 0j) + b.scalar * zb.get(ij, 0j)))
+    return Term(1.0 + 0j, a.factors, a.deltas, m) if m else None
 
 
-def _mat_mul(a: Optional[np.ndarray], b: Optional[np.ndarray]) -> Optional[np.ndarray]:
+def _mat_mul(a: Optional[Mat], b: Optional[Mat]) -> Optional[Mat]:
+    """The matrix product, None standing for the identity.  Each entry is
+    summed from 0j, as numpy's dense product is, so a product's zero part
+    has numpy's sign."""
     if a is None:
         return b
     if b is None:
         return a
-    return a @ b
+    out: dict[tuple[int, int], complex] = {}
+    for (i, k), x in a:
+        for (kb, j), y in b:
+            if k == kb:
+                out[i, j] = out.get((i, j), 0j) + x * y
+    return tuple(sorted((ij, z) for ij, z in out.items() if z))
 
 
 # ---------------------------------------------------------------------------
@@ -646,22 +656,19 @@ def eval_extended(expr: DistExpr, assignment: Mapping[str, complex], params: Par
     """Optional extended-precision evaluation pass (mpmath backend).
 
     Used to validate double-precision results near strip edges, where
-    the sh factors are badly conditioned; matrix terms are accumulated
-    entrywise at 40 decimal digits and returned as a complex (array)
-    rounded back to double.
+    the sh factors are badly conditioned; terms are accumulated at 40
+    decimal digits, a matrix expression entry by entry, and rounded back
+    to a complex number or to entries ``{(row, col): value}``.
     """
     import mpmath as mp
 
+    if len({t.mat is None for t in expr.terms}) > 1:
+        raise ValueError("an expression of numbers and matrices")
     with mp.workdps(40):
-        shape = None
+        acc: dict = {}   # position -> sum; a number term's position is None
         for t in expr.terms:
             if t.deltas:
                 raise DeltaPresentError("use residue/delta APIs for delta terms")
-            if t.mat is not None:
-                shape = t.mat.shape
-        acc_mat = [[mp.mpc(0)] * shape[1] for _ in range(shape[0])] if shape else None
-        acc_sc = mp.mpc(0)
-        for t in expr.terms:
             val = mp.mpc(t.scalar)
             for f in t.factors:
                 arg = mp.mpc(0)
@@ -671,18 +678,11 @@ def eval_extended(expr: DistExpr, assignment: Mapping[str, complex], params: Par
                                        + sum(n / params.eta_at(p) for p, n in f.arg.lattice))
                 s = mp.sinh(mp.pi * params.eta_at(f.period) * arg)
                 val = val * s if f.exponent == 1 else val / s
-            if t.mat is not None:
-                for a in range(shape[0]):
-                    for b in range(shape[1]):
-                        acc_mat[a][b] += val * t.mat[a, b]
-            elif acc_mat is not None:
-                for a in range(shape[0]):
-                    acc_mat[a][a] += val
-            else:
-                acc_sc += val
-        if acc_mat is not None:
-            return np.array([[complex(z) for z in row] for row in acc_mat])
-        return complex(acc_sc)
+            for ij, z in ((None, 1),) if t.mat is None else t.mat:
+                acc[ij] = acc.get(ij, 0) + val * z
+        if None in acc or not acc:
+            return complex(acc.get(None, 0))
+        return {ij: complex(z) for ij, z in acc.items()}
 
 
 def judged(worst: float, tol: float, done: int = 1) -> dict:

@@ -272,6 +272,15 @@ def test_configuration_errors_surface_cleanly(capsys):
     assert "bad configuration" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [("--hbar", "inf"), ("--eta", "inf"),
+                                        ("--levels", "1,nan,1")])
+def test_a_non_finite_parameter_is_a_configuration_error(flag, value, capsys):
+    # an infinite hbar or eta overflowed the genericity check, and a NaN
+    # level ran to a failing suite record
+    assert main(["verify-all", "--algebra", "A1", flag, value]) == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_a_pairs_filter_naming_no_pair_is_a_configuration_error(capsys):
     # E1:E9 names no pair of A2: the run would verify no exchange and pass
     assert main(["verify-boson", "--algebra", "A2", "--pairs", "E1:E9"]) == 2

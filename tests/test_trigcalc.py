@@ -26,6 +26,8 @@ from curalg.trigcalc import (
     Term,
     TrigFactor,
     _canonical_shape,
+    _mat_mul,
+    _merge_terms,
     equal_numeric,
     judged,
     sample_max,
@@ -150,28 +152,29 @@ def test_product_eval_property(params):
 
 
 def _reference_eval(expr, pt, params):
-    """Term by term, the product of ``TrigFactor.eval`` over the factors."""
-    shape = None
-    for t in expr.terms:
-        if t.mat is not None:
-            shape = t.mat.shape
-    acc_mat = np.zeros(shape, dtype=complex) if shape else None
-    acc_sc = 0.0 + 0.0j
+    """Term by term, the product of ``TrigFactor.eval`` over the factors,
+    added to a number or, times each entry, to a matrix's entries."""
+    acc, entries = 0j, {}
     for t in expr.terms:
         val = t.scalar
         for f in t.factors:
             val *= f.eval(pt, params)
-        if t.mat is not None:
-            acc_mat += val * t.mat
-        elif acc_mat is not None:
-            acc_mat += val * np.eye(shape[0], dtype=complex)
-        else:
-            acc_sc += val
-    return acc_mat if acc_mat is not None else acc_sc
+        if t.mat is None:
+            acc += val
+        for ij, z in t.mat or ():
+            entries[ij] = entries.get(ij, 0j) + val * z
+    return entries or acc
 
 
 def _bits(value) -> bytes:
+    if isinstance(value, dict):
+        return repr(sorted(value.items())).encode()
     return np.asarray(value, dtype=complex).tobytes()
+
+
+def _unit(*ij, z=1 + 0j):
+    """The matrix with entry z at each position ij."""
+    return tuple((p, z) for p in sorted(ij))
 
 
 def _assert_plan_matches_reference(expr, pt, params):
@@ -183,11 +186,7 @@ def _assert_plan_matches_reference(expr, pt, params):
         return
     for _ in range(2):   # the first call builds the plan, the second reuses it
         got = expr.eval(pt, params)
-        assert isinstance(got, np.ndarray) == isinstance(want, np.ndarray)
-        if isinstance(want, np.ndarray):
-            assert np.array_equal(got, want)
-        else:
-            assert got == want
+        assert type(got) is type(want) and got == want
         assert _bits(got) == _bits(want)
 
 
@@ -199,21 +198,28 @@ def _tower(levels=(0.5,)):
 
 factor_strategy = st.builds(TrigFactor, st.integers(0, 1), shift_strategy,
                             st.sampled_from((1, -1)))
-term_strategy = st.builds(
-    lambda re, im, fs, mat: Term(complex(re, im), tuple(fs), (),
-                                 None if mat is None else np.array(mat, dtype=complex)),
-    st.floats(-3, 3), st.floats(-3, 3),
-    st.lists(factor_strategy, max_size=3),
-    st.none() | st.lists(st.lists(st.integers(-2, 2), min_size=2, max_size=2),
-                         min_size=2, max_size=2),
-)
+# a 2x2 matrix's nonzero entries, of either part or both
+mat_strategy = st.dictionaries(
+    st.tuples(st.integers(0, 1), st.integers(0, 1)),
+    st.builds(complex, st.integers(-2, 2), st.integers(-2, 2)), max_size=4,
+).map(lambda d: tuple(sorted((ij, z) for ij, z in d.items() if z)))
+
+
+def term_strategy(matrix: bool):
+    """A delta-free term, with a matrix or without one."""
+    return st.builds(lambda re, im, fs, mat: Term(complex(re, im), tuple(fs), (), mat),
+                     st.floats(-3, 3), st.floats(-3, 3), st.lists(factor_strategy, max_size=3),
+                     mat_strategy if matrix else st.none())
+
+
 point_strategy = st.builds(
     lambda ur, ui, vr, vi: {"u": complex(ur, ui), "v": complex(vr, vi)},
     st.floats(-2, 2), st.floats(-0.3, 0.3), st.floats(-2, 2), st.floats(-0.3, 0.3),
 )
 
 
-@given(st.lists(term_strategy, min_size=1, max_size=3), point_strategy)
+@given(st.booleans().flatmap(lambda matrix: st.lists(term_strategy(matrix), min_size=1,
+                                                     max_size=3)), point_strategy)
 @settings(max_examples=150, deadline=None)
 def test_eval_plan_bitwise_equals_reference(terms, pt):
     _assert_plan_matches_reference(DistExpr(terms), pt, _tower())
@@ -270,7 +276,7 @@ def test_equal_odd_normal_forms_evaluate_equal(scalar, factors, pairs, broken, d
 
 def test_odd_normal_form_is_none_off_its_domain():
     f = TrigFactor(0, var("u") - ShiftExpr.hbar_units(1), -1)
-    mat = np.eye(2, dtype=complex)
+    mat = _unit((0, 0), (1, 1))
     assert DistExpr.from_factors(2.0, (f,)).odd_normal_form() is not None
     for expr in (DistExpr.zero(), DistExpr.from_factors(1.0, (f,)) + DistExpr.scalar(1.0),
                  DistExpr.from_factors(1.0, (f,), mat=mat),
@@ -282,30 +288,51 @@ def test_eval_plan_scalar_matrix_and_mixed():
     params = _tower()
     f = TrigFactor(1, var("u") - ShiftExpr.hbar_units(Fraction(1, 2)), -1)
     g = TrigFactor(0, var("v") + ShiftExpr.lattice_units(1, 1), 1)
-    mat = np.array([[1, 2j], [0, -1]], dtype=complex)
+    mat = (((0, 0), 1 + 0j), ((0, 1), 2j), ((1, 1), -1 + 0j))
     scalar = DistExpr((Term(0.5 - 1j, (f, g)), Term(2.0, (g,))))
     matrix = DistExpr.from_factors(1.5, (f,), mat=mat)
     mixed = scalar + matrix
     assert {t.mat is None for t in mixed.terms} == {True, False}
     pt = {"u": 0.4 + 0.1j, "v": -1.3 + 0.05j}
-    for expr in (scalar, matrix, mixed):
+    for expr in (scalar, matrix):
         _assert_plan_matches_reference(expr, pt, params)
-    assert isinstance(mixed.eval(pt, params), np.ndarray)
+    assert set(matrix.eval(pt, params)) == {(0, 0), (0, 1), (1, 1)}
+    # a number term and a matrix term over other factors share no plan
+    with pytest.raises(ValueError, match="numbers and matrices"):
+        mixed.eval(pt, params)
 
 
-def test_an_entry_of_both_parts_takes_numpys_product():
-    # merging a number term into a matrix term over the same factors gives
-    # diagonal entries of both parts, whose numpy product may be fused (FMA)
-    params = _tower()
-    f = TrigFactor(0, var("u") + var("v") + ShiftExpr.hbar_units(1), -1)
-    e11 = np.diag([0.0, 1.0]).astype(complex)
-    merged = DistExpr((Term(1 + 0.5j, (f,)), Term(1j, (f,), (), e11)))
-    assert len(merged.terms) == 1
-    assert all(z.real and z.imag for z in np.diag(merged.terms[0].mat))
-    other = DistExpr.from_factors(1.0, (f,), mat=e11)
-    for pt in [{"u": 0j, "v": 0j}] + _pair_points():
-        _assert_plan_matches_reference(merged, pt, params)
-        _assert_pair_matches_reference(merged, other, pt, params)
+def _dense(mat, dim):
+    out = np.zeros((dim, dim), dtype=complex)
+    for ij, z in mat:
+        out[ij] = z
+    return out
+
+
+def _nonzero_entries(dense) -> bytes:
+    """The bits of a dense matrix's nonzero entries, by position."""
+    return _bits({(int(i), int(j)): complex(dense[i, j]) for i, j in zip(*np.nonzero(dense))})
+
+
+def test_products_and_merges_are_numpys_over_the_a3_module(params):
+    # numpy is only the reference here: over every pair of matrices of the
+    # A3 module's operators, with their negatives and i-multiples (whose
+    # products have zero parts of either sign), ``_mat_mul`` is ``A @ B``
+    # and ``_merge_terms`` is ``s*A + t*B`` bit for bit at each nonzero
+    # entry, and zero entries are the ones left out
+    rep = evalrep.build(3, params)
+    kinds = ("e+", "f+", "H+", "e-", "f-", "H-", "E", "F", "H+inv", "H-inv",
+             "jump e+", "jump f+", "jump H+")
+    terms = {(t.scalar, tuple((ij, c * z) for ij, z in t.mat)) for kind in kinds
+             for l in (1, 2, 3) for t in rep.op(kind, l).terms for c in (1, -1, 1j, -1j)}
+    assert len({m for _, m in terms}) >= 40
+    for sa, a in terms:
+        for sb, b in terms:
+            da, db = _dense(a, 4), _dense(b, 4)
+            assert _bits(dict(_mat_mul(a, b))) == _nonzero_entries(da @ db)
+            merged = _merge_terms(Term(sa, (), (), a), Term(sb, (), (), b))
+            want = _nonzero_entries(sa * da + sb * db)
+            assert _bits(dict(merged.mat) if merged else {}) == want
 
 
 def test_eval_plan_pole_and_unassigned_variable():
@@ -338,28 +365,30 @@ def test_eval_plan_is_keyed_on_the_tower():
 
 
 def _reference_residual(a, b):
-    """The relative residual by three reductions: |a|, |b| and |a - b|,
-    each a dense ``np.abs(...).max()``; a number's modulus is Python's
-    ``abs`` and the number stands for that multiple of the identity."""
-    if not (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):
+    """The relative residual by three reductions: |a|, |b| and |a - b|.  A
+    number's modulus is Python's ``abs``; a matrix's is the largest of
+    ``np.abs`` over its entry list, an entry missing on one side read as
+    0j and a number (the empty expression) as no entry."""
+    if not (isinstance(a, dict) or isinstance(b, dict)):
         return worst_of(abs(a - b) / max(1.0, abs(a), abs(b)))
+    a, b = (v if isinstance(v, dict) else {} for v in (a, b))
 
-    def modulus(v):
-        return float(np.abs(v).max()) if isinstance(v, np.ndarray) else abs(v)
+    def modulus(zs):
+        return float(np.abs(zs).max()) if zs else 0.0
 
-    scale = max(1.0, modulus(a), modulus(b))
-    if not isinstance(a, np.ndarray):
-        a = a * np.eye(b.shape[0], dtype=complex)
-    if not isinstance(b, np.ndarray):
-        b = b * np.eye(a.shape[0], dtype=complex)
-    return worst_of(modulus(a - b) / scale)
+    diff = [a.get(ij, 0j) - b.get(ij, 0j) for ij in a.keys() | b.keys()]
+    return worst_of(modulus(diff) / max(1.0, modulus(list(a.values())),
+                                        modulus(list(b.values()))))
 
 
 class _ReferencePlan:
     """``evalplan.Plan`` of a pair by the reference: each side by
-    ``_reference_eval``, the residual by ``_reference_residual``."""
+    ``_reference_eval``, the residual by ``_reference_residual``; numbers
+    and matrices do not mix."""
 
     def __init__(self, exprs, params):
+        if len({t.mat is None for e in exprs for t in e.terms}) > 1:
+            raise ValueError("a plan of numbers and matrices")
         self.exprs, self.params = exprs, params
 
     def residual(self, pt):
@@ -375,8 +404,8 @@ def _reference_equal_numeric(*args, **kwargs):
 def _assert_pair_matches_reference(a, b, pt, params):
     try:
         want = _ReferencePlan((a, b), params).residual(pt)
-    except PoleProximityError:
-        with pytest.raises(PoleProximityError):
+    except (PoleProximityError, ValueError) as exc:
+        with pytest.raises(type(exc)):
             Plan((a, b), params).residual(pt)
         return
     got = Plan((a, b), params).residual(pt)
@@ -394,11 +423,11 @@ def test_a_matrix_pair_sharing_factors_matches_the_reference():
     f = TrigFactor(0, var("u") - var("v") + ShiftExpr.hbar_units(1), 1)
     g = TrigFactor(1, var("u") - ShiftExpr.hbar_units(Fraction(1, 2)), -1)
     f_inv = TrigFactor(f.period, f.arg, -1)
-    e01, e11 = np.zeros((3, 3), dtype=complex), np.zeros((3, 3), dtype=complex)
-    e01[0, 1], e11[1, 1] = 1.0, -0.5j
+    e01, e11 = _unit((0, 1)), _unit((1, 1), z=-0.5j)
     # f is sh on one side and 1/sh on the other; g is shared as 1/sh
-    a = DistExpr((Term(2.0, (f, g), (), e01), Term(1.5j, (g,), (), e11), Term(0.25, (f,))))
-    b = DistExpr((Term(-1.0, (f_inv,), (), e01), Term(0.5, (g,), (), e11 + e01)))
+    a = DistExpr((Term(2.0, (f, g), (), e01), Term(1.5j, (g,), (), e11),
+                  Term(0.25, (f,), (), _unit((0, 0), (1, 1), (2, 2)))))
+    b = DistExpr((Term(-1.0, (f_inv,), (), e01), Term(0.5, (g,), (), e01 + e11)))
     plan = Plan((a, b), params)
     assert len(plan.factors) == 2     # f and g, each valued once per point
     for pt in _pair_points():
@@ -409,24 +438,41 @@ def test_a_matrix_pair_sharing_factors_matches_the_reference():
     assert _reference_equal_numeric(a, b, params, samples=30, rng=5) == rec
 
 
-def test_a_number_against_a_matrix_keeps_pythons_abs_in_the_scale():
+def test_a_plan_of_a_number_against_a_matrix_raises_but_zero_is_either():
     params = _tower()
     f = TrigFactor(0, var("u") + ShiftExpr.hbar_units(2), 1)
     number = DistExpr.from_factors(3.0 - 1.0j, (f,))
-    matrix = DistExpr.from_factors(0.5, (TrigFactor(0, var("v"), 1),), mat=np.diag([1.0, -2.0]))
-    values = []
+    matrix = DistExpr.from_factors(0.5, (TrigFactor(0, var("v"), 1),),
+                                   mat=(((0, 0), 1 + 0j), ((1, 1), -2 + 0j)))
+    for pair in ((number, matrix), (matrix, number)):
+        with pytest.raises(ValueError, match="numbers and matrices"):
+            Plan(pair, params)
+    # the empty expression is a number against a number and a matrix with
+    # no entry against a matrix: the E-F records with i != j compare so
     for pt in _pair_points():
-        _assert_pair_matches_reference(number, matrix, pt, params)
-        _assert_pair_matches_reference(matrix, number, pt, params)
-        _assert_pair_matches_reference(matrix, DistExpr.zero(), pt, params)
-        values.append(number.eval(pt, params))
-    # the points reach numbers whose Python abs and numpy abs differ
-    assert any(abs(v) != float(np.abs(v)) and abs(v) > 1.0 for v in values)
+        for pair in ((matrix, DistExpr.zero()), (DistExpr.zero(), matrix),
+                     (number, DistExpr.zero())):
+            _assert_pair_matches_reference(*pair, pt, params)
+        got = Plan((matrix, DistExpr.zero()), params).residual(pt)
+        entries = matrix.eval(pt, params)
+        scale = float(np.abs(list(entries.values())).max())
+        assert got == scale / max(1.0, scale)
+    rec = equal_numeric(matrix, DistExpr.zero(), params, samples=5)
+    assert not rec["pass"] and rec["groups"][0]["samples"] == 5
+
+
+def test_a_sum_of_a_number_term_and_a_matrix_term_raises():
+    # over the same factors the two terms would merge; a number is no matrix
+    f = TrigFactor(0, var("u") + ShiftExpr.hbar_units(1), -1)
+    with pytest.raises(ValueError, match="a number term and a matrix term"):
+        DistExpr((Term(1.0, (f,)), Term(2.0, (f,), (), _unit((0, 0)))))
+    with pytest.raises(ValueError, match="a number term and a matrix term"):
+        DistExpr.from_factors(1.0, (f,), mat=_unit((1, 1))) + DistExpr.from_factors(1.0, (f,))
 
 
 def test_a_pair_rejects_a_point_only_where_a_reciprocal_use_is_near_its_pole():
     params = _tower()
-    m = np.diag([1.0, 2.0]).astype(complex)
+    m = (((0, 0), 1 + 0j), ((1, 1), 2 + 0j))
     sh_u = DistExpr.from_factors(1.0, (TrigFactor(0, var("u"), 1),), mat=m)
     inv_u = DistExpr.from_factors(1.0, (TrigFactor(0, var("u"), -1),
                                         TrigFactor(0, var("v"), 1)), mat=m)
@@ -449,12 +495,15 @@ pool_strategy = st.lists(factor_strategy, min_size=1, max_size=3)
 @given(pool_strategy, st.data(), point_strategy)
 @settings(max_examples=150, deadline=None)
 def test_a_pair_plan_bitwise_equals_reference(pool, data, pt):
-    # two sides whose terms draw their factors, with either exponent, from one pool
+    # two sides of numbers or of matrices whose terms draw their factors,
+    # with either exponent, from one pool
+    matrix = data.draw(st.booleans())
+
     def side():
         factor = st.builds(lambda i, e: TrigFactor(pool[i].period, pool[i].arg, e),
                            st.integers(0, len(pool) - 1), st.sampled_from((1, -1)))
         term = st.builds(lambda t, fs: Term(t.scalar, tuple(fs), (), t.mat),
-                         term_strategy, st.lists(factor, max_size=3))
+                         term_strategy(matrix), st.lists(factor, max_size=3))
         return DistExpr(data.draw(st.lists(term, max_size=3)))
 
     _assert_pair_matches_reference(side(), side(), pt, _tower())
@@ -466,22 +515,6 @@ def test_the_a2_report_is_the_references(monkeypatch):
     for module in (evalrep, hopf):
         monkeypatch.setattr(module, "equal_numeric", _reference_equal_numeric)
     assert report.report_json(report.run(cfg)) == want
-
-
-def test_every_compiled_matrix_entry_is_real_or_imaginary(monkeypatch):
-    # the plan's Python product with an entry is numpy's only for such entries
-    entries = []
-
-    class Recording(Plan):
-        __slots__ = ()
-
-        def __init__(self, exprs, params):
-            super().__init__(exprs, params)
-            entries.extend(z for _, terms in self.exprs for t in terms for _, z in t[2])
-
-    monkeypatch.setattr(trigcalc, "Plan", Recording)
-    report.run(report.RunConfig(algebra="A2", samples=5, seed=0))
-    assert entries and not any(z.real and z.imag for z in entries)
 
 
 def test_the_module_run_values_each_factor_once_per_point(monkeypatch):
@@ -513,10 +546,9 @@ def test_reciprocal_flips_every_factor(params):
     pt = {"u": 0.3 + 0.05j}
     assert abs(expr.eval(pt, params) * inv.eval(pt, params) - 1.0) < 1e-12
     # diagonal matrix units invert entrywise
-    diag = DistExpr((Term(2.0, (f,), (), np.diag([1, 0]).astype(complex)),
-                     Term(-4.0, (g,), (), np.diag([0, 1]).astype(complex))))
-    prod = diag * diag.reciprocal()
-    assert np.allclose(prod.eval(pt, params), np.eye(2))
+    diag = DistExpr((Term(2.0, (f,), (), _unit((0, 0))), Term(-4.0, (g,), (), _unit((1, 1)))))
+    got = (diag * diag.reciprocal()).eval(pt, params)
+    assert got.keys() == {(0, 0), (1, 1)} and all(abs(z - 1.0) < 1e-12 for z in got.values())
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +611,7 @@ def test_plemelj_two_pole_factors_in_one_term_raise(params):
 
 
 def test_plemelj_keeps_the_matrix_and_the_earlier_deltas(params):
-    mat = np.array([[1.0, 2.0], [0.0, -1.0]], dtype=complex)
+    mat = (((0, 0), 1 + 0j), ((0, 1), 2 + 0j), ((1, 1), -1 + 0j))
     earlier = DeltaAtom(var("u") - var("v"))
     cof = TrigFactor(0, var("w") - var("v") - ShiftExpr.hbar_units(1), 1)
     expr = DistExpr((
@@ -589,7 +621,7 @@ def test_plemelj_keeps_the_matrix_and_the_earlier_deltas(params):
     red = expr.plemelj_reduce("w", params)
     assert len(red.terms) == 1
     t = red.terms[0]
-    assert np.array_equal(t.mat, mat)
+    assert t.mat == mat
     assert abs(t.scalar - 0.5 * 2j / params.eta) < 1e-14
     # both deltas kept; the cofactor is frozen on the support w = u = v
     assert len(t.deltas) == 2
@@ -684,9 +716,7 @@ def test_chained_deltas_pin_each_variable_once():
 def _same_terms(a, b) -> bool:
     return len(a) == len(b) and all(
         x.scalar == y.scalar and x.factors == y.factors and x.deltas == y.deltas
-        and (x.mat is None and y.mat is None
-             or x.mat is not None and y.mat is not None and np.array_equal(x.mat, y.mat))
-        for x, y in zip(a, b))
+        and x.mat == y.mat for x, y in zip(a, b))
 
 
 def test_every_evalrep_expression_rebuilds_cold_to_the_same_terms(params, monkeypatch):
@@ -770,16 +800,20 @@ def test_a_warm_cache_gives_the_cold_report(cold_memos):
     assert report.report_json(report.run(cfg)) == cold
 
 
-def test_relative_residual_of_numbers_and_matrices():
-    m = np.array([[2.0, 0.5j], [0.0, -3.0]], dtype=complex)
+def test_relative_residual_of_numbers_and_matrices(params):
     assert relative_residual(4.0, 2.0) == 0.5
     assert relative_residual(0.25, 0.0) == 0.25          # scale at least 1
-    assert relative_residual(m, m) == 0.0
-    assert relative_residual(m, m - np.diag([0.0, 1.5])) == 1.5 / 4.5
-    # a number against a matrix stands for that multiple of the identity
-    d = np.diag([2.0, 2.5]).astype(complex)
-    assert relative_residual(2.0, d) == relative_residual(d, 2.0) == 0.5 / 2.5
-    assert relative_residual(complex("nan"), 1.0) == relative_residual(m, m * np.nan) == math.inf
+    assert relative_residual(complex("nan"), 1.0) == math.inf
+    # two matrices: the largest entry moduli, from the plan of the pair
+    m = (((0, 0), 2 + 0j), ((0, 1), 0.5j), ((1, 1), -3 + 0j))
+
+    def residual(a, b):
+        return Plan((DistExpr.matrix(a), DistExpr.matrix(b)), params).residual({})
+
+    assert residual(m, m) == 0.0
+    assert residual(m, m[:2] + (((1, 1), -4.5 + 0j),)) == 1.5 / 4.5
+    assert residual(m, m[:1]) == 3.0 / 3.0               # an entry on one side only
+    assert residual(m, tuple((ij, z * math.nan) for ij, z in m)) == math.inf
 
 
 @pytest.mark.parametrize("residuals,worst", [
@@ -832,6 +866,15 @@ def test_extended_precision_pass(params):
     fast = expr.eval(pt, params)
     slow = eval_extended(expr, pt, params)
     assert abs(fast - slow) < 1e-10 * max(1.0, abs(slow))
+    # a matrix expression, entry by entry
+    t = expr.terms[0]
+    mat = DistExpr((Term(t.scalar, t.factors, (), _unit((0, 1))),
+                    Term(-2.0, (), (), _unit((0, 1), (1, 1)))))
+    fast, slow = mat.eval(pt, params), eval_extended(mat, pt, params)
+    assert fast.keys() == slow.keys() == {(0, 1), (1, 1)}
+    assert all(abs(fast[ij] - slow[ij]) < 1e-10 * max(1.0, abs(slow[ij])) for ij in slow)
+    with pytest.raises(ValueError):
+        eval_extended(mat + DistExpr.from_factors(1.0, (TrigFactor(0, var("u")),)), pt, params)
 
 
 # ---------------------------------------------------------------------------
