@@ -20,13 +20,11 @@ from dataclasses import replace
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-import numpy.random
-
 from .. import structfn
 from ..evalplan import relative_residual, worst_of
 from ..liealg import CartanData
 from ..params import ParamTower
+from ..rng import Generator, default_rng
 from ..structfn import StructureRatio
 from ..trigcalc import ShiftExpr, judged, sample_max
 from .atoms import ParamLin, spectral_exponent
@@ -152,7 +150,7 @@ def group_values(entries: list, params: ParamTower, pt,
 
 def cubic_residual(u1: list, u2: list, v: list, cartan: CartanData,
                    params: ParamTower, imag_window: float, samples: int,
-                   rng: np.random.Generator, retries: int = 200) -> tuple[float, int, int]:
+                   rng: Generator, retries: int = 200) -> tuple[float, int, int]:
     """Sampled cubic relation of the images of E_i(u1), E_i(u2), E_j(v).
 
     Each image is a list of (coefficient, slot word) terms in its own
@@ -197,7 +195,7 @@ def cubic_residual(u1: list, u2: list, v: list, cartan: CartanData,
 
 def exchange_residual(xs: list, ys: list, expected: StructureRatio, cartan: CartanData,
                       params: ParamTower, imag_window: float, samples: int,
-                      rng: np.random.Generator) -> tuple[float, int]:
+                      rng: Generator) -> tuple[float, int]:
     """Sampled exchange relation X(u) Y(v) = R(u - v) Y(v) X(u) of two images.
 
     Each image is a list of (coefficient, slot word) terms, ``xs`` in u and
@@ -236,11 +234,11 @@ def exchange_residual(xs: list, ys: list, expected: StructureRatio, cartan: Cart
 def exchange_check(x: BosonCurrent, y: BosonCurrent, expected: StructureRatio,
                    cartan: CartanData, params: ParamTower,
                    samples: int = 30, tol: float = 1e-8,
-                   rng: int | np.random.Generator = 11,
+                   rng: int | Generator = 11,
                    imag_window: float = 0.2) -> dict:
     """Exchange relation of the currents X(u) and Y(v) against ``expected``,
     at points drawn from ``rng``, a seed or a generator."""
-    rng = np.random.default_rng(rng)
+    rng = default_rng(rng)
     if {x.kind, y.kind} == {"E", "F"} and x.j == y.j:
         raise ValueError("the E-F pair at equal nodes is delta-bearing; use ef_delta_check")
     max_res, done = exchange_residual([(1.0, [(0, x)])], [(1.0, [(0, y)])], expected,
@@ -255,11 +253,11 @@ def exchange_check(x: BosonCurrent, y: BosonCurrent, expected: StructureRatio,
 
 def merged_exponent_matches(pair: tuple[BosonCurrent, BosonCurrent],
                             target: BosonCurrent, params: ParamTower,
-                            rng: int | np.random.Generator = 5) -> dict:
+                            rng: int | Generator = 5) -> dict:
     """Pointwise check that g_X + g_Y equals g_target as mode functions,
     at 40 (lambda, vars) points drawn from ``rng`` (a seed or a
     generator), to 1e-9."""
-    rng = np.random.default_rng(rng)
+    rng = default_rng(rng)
     gx, gy, gt = pair[0].g(params), pair[1].g(params), target.g(params)
     names = sorted({n for g in (gx, gy, gt) for n, _ in g.vars})
 
@@ -293,7 +291,7 @@ def delta_coefficient(cform: ClosedForm, phase: complex, w0: complex,
 
 
 def ef_delta_check(i: int, cartan: CartanData, params: ParamTower,
-                   tol: float = 1e-8, rng: int | np.random.Generator = 5) -> dict:
+                   tol: float = 1e-8, rng: int | Generator = 5) -> dict:
     """Pole/residue audit of E_i(u) F_i(v) against the H payloads.
 
     Checks, in order: the contraction factor has simple poles exactly at
@@ -344,12 +342,12 @@ def ef_delta_check(i: int, cartan: CartanData, params: ParamTower,
 
 def serre_check(i: int, j: int, cartan: CartanData, params: ParamTower,
                 samples: int = 20, tol: float = 1e-7,
-                rng: int | np.random.Generator = 23) -> dict:
+                rng: int | Generator = 23) -> dict:
     """Symmetrized cubic combination of full word coefficients vanishes,
     at points drawn from ``rng``, a seed or a generator."""
     if cartan.a_entry(i, j) != -1:
         raise ValueError("cubic relation applies to adjacent pairs only")
-    rng = np.random.default_rng(rng)
+    rng = default_rng(rng)
 
     def image(node: int, name: str) -> list:
         return [(1.0, [(0, current("E", node, name))])]

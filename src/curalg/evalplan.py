@@ -16,8 +16,6 @@ import cmath
 import math
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-import numpy as np
-
 from .params import ParamTower
 
 if TYPE_CHECKING:
@@ -136,12 +134,13 @@ class Plan:
 
     def residual(self, assignment: Mapping[str, complex]) -> float:
         """``relative_residual`` of the first expression against the second
-        at the point; for matrices, the largest entry moduli from one
-        ``np.abs`` over both and their difference at ``entries`` (the other
-        entries are zero in both)."""
+        at the point; for matrices, the largest entry modulus of their
+        difference at ``entries`` (the other entries are zero in both; a NaN
+        anywhere is inf, by ``worst_of``) over the largest of either, at
+        least 1."""
         vals = self.values(assignment)
         a, b = self._sum(0, vals), self._sum(1, vals)
         if self.entries is None:
             return relative_residual(a, b)
-        ma, mb, md = np.abs((a, b, [x - y for x, y in zip(a, b)])).max(axis=1).tolist()
-        return worst_of(md / max(1.0, ma, mb))
+        md = worst_of(*[abs(x - y) for x, y in zip(a, b)])
+        return worst_of(md / max(1.0, *map(abs, a), *map(abs, b)))

@@ -21,9 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
-import numpy as np
-import numpy.random
-
 from . import evalrep, structfn
 from .boson import checks as bchecks
 from .boson.currents import BosonCurrent, word_phase
@@ -31,6 +28,7 @@ from .boson.currents import current as bcur
 from .evalplan import worst_of
 from .liealg import CartanData, node_class
 from .params import ParamTower
+from .rng import Generator, default_rng
 from .trigcalc import DistExpr, ShiftExpr, equal_numeric, judged, var
 
 GEN_KINDS = ("E", "F", "H+", "H-")
@@ -300,11 +298,11 @@ def _axiom_sides(kind: str, i: int, tag: int, params: ParamTower):
 
 
 def verify_axioms(rep: evalrep.EvalRep, params: ParamTower, samples: int = 30,
-                  tol: float = 1e-9, rng: int | np.random.Generator = 17) -> list[dict]:
+                  tol: float = 1e-9, rng: int | Generator = 17) -> list[dict]:
     """All four axioms on every generator, in the level-0 backend, on one
     stream ``rng`` (a seed or a generator); ``samples`` is the accepted
     count of a record's groups, 0 for two exactly zero sides."""
-    rng = np.random.default_rng(rng)
+    rng = default_rng(rng)
     out = []
     gens = [("c", 0)] + [(k, i) for k in GEN_KINDS for i in range(1, rep.r + 1)]
     for kind, i in gens:
@@ -423,7 +421,7 @@ def _slot_words(x: CurrentExpr, name: str) -> list[tuple[complex, bchecks.SlotWo
 
 def verify_homomorphism(cartan: CartanData, params: ParamTower,
                         samples: int = 12, tol: float = 1e-7,
-                        rng: int | np.random.Generator = 29,
+                        rng: int | Generator = 29,
                         relations: Optional[Sequence[str]] = None) -> list[dict]:
     """Level-2 images satisfy the defining relations at total level 2.
 
@@ -436,7 +434,7 @@ def verify_homomorphism(cartan: CartanData, params: ParamTower,
     records carry that result.  Every relation draws from one stream
     ``rng``, a seed or a generator.
     """
-    rng = np.random.default_rng(rng)
+    rng = default_rng(rng)
     if relations is None:
         relations = structfn.RELATIONS
 
@@ -459,7 +457,7 @@ def verify_homomorphism(cartan: CartanData, params: ParamTower,
 
 def _homomorphism_record(rel: str, i: int, j: int, cartan: CartanData, params: ParamTower,
                          image: Callable[[str, int, str], list], samples: int, tol: float,
-                         rng: np.random.Generator) -> dict:
+                         rng: Generator) -> dict:
     """The level-2 exchange ``rel`` of the images ``image(kind, node, name)``
     of X_i(u) and Y_j(v), sampled at ``samples`` points drawn from ``rng``."""
     kx, ky = structfn.exchange_kinds(rel)
@@ -479,7 +477,7 @@ def _level2_slot_words(kind: str, node: int, name: str,
 
 def verify_serre_level2(cartan: CartanData, params: ParamTower, i: int, j: int,
                         samples: int = 8, tol: float = 1e-7,
-                        rng: int | np.random.Generator = 43) -> dict:
+                        rng: int | Generator = 43) -> dict:
     """Cubic relation for the level-2 images of an adjacent pair.
 
     The symmetrized combination of the three orderings of
@@ -489,7 +487,7 @@ def verify_serre_level2(cartan: CartanData, params: ParamTower, i: int, j: int,
     """
     if cartan.a_entry(i, j) != -1:
         raise ValueError("cubic relation applies to adjacent pairs only")
-    rng = np.random.default_rng(rng)
+    rng = default_rng(rng)
     u1, u2, v = (_level2_slot_words("E", node, name, params)
                  for name, node in (("u1", i), ("u2", i), ("v", j)))
     worst, done, signatures = bchecks.cubic_residual(u1, u2, v, cartan, params, 0.1,

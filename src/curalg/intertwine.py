@@ -28,13 +28,11 @@ from fractions import Fraction
 from functools import cache
 from typing import Iterator, Optional
 
-import numpy as np
-import numpy.random
-
 from . import structfn
 from .liealg import CartanData, node_class
 from .params import ParamTower
 from .evalplan import Plan
+from .rng import Generator, default_rng
 from .trigcalc import DistExpr, ShiftExpr, Term, TrigFactor, judged, sample_max, var
 
 VERTEX_KINDS = ("Phi", "PhiStar", "PsiStar", "Psi")
@@ -267,7 +265,7 @@ def _settled(triple: str, skip: Optional[DeltaBearingMove] = None) -> dict:
 def verify_consistency(fam: str, a: int, xk: str, xi: int, yk: str, yi: int,
                        cartan: CartanData, params: ParamTower,
                        samples: int = 30, tol: float = 1e-9,
-                       rng: int | np.random.Generator = 31) -> dict:
+                       rng: int | Generator = 31) -> dict:
     """Diamond check on the word V_a(z) X(u) Y(v).
 
     Path A moves the vertex straight through both currents (cx cy); path
@@ -280,7 +278,7 @@ def verify_consistency(fam: str, a: int, xk: str, xi: int, yk: str, yi: int,
     0`` and residual 0.0.  Otherwise both paths are sampled, through one
     ``evalplan.Plan``, at points drawn from ``rng``, a seed or a generator.
     """
-    rng = np.random.default_rng(rng)
+    rng = default_rng(rng)
     triple = f"{fam}_{a} | {xk}_{xi}(u) | {yk}_{yi}(v)"
     try:
         cx = vertex_move_coeff(fam, a, xk, xi, cartan.rank, "u")
@@ -315,7 +313,7 @@ def _exchange_inverts(xk: str, xi: int, yk: str, yi: int,
 
 def consistency_suite(cartan: CartanData, params: ParamTower, samples: int = 20,
                       tol: float = 1e-9,
-                      rng: int | np.random.Generator = 37) -> Iterator[dict]:
+                      rng: int | Generator = 37) -> Iterator[dict]:
     """All triples over the generator set; delta-bearing ones are skipped.
 
     Yields the records of ``verify_consistency`` per triple, in order, on
@@ -327,7 +325,7 @@ def consistency_suite(cartan: CartanData, params: ParamTower, samples: int = 20,
     whether it bears a delta, and the triples of a pair that does not
     invert get the oracle's record.
     """
-    rng = np.random.default_rng(rng)
+    rng = default_rng(rng)
     currents = [(k, i) for k in ("H+", "H-", "E", "F") for i in cartan.nodes()]
     # a pair's exchanges see its nodes only through their class
     # (liealg.node_class): once a class has a pair that inverts, its later
@@ -396,9 +394,9 @@ def variant_report(r: int, params: ParamTower) -> dict:
 
 def degeneration_report(r: int, hbar: float = 0.1, eta_small: float = 1e-4,
                         points: int = 20, tol: float = 1e-3,
-                        rng: int | np.random.Generator = 41) -> dict:
+                        rng: int | Generator = 41) -> dict:
     """eta -> 0: coefficient ratios approach their rational limits."""
-    rng = np.random.default_rng(rng)
+    rng = default_rng(rng)
     params = ParamTower(hbar, eta_small, (1.0,))
     cat = catalog(r, params)
 

@@ -17,9 +17,6 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
 
-import numpy as np
-import numpy.random
-
 from . import evalrep, hopf, intertwine, structfn
 from .boson import checks as bchecks
 from .boson import master
@@ -28,6 +25,7 @@ from .boson.kernel import kernel_value
 from .evalplan import worst_of
 from .liealg import CartanData, adjacent_pairs, from_label, node_class
 from .params import ParamTower, check_genericity
+from .rng import Generator, SeedSequence, default_rng
 from .trigcalc import DistExpr, ShiftExpr, TrigFactor, judged, sample_max, var
 
 SUITES = ("liealg", "params", "trigcalc", "structfn", "evalrep", "boson",
@@ -52,6 +50,8 @@ class RunConfig:
     hopf_parts: tuple[str, ...] = HOPF_PARTS
 
     def __post_init__(self):
+        if type(self.seed) is not int or self.seed < 0:
+            raise ValueError(f"seed {self.seed!r}: expected a non-negative int")
         if self.variant not in ("printed", "normalized"):
             raise ValueError(f"variant {self.variant!r}: expected 'printed' or 'normalized'")
         for name, known in (("suites", SUITES), ("hopf_parts", HOPF_PARTS)):
@@ -297,7 +297,7 @@ def _per_class(memo: dict, key, evaluate, **own) -> dict:
 
 def _exchange_record(xk: str, xi: int, yk: str, yj: int, rel: str, sign: int,
                      cd: CartanData, params: ParamTower, samples: int, tol: float,
-                     rng: np.random.Generator) -> dict:
+                     rng: Generator) -> dict:
     """The ``exchange_*`` record of X_xi(u) Y_yj(v), ``rel`` "one" for E-F."""
     x = bcur(xk, xi, "u")
     y = bcur(yk, yj, "v")
@@ -497,8 +497,7 @@ def _suite_error(exc: Exception) -> dict:
 
 def run(cfg: RunConfig) -> dict:
     """Execute the selected suites in dependency order."""
-    seq = np.random.SeedSequence(cfg.seed)
-    children = seq.spawn(len(SUITES))
+    children = SeedSequence(cfg.seed).spawn(len(SUITES))
     shared = _Shared(cfg)
     suites_out = []
     overall = True
@@ -507,7 +506,7 @@ def run(cfg: RunConfig) -> dict:
         for idx, name in enumerate(SUITES):
             if name not in cfg.suites:
                 continue
-            rng = np.random.default_rng(children[idx])
+            rng = default_rng(children[idx])
             try:
                 checks = _SUITE_FNS[name](cfg, rng, shared)
             except Exception as exc:   # one failing record; the later suites still run

@@ -38,11 +38,9 @@ from fractions import Fraction
 from functools import cache, cached_property
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-import numpy as np
-import numpy.random
-
 from .evalplan import EPS_POLE, DeltaPresentError, Plan, PoleProximityError, worst_of
 from .params import ParamTower
+from .rng import Generator, default_rng
 
 class ReductionError(ValueError):
     """plemelj_reduce / residue precondition failed."""
@@ -701,15 +699,16 @@ Window = tuple[tuple[float, float], Optional[tuple[float, float]]]
 
 def sample_max(residual: Callable[[dict[str, complex]], Optional[float]],
                windows: Mapping[str, Window], samples: int,
-               rng: np.random.Generator, retries: int = 200) -> tuple[float, int]:
+               rng: Generator, retries: int = 200) -> tuple[float, int]:
     """Largest residual over up to ``samples`` accepted random points.
 
     ``windows`` maps each variable, in draw order, to its (real range,
     imaginary range); an imaginary range of None draws a real point.  A
     try draws every variable, real part then imaginary part, and all the
-    tries of a batch come from one broadcast ``rng.uniform(lo, hi,
-    size=(n, width))`` call, one row per try: the same doubles as one
-    scalar call per coordinate.  A try whose ``residual`` returns None or
+    tries of a batch come from one ``rng.uniform(lo, hi, size=(n, width))``
+    call, one row per try: the same doubles as one scalar call per
+    coordinate.  ``rng`` is a ``rng.Generator`` or a numpy ``Generator``,
+    whose rows are read the same way.  A try whose ``residual`` returns None or
     raises ArithmeticError is rejected; at most ``samples + retries``
     tries are made.  A NaN residual is an accepted point with residual
     inf (``worst_of``), so it fails the record.  Returns (worst, accepted
@@ -734,13 +733,12 @@ def sample_max(residual: Callable[[dict[str, complex]], Optional[float]],
             lo.append(lo_hi[0])
             hi.append(lo_hi[1])
     width = len(lo)
-    lo_arr, hi_arr = np.array(lo), np.array(hi)
     accepted: list[float] = []
     tries = 0
     while len(accepted) < samples and tries < samples + retries:
         # the tries left if none is rejected
         n = min(samples - len(accepted), samples + retries - tries)
-        for row in rng.uniform(lo_arr, hi_arr, size=(n, width)).tolist():
+        for row in rng.uniform(lo, hi, size=(n, width)):
             tries += 1
             pt = {name: complex(row[re], 0.0 if im is None else row[im])
                   for name, re, im in slots}
@@ -755,7 +753,7 @@ def sample_max(residual: Callable[[dict[str, complex]], Optional[float]],
 
 def equal_numeric(a: DistExpr, b: DistExpr, params: ParamTower,
                   samples: int = 50, tol: float = 1e-9,
-                  rng: int | np.random.Generator = 0) -> dict:
+                  rng: int | Generator = 0) -> dict:
     """Delta-aware structural + sampled equality report.
 
     Delta-free parts are compared pointwise, by ``evalplan.relative_residual`` from
@@ -770,7 +768,7 @@ def equal_numeric(a: DistExpr, b: DistExpr, params: ParamTower,
     sides that are both exactly zero have no group and pass as an exact
     identity.
     """
-    rng = np.random.default_rng(rng)
+    rng = default_rng(rng)
     w = 0.35 / params.eta
     ga = a.delta_groups()
     gb = b.delta_groups()

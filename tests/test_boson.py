@@ -139,9 +139,42 @@ def test_leg_integral_matches_mpmath_quad():
     assert abs(got - want) < 1e-14 * abs(want)
 
 
+def _newton_leggauss(n):
+    """The n-point Gauss-Legendre rule as the table in master was made:
+    Newton's method on the three-term recurrence from Tricomi's guesses,
+    then symmetrized about 0."""
+    def legendre(x):
+        p0, p1 = np.ones_like(x), x
+        for j in range(2, n + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        return p1, n * (x * p1 - p0) / (x * x - 1.0)
+
+    x = -np.cos(math.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    for _ in range(10):
+        p, dp = legendre(x)
+        step = p / dp
+        x = x - step
+        if np.abs(step).max() < 1e-15:
+            break
+    dp = legendre(x)[1]
+    weights = 2.0 / ((1.0 - x * x) * dp * dp)
+    return (x - x[::-1]) / 2.0, (weights + weights[::-1]) / 2.0
+
+
+@pytest.mark.parametrize("n", [24, 240])
+def test_gauss_legendre_table_is_the_newton_rule(n):
+    nodes, weights = master._leggauss(n)
+    want_nodes, want_weights = _newton_leggauss(n)
+    assert nodes == tuple(want_nodes.tolist()) and weights == tuple(want_weights.tolist())
+
+
+def test_euler_gamma_is_numpys():
+    assert master.EULER_GAMMA == float(np.euler_gamma)
+
+
 @pytest.mark.parametrize("n", [24, 240])
 def test_leggauss_is_the_gauss_legendre_rule(n):
-    nodes, weights = master._leggauss(n)
+    nodes, weights = (np.array(a) for a in master._leggauss(n))
     ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
     assert np.abs(nodes - ref_nodes).max() < 1e-15
     assert np.abs(weights / ref_weights - 1.0).max() < 1e-10

@@ -207,7 +207,8 @@ def test_no_two_sampled_checks_of_a_suite_start_from_one_state(monkeypatch):
 
     def recorded(residual, windows, samples, rng, *args, **kwargs):
         if windows:   # a call with no variable draws nothing
-            starts.setdefault(suite[0], []).append(json.dumps(rng.bit_generator.state))
+            # the generator's whole state is its instance dict
+            starts.setdefault(suite[0], []).append(repr(sorted(vars(rng).items())))
         return real(residual, windows, samples, rng, *args, **kwargs)
 
     for module in (trigcalc, report, evalrep, intertwine, bchecks):
@@ -297,6 +298,21 @@ def test_a_run_config_built_directly_is_checked_too(field, value):
     # without the check a boson run filtered to no pair passes with no exchange record
     with pytest.raises(ValueError, match=value):
         RunConfig(algebra="A2", suites=("boson",), **{field: value})
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
+def test_a_seed_must_be_a_non_negative_int(seed, tmp_path, capsys):
+    # a negative seed ended in the seeding's ValueError traceback, exit 1,
+    # which reads as a failed check
+    with pytest.raises(ValueError, match="seed"):
+        RunConfig(algebra="A1", seed=seed)
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f'algebra = "A1"\nseed = {json.dumps(seed)}\n')
+    assert main(["verify-all", "--config", str(cfg_file)]) == 2
+    assert "bad configuration" in capsys.readouterr().err
+    if seed == -1:
+        assert main(["verify-all", "--algebra", "A1", "--seed", "-1"]) == 2
+        assert "bad configuration" in capsys.readouterr().err
 
 
 def test_a_config_file_variant_must_be_printed_or_normalized(tmp_path, capsys):

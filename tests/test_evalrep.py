@@ -243,6 +243,30 @@ def test_degeneration():
     assert rec["pass"] and rec["max_residual"] < 1e-3
 
 
+@pytest.mark.parametrize("at", range(3))
+def test_a_nan_entry_anywhere_is_an_infinite_degeneration_residual(at):
+    want = {(k, k): 1 + 0j for k in range(3)}
+    got = dict(want)
+    got[at, at] = complex(math.nan, 0.0)
+    assert evalrep._entries_off(got, want) == math.inf
+    assert evalrep._entries_off({(0, 0): 3 + 0j}, want) == 2.0   # the scale is at least 1
+
+
+def test_a_nan_matrix_entry_fails_the_degeneration_record(monkeypatch):
+    # one diagonal entry of H+, not the first, evaluates to NaN
+    real = DistExpr.eval
+
+    def nan_entry(self, assignment, params):
+        val = real(self, assignment, params)
+        if isinstance(val, dict) and len(val) > 1:
+            val[max(val)] = complex(math.nan, 0.0)
+        return val
+
+    monkeypatch.setattr(DistExpr, "eval", nan_entry)
+    rec = evalrep.degeneration_report(2)
+    assert rec["max_residual"] == math.inf and rec["pass"] is False
+
+
 def test_build_requires_level_zero(params):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

@@ -366,15 +366,15 @@ def test_eval_plan_is_keyed_on_the_tower():
 
 def _reference_residual(a, b):
     """The relative residual by three reductions: |a|, |b| and |a - b|.  A
-    number's modulus is Python's ``abs``; a matrix's is the largest of
-    ``np.abs`` over its entry list, an entry missing on one side read as
-    0j and a number (the empty expression) as no entry."""
+    number's modulus is Python's ``abs``; a matrix's is the largest ``abs``
+    over its entry list (a NaN is inf), an entry missing on one side read
+    as 0j and a number (the empty expression) as no entry."""
     if not (isinstance(a, dict) or isinstance(b, dict)):
         return worst_of(abs(a - b) / max(1.0, abs(a), abs(b)))
     a, b = (v if isinstance(v, dict) else {} for v in (a, b))
 
     def modulus(zs):
-        return float(np.abs(zs).max()) if zs else 0.0
+        return worst_of(*map(abs, zs))
 
     diff = [a.get(ij, 0j) - b.get(ij, 0j) for ij in a.keys() | b.keys()]
     return worst_of(modulus(diff) / max(1.0, modulus(list(a.values())),
@@ -455,7 +455,7 @@ def test_a_plan_of_a_number_against_a_matrix_raises_but_zero_is_either():
             _assert_pair_matches_reference(*pair, pt, params)
         got = Plan((matrix, DistExpr.zero()), params).residual(pt)
         entries = matrix.eval(pt, params)
-        scale = float(np.abs(list(entries.values())).max())
+        scale = max(map(abs, entries.values()))
         assert got == scale / max(1.0, scale)
     rec = equal_numeric(matrix, DistExpr.zero(), params, samples=5)
     assert not rec["pass"] and rec["groups"][0]["samples"] == 5
@@ -814,6 +814,9 @@ def test_relative_residual_of_numbers_and_matrices(params):
     assert residual(m, m[:2] + (((1, 1), -4.5 + 0j),)) == 1.5 / 4.5
     assert residual(m, m[:1]) == 3.0 / 3.0               # an entry on one side only
     assert residual(m, tuple((ij, z * math.nan) for ij, z in m)) == math.inf
+    # one NaN entry, not the first: a plain max would pass over it
+    assert residual(m, m[:2] + (((1, 1), complex(math.nan, 0.0)),)) == math.inf
+    assert residual(m[:2] + (((1, 1), complex(math.nan, 0.0)),), m) == math.inf
 
 
 @pytest.mark.parametrize("residuals,worst", [
