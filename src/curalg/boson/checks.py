@@ -5,9 +5,9 @@ monomial: the word value of X(u)Y(v), (zero-mode/Klein phase) *
 exp(C_XY(u,v)), against the structure function times that of Y(v)X(u);
 the E-F relation is checked through the pole/residue structure of its
 contraction factor; the cubic relations by symmetrized cancellation of
-full word coefficients.  The exchange and cubic engines take images as
-(coefficient, slot word) lists, so the level-2 coproduct images of
-``hopf`` run through the same code as single currents.  All closed
+full word coefficients.  The exchange, cubic and E-F delta engines take
+images as (coefficient, slot word) lists, so the level-2 coproduct
+images of ``hopf`` run through the same code as single currents.  All closed
 forms evaluate through the meromorphic Gamma continuation, so sample
 points are unconstrained up to poles.
 """
@@ -110,14 +110,16 @@ def monomial_groups(terms: Iterable[tuple[complex, SlotWord]]) -> dict:
     return groups
 
 
+def _by_slot(cs: SlotWord) -> list[list[BosonCurrent]]:
+    """Each tensor slot's word, slot by slot."""
+    return [[c for sl, c in cs if sl == s] for s in sorted({s for s, _ in cs})]
+
+
 def _word_forms(cs: SlotWord, cartan: CartanData, params: ParamTower,
                 pairs: dict) -> list[tuple[complex, ClosedForm]]:
     """(phase, contraction exponent) of each tensor slot's word, slot by slot."""
-    out = []
-    for s in sorted({s for s, _ in cs}):
-        word = [c for sl, c in cs if sl == s]
-        out.append((word_phase(word, cartan), word_exponent(word, cartan, params, pairs)))
-    return out
+    return [(word_phase(word, cartan), word_exponent(word, cartan, params, pairs))
+            for word in _by_slot(cs)]
 
 
 def group_forms(groups: dict, cartan: CartanData, params: ParamTower,
@@ -290,50 +292,81 @@ def delta_coefficient(cform: ClosedForm, phase: complex, w0: complex,
     return -2j * math.pi * res * math.exp(2.0 * EULER_GAMMA) * phase
 
 
+def ef_delta_supports(e_image: list, f_image: list, cartan: CartanData,
+                      params: ParamTower) -> dict[ParamLin, list[tuple[int, Optional[complex]]]]:
+    """Delta parts of the product of two images, E's in u and F's in v.
+
+    Each image is a list of (coefficient, slot word) terms.  In every
+    product word, a tensor slot that holds an E and an F has one part at
+    each of its ``strip_poles``: the pole's order and, at a simple pole,
+    the word's coefficient times the slot's ``delta_coefficient`` (else
+    None).  Returns the parts by pole position, in product order.
+    """
+    parts: dict[ParamLin, list[tuple[int, Optional[complex]]]] = {}
+    for ce, cse in e_image:
+        for cf, csf in f_image:
+            for word in _by_slot(cse + csf):
+                if {"E", "F"} <= {c.kind for c in word}:
+                    cform, phase = word_exponent(word, cartan, params), word_phase(word, cartan)
+                    for pos, order, height in strip_poles(cform, params):
+                        coeff = (ce * cf * delta_coefficient(cform, phase, 1j * height, params)
+                                 if order == 1 else None)
+                        parts.setdefault(pos, []).append((order, coeff))
+    return parts
+
+
+def ef_delta_residuals(parts: dict, level: int,
+                       params: ParamTower) -> Optional[tuple[float, float]]:
+    """(support residual, cancellation residual) of ``ef_delta_supports``'
+    parts at ``level``, or None when a pole is not simple or a support has
+    no part.  The parts at w = +-i*hbar*level/2 sum to +-2*pi/hbar, judged
+    |c -+ t|/t; those at any other position cancel, judged |sum| / max(1,
+    |first part|)."""
+    target = 2.0 * math.pi / params.hbar
+    supports = {ParamLin.hbar(Fraction(sgn * level, 2)): sgn * target for sgn in (+1, -1)}
+    if any(o != 1 for ps in parts.values() for o, _ in ps) or not supports.keys() <= parts.keys():
+        return None
+    sums = {pos: (sum(c for _, c in ps), ps[0][1]) for pos, ps in parts.items()}
+    return (worst_of(*(abs(sums[pos][0] - t) / abs(t) for pos, t in supports.items())),
+            worst_of(*(abs(total) / max(1.0, abs(first))
+                       for pos, (total, first) in sums.items() if pos not in supports)))
+
+
 def ef_delta_check(i: int, cartan: CartanData, params: ParamTower,
                    tol: float = 1e-8, rng: int | Generator = 5) -> dict:
     """Pole/residue audit of E_i(u) F_i(v) against the H payloads.
 
-    Checks, in order: the contraction factor has simple poles exactly at
-    w = +-i*hbar/2 inside the fundamental strip; the commutator delta
-    coefficients (-2*pi*i * residue, times the e^{2 gamma} prefactor of
-    the two currents) equal +-2*pi/hbar; and the merged mode function on
+    Checks, in order: the contraction factor's poles in the fundamental
+    strip are simple, with the commutator delta coefficients (-2*pi*i *
+    residue, times the e^{2 gamma} prefactor of the two currents)
+    +-2*pi/hbar at w = +-i*hbar/2 and cancelling anywhere else
+    (``ef_delta_residuals`` at level 1); and the merged mode function on
     each support equals the corresponding H coefficient function with
-    the quarter-shifted argument.  Any other pole structure gives a
-    failing record that carries the mismatch under ``error``.  Both
-    payload checks draw from ``rng``, passed on as given: a generator is
-    one stream for both, a seed gives each a fresh stream of that seed.
-    The record is judged at the smaller of their accepted counts.
+    the quarter-shifted argument.  A pole that is not simple, or a
+    missing support, gives a failing record that carries the pole
+    inventory under ``error``.  Both payload checks draw from ``rng``,
+    passed on as given: a generator is one stream for both, a seed gives
+    each a fresh stream of that seed.  The record is judged at the
+    smaller of their accepted counts.
     """
-    e_cur = current("E", i, "u")
-    f_cur = current("F", i, "v")
-    cform = word_exponent((e_cur, f_cur), cartan, params)
-    phase = word_phase((e_cur, f_cur), cartan)
-
-    poles = [(pos, order) for pos, order, _h in strip_poles(cform, params)]
-    want = {ParamLin.hbar(Fraction(-1, 2)), ParamLin.hbar(Fraction(1, 2))}
-    structure_ok = (
-        len(poles) == 2
-        and all(order == 1 for _p, order in poles)
-        and {pos for pos, _o in poles} == want
-    )
-    report: dict = {"i": i, "poles": [str(p) for p, _ in poles]}
-    if not structure_ok:
+    parts = ef_delta_supports([(1.0, [(0, current("E", i, "u"))])],
+                              [(1.0, [(0, current("F", i, "v"))])], cartan, params)
+    delta = ef_delta_residuals(parts, 1, params)
+    report: dict = {"i": i, "poles": [str(p) for p in parts]}
+    if delta is None:
         report.update({
             # node-free, as the record of one node serves its whole class
             "error": "E F contraction at equal nodes, pole structure mismatch: "
-                     f"{[(str(p), o) for p, o in poles]}",
+                     f"{[(str(p), o) for p, ps in parts.items() for o, _ in ps]}",
             **judged(math.inf, tol)})
         return report
-    residuals, accepted = [], []
+    residuals, accepted = list(delta), []
     for sgn, hkind in ((+1, "H+"), (-1, "H-")):
-        coeff = delta_coefficient(cform, phase, 1j * sgn * params.hbar / 2.0, params)
-        target = sgn * 2.0 * math.pi / params.hbar
         h_cur = current(hkind, i, "u", Fraction(-sgn, 4))
         f_shift = current("F", i, "u", Fraction(-sgn, 2))
         payload = merged_exponent_matches((current("E", i, "u"), f_shift),
                                           h_cur, params, rng)
-        residuals += (abs(coeff - target) / abs(target), payload["max_residual"])
+        residuals.append(payload["max_residual"])
         accepted.append(payload["samples"])
         report[f"payload_{hkind}"] = payload["max_residual"]
     report.update(judged(worst_of(*residuals), tol, min(accepted)))

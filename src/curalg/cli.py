@@ -42,6 +42,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def _collect(args: argparse.Namespace) -> RunConfig:
     file_vals = parse_config_file(args.config) if args.config else None
+    if file_vals and "suites" in file_vals:
+        raise ValueError(f"{args.config}: suites = {json.dumps(file_vals['suites'])}; a config "
+                         f"file names no suites, the command does ({', '.join(_SUBCOMMANDS)})")
     hopf_parts = None
     if args.axioms or args.homomorphism:
         hopf_parts = tuple(

@@ -23,8 +23,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from . import evalrep, structfn
 from .boson import checks as bchecks
-from .boson.currents import BosonCurrent, word_phase
-from .boson.currents import current as bcur
+from .boson.currents import BosonCurrent
 from .evalplan import worst_of
 from .liealg import CartanData, node_class
 from .params import ParamTower
@@ -255,18 +254,17 @@ def counit_slot(x: CurrentExpr, slot: int) -> CurrentExpr:
 
 def module_expr(rep: evalrep.EvalRep, x: CurrentExpr) -> DistExpr:
     """A single-slot expression in the level-0 module (all tags equal):
-    each word is the product of its letters' operators."""
-    one = DistExpr.matrix(tuple(((k, k), 1 + 0j) for k in range(rep.dim)))
+    each word is its coefficient times the product of its letters'
+    operators, where 'one' is the identity and the central 'c' acts by 0."""
     acc = DistExpr.zero()
     for w in _single_slot(x, "the level-0 module").words:
-        term = one.scaled(w.coeff)
-        for l in w.slots[0]:
-            if l.kind == "one":
-                term = term * one
-            elif l.kind == "c":
-                term = term * DistExpr.zero()  # the central element acts by 0 at level 0
-            else:
-                term = term * rep.op(l.kind, l.i, l.arg)
+        if any(l.kind == "c" for l in w.slots[0]):
+            continue  # the central element acts by 0 at level 0
+        ops = [rep.op(l.kind, l.i, l.arg) for l in w.slots[0] if l.kind != "one"]
+        term = (ops[0] if ops else
+                DistExpr.matrix(tuple(((k, k), 1 + 0j) for k in range(rep.dim)))).scaled(w.coeff)
+        for op in ops[1:]:
+            term = term * op
         acc = acc + term
     return acc
 
@@ -497,46 +495,20 @@ def verify_serre_level2(cartan: CartanData, params: ParamTower, i: int, j: int,
 
 
 def ef_pole_audit_level2(cartan: CartanData, params: ParamTower, i: int) -> dict:
-    """Pole/residue audit of the level-2 commutator of E_i(u), F_i(v).
-
-    Only the two monomials with an E-F pair inside one slot produce
-    commutator deltas.  Their cross-contraction factors have poles at
-    w in {i*hbar, 0} and {0, -i*hbar}; the audit verifies that pole
-    inventory, that the two w = 0 residues cancel each other (their
-    normal-ordered payloads coincide, both being the mixed H- (x) H+
-    word), and that the surviving supports are exactly w = +-i*hbar with
-    delta coefficients +-2*pi/hbar.
-    """
-    h = params.hbar
-    # monomial A: (E(u) (x) 1) * (F(v + ih c1/2) (x) H+(v + ih c1/4)), slots (0, 1)
-    word_a = [bcur("E", i, "u", 0, slot=0), bcur("F", i, "v", Fraction(1, 2), slot=0)]
-    # monomial B: (H-(u + ih c0/4) (x) E(u + ih c0/2)) * (1 (x) F(v)), slot 1 pair
-    word_b = [bcur("E", i, "u", Fraction(1, 2), slot=1), bcur("F", i, "v", 0, slot=1)]
-    cform_a = bchecks.word_exponent(word_a, cartan, params)
-    cform_b = bchecks.word_exponent(word_b, cartan, params)
-    poles_a = sorted(hh for _p, _o, hh in bchecks.strip_poles(cform_a, params))
-    poles_b = sorted(hh for _p, _o, hh in bchecks.strip_poles(cform_b, params))
-    inventory_ok = (
-        [round(x / h, 9) for x in poles_a] == [0.0, 1.0]
-        and [round(x / h, 9) for x in poles_b] == [-1.0, 0.0]
-    )
-    ph_a = word_phase(word_a, cartan)
-    ph_b = word_phase(word_b, cartan)
-    # w = 0: the two monomials share the H-(x)H+ payload; residues cancel.
-    c0a = bchecks.delta_coefficient(cform_a, ph_a, 0.0 + 0.0j, params)
-    c0b = bchecks.delta_coefficient(cform_b, ph_b, 0.0 + 0.0j, params)
-    cancel_res = abs(c0a + c0b) / max(1.0, abs(c0a))
-    # surviving supports: +-i*hbar with coefficients +-2*pi/hbar
-    cp = bchecks.delta_coefficient(cform_a, ph_a, 1j * h, params)
-    cm = bchecks.delta_coefficient(cform_b, ph_b, -1j * h, params)
-    target = 2.0 * math.pi / h
-    surv_res = worst_of(abs(cp - target), abs(cm + target)) / target
+    """Pole/residue audit of the level-2 commutator of E_i(u), F_i(v): the
+    product of their coproduct images (``boson.checks.ef_delta_supports``)
+    judged by ``ef_delta_residuals`` at level 2.  The two w = 0 parts share
+    the mixed H- (x) H+ payload and must cancel; w = +-i*hbar must carry
+    +-2*pi/hbar."""
+    parts = bchecks.ef_delta_supports(_level2_slot_words("E", i, "u", params),
+                                      _level2_slot_words("F", i, "v", params), cartan, params)
+    delta = bchecks.ef_delta_residuals(parts, 2, params)
+    surv_res, cancel_res = (math.inf, math.inf) if delta is None else delta
     return {
         "i": i,
-        "pole_heights_ihbar": sorted({round(x / h, 9) for x in poles_a + poles_b}),
-        "inventory_ok": bool(inventory_ok),
+        "pole_heights_ihbar": sorted({round(p.value(params) / params.hbar, 9) for p in parts}),
+        "inventory_ok": delta is not None,
         "zero_support_cancellation": cancel_res,
         "surviving_coefficient_residual": surv_res,
-        # a wrong pole inventory fails the record at residual inf
-        **judged(worst_of(cancel_res, surv_res) if inventory_ok else math.inf, 1e-8),
+        **judged(worst_of(cancel_res, surv_res), 1e-8),
     }

@@ -23,7 +23,7 @@ from __future__ import annotations
 import cmath
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cache
 from typing import Iterator, Optional
@@ -430,23 +430,11 @@ def export_catalog(cat: list[InterRelation], r: int,
     """
     out = []
     for rec in cat:
-        entry = {
-            "rid": rec.rid,
-            "vertex": rec.vertex,
-            "vertex_case": rec.vertex_case,
-            "current": rec.current,
-            "vertex_left": rec.vertex_left,
-            "period": rec.period,
-            "num_off": rec.num_off,
-            "extra": None if rec.extra is None else [rec.extra.numerator,
-                                                     rec.extra.denominator],
-            "has_embedded_delta": rec.has_embedded_delta,
-            "delta_scalar": None if rec.delta_scalar is None else
-                            [rec.delta_scalar.real, rec.delta_scalar.imag],
-            "delta_support_printed": rec.delta_support_printed,
-            "delta_payload": rec.delta_payload,
-            "kron": rec.kron,
-        }
+        entry = asdict(rec)
+        if rec.extra is not None:
+            entry["extra"] = [rec.extra.numerator, rec.extra.denominator]
+        if rec.delta_scalar is not None:
+            entry["delta_scalar"] = [rec.delta_scalar.real, rec.delta_scalar.imag]
         if rec.vertex_case in ("j", "j-1"):
             entry["coeff_per_node"] = {
                 str(j): rec.coeff(r, j).to_json_dict() for j in range(1, r + 1)

@@ -50,8 +50,10 @@ class RunConfig:
     hopf_parts: tuple[str, ...] = HOPF_PARTS
 
     def __post_init__(self):
-        if type(self.seed) is not int or self.seed < 0:
-            raise ValueError(f"seed {self.seed!r}: expected a non-negative int")
+        for name, least in (("seed", 0), ("samples", 1)):
+            x = getattr(self, name)
+            if type(x) is not int or x < least:
+                raise ValueError(f"{name} {x!r}: expected an int of at least {least}")
         if self.variant not in ("printed", "normalized"):
             raise ValueError(f"variant {self.variant!r}: expected 'printed' or 'normalized'")
         for name, known in (("suites", SUITES), ("hopf_parts", HOPF_PARTS)):

@@ -669,6 +669,21 @@ def test_ef_delta_pole_mismatch_fails_the_record(params, a2, monkeypatch):
     assert rep["poles"] == ["1/2*h"] and "pole structure mismatch" in rep["error"]
 
 
+def test_the_single_current_ef_engine_gives_the_two_half_hbar_supports(params, a2):
+    parts = checks.ef_delta_supports([(1.0, [(0, current("E", 1, "u"))])],
+                                     [(1.0, [(0, current("F", 1, "v"))])], a2, params)
+    half = ParamLin.hbar(Fraction(1, 2))
+    assert list(parts) == [-half, half]
+    target = 2.0 * math.pi / params.hbar
+    for pos, sgn in ((-half, -1), (half, +1)):
+        ((order, coeff),) = parts[pos]
+        assert order == 1 and abs(coeff - sgn * target) <= 1e-9 * target
+    surviving, cancelling = checks.ef_delta_residuals(parts, 1, params)
+    assert surviving < 1e-9 and cancelling == 0.0
+    # the same parts judged at level 2 miss both supports
+    assert checks.ef_delta_residuals(parts, 2, params) is None
+
+
 def test_pole_catalog_raises_on_an_m_primitive(params, a2):
     # an E-F form is pure I0 (its sh factors cancel to sh(hbar)/sh(hbar/2));
     # a Gamma-pole ladder of an M primitive has no catalog and raises

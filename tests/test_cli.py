@@ -315,6 +315,31 @@ def test_a_seed_must_be_a_non_negative_int(seed, tmp_path, capsys):
         assert "bad configuration" in capsys.readouterr().err
 
 
+def test_a_config_file_names_no_suites(tmp_path, capsys):
+    # the command's suites replaced the file's: suites = ["liealg"] ran all eight and passed
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text('algebra = "A1"\nsuites = ["liealg"]\n')
+    assert main(["verify-all", "--config", str(cfg_file)]) == 2
+    err = capsys.readouterr().err
+    assert "bad configuration" in err and "suites" in err
+    assert all(name in err for name in ("verify-evalrep", "verify-boson", "verify-hopf",
+                                        "verify-intertwine", "verify-all"))
+
+
+@pytest.mark.parametrize("samples", [0, -3, 2.5, True, "8"])
+def test_samples_must_be_a_positive_int(samples, tmp_path, capsys):
+    # boson floored a negative count to 30 and passed; 0 failed records, exit 1
+    with pytest.raises(ValueError, match="samples"):
+        RunConfig(algebra="A1", samples=samples)
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f'algebra = "A1"\nsamples = {json.dumps(samples)}\n')
+    assert main(["verify-boson", "--config", str(cfg_file)]) == 2
+    assert "bad configuration" in capsys.readouterr().err
+    if type(samples) is int and not isinstance(samples, bool):
+        assert main(["verify-boson", "--algebra", "A1", "--samples", str(samples)]) == 2
+        assert "bad configuration" in capsys.readouterr().err
+
+
 def test_a_config_file_variant_must_be_printed_or_normalized(tmp_path, capsys):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text('algebra = "A2"\nvariant = "normalised"\n')

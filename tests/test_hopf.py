@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from curalg import evalrep, hopf, structfn, trigcalc
+from curalg import evalrep, hopf, report, structfn, trigcalc
 from curalg.boson import checks
 from curalg.boson.contraction import UnsupportedPairError
 from curalg.boson.currents import current
@@ -311,3 +311,35 @@ def test_hom_k2_records_count_accepted_points(monkeypatch):
                                     relations=("EE", "HE"))
     assert [r["samples"] for r in recs] == [3, 3]
     assert all(r["pass"] for r in recs)
+
+
+def _halved_second_word_shift(kind: str):
+    """``hopf.coproduct_letter`` with the half shift of ``kind``'s letter in
+    its second coproduct word (c_hi/2 for F, c_lo/2 for E) halved."""
+    true_letter = hopf.coproduct_letter
+
+    def letter(l, params, direction):
+        words = true_letter(l, params, direction)
+        if l.kind != kind:
+            return words
+        tag = l.tag + (direction == +1) if kind == "F" else l.tag - (direction == -1)
+        level = hopf._c(params, tag)
+        second = tuple(
+            tuple(replace(x, arg=l.arg + hopf._q(level / 4)) if x.kind == kind else x
+                  for x in slot)
+            for slot in words[1].slots)
+        return [words[0], Word(words[1].coeff, second)]
+
+    return letter
+
+
+@pytest.mark.parametrize("algebra", ["A2", "D4"])
+@pytest.mark.parametrize("kind", ["E", "F"])
+def test_a_planted_coproduct_shift_fails_every_level2_ef_audit(algebra, kind, monkeypatch):
+    cfg = report.RunConfig(algebra=algebra, suites=("hopf",), hopf_parts=("audit",))
+    audits = report.run(cfg)["suites"][0]["checks"]
+    assert len(audits) == cfg.cartan().rank and all(c["pass"] for c in audits)
+    monkeypatch.setattr(hopf, "coproduct_letter", _halved_second_word_shift(kind))
+    audits = report.run(cfg)["suites"][0]["checks"]
+    assert [c["id"] for c in audits] == [f"ef_pole_audit_k2_{i}" for i in cfg.cartan().nodes()]
+    assert not any(c["pass"] for c in audits), audits

@@ -790,7 +790,7 @@ def test_the_module_run_canonicalizes_each_shape_once(cold_memos):
                            hopf_parts=("axioms",))
     assert report.run(cfg)["pass"]
     info = _canonical_shape.cache_info()
-    assert (info.hits + info.misses, info.currsize) == (2856, 606)
+    assert (info.hits + info.misses, info.currsize) == (2470, 606)
 
 
 def test_a_warm_cache_gives_the_cold_report(cold_memos):
