@@ -30,6 +30,12 @@ verification report carries the raw mismatch ratio alongside.
 Each module's operators are memoized on its ``EvalRep``, since they
 carry the tower's floats; the cleared exchange ratios are exact and are
 built once per process.
+
+Translation: node l + 1 is node l with z moved to z - i*hbar/2 and each
+basis index k to (k + 1) mod (r + 1).  ``EvalRep.steps`` checks this
+exactly on the memoized operators, and ``verify_all`` samples a relation
+only at the first pair of each translation class, (i, j) joining the
+class of (i - 1, j - 1) when both steps hold.
 """
 
 from __future__ import annotations
@@ -38,10 +44,10 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 
 from . import structfn
-from .liealg import CartanData, adjacent_pairs, cartan
+from .liealg import CartanData, adjacent_pairs, cartan, node_class
 from .evalplan import worst_of
 from .params import ParamTower
 from .rng import Generator, default_rng
@@ -52,6 +58,8 @@ from .trigcalc import (
     ShiftExpr,
     Term,
     TrigFactor,
+    _delta_sort_key,
+    _factor_sort_key,
     equal_numeric,
     judged,
     sample_max,
@@ -60,6 +68,9 @@ from .trigcalc import (
 
 U = "u"
 Z = "z"
+# every operator kind a relation or an axiom record reads
+READ_KINDS = ("e+", "f+", "H+", "H-", "E", "F", "jump e+", "jump f+", "jump H+",
+              "H+inv", "H-inv")
 
 
 def matrix_unit(i: int, j: int) -> Mat:
@@ -125,6 +136,29 @@ class EvalRep:
                     U, var(U) + ShiftExpr.lattice_units(0, -1))
                 self._ops[key] = minus if kind == "H-" else minus.scaled(-1.0)
         return self._ops[key]
+
+    @cached_property
+    def steps(self) -> frozenset[int]:
+        """The nodes l < r whose step to l + 1 is exactly covariant: every
+        kind in ``READ_KINDS`` at node l + 1 is its node-l operator with z
+        moved to z - i*hbar/2 and each matrix index k to (k + 1) mod (r + 1),
+        term for term, scalars and entries equal as numbers."""
+        return frozenset(l for l in range(1, self.r) if all(
+            _translates(self.op(kind, l), self.op(kind, l + 1), self.dim)
+            for kind in READ_KINDS))
+
+
+def _translates(a: DistExpr, b: DistExpr, n: int) -> bool:
+    """Whether the terms of ``b`` are those of ``a`` with z -> z - i*hbar/2
+    and each matrix index k -> (k + 1) mod n, in canonical order."""
+    z = var(Z) - ShiftExpr.hbar_units(Fraction(1, 2))
+    return len(a.terms) == len(b.terms) and all(
+        s.scalar == t.scalar
+        and sorted((f.subs(Z, z) for f in s.factors), key=_factor_sort_key) == list(t.factors)
+        and sorted((DeltaAtom(d.arg.subs(Z, z)) for d in s.deltas),
+                   key=_delta_sort_key) == list(t.deltas)
+        and sorted((((i + 1) % n, (j + 1) % n), x) for (i, j), x in s.mat) == list(t.mat)
+        for s, t in zip(a.terms, b.terms))
 
 
 def _pole_factor(r: int, l: int) -> TrigFactor:
@@ -298,26 +332,47 @@ def verify_serre(rep: EvalRep, i: int, j: int, tol: float = 1e-9) -> dict:
 def verify_all(rep: EvalRep, samples: int = 50, tol: float = 1e-9,
                seed: int | Generator = 0) -> list[dict]:
     """Every defining relation over all index pairs, plus the cubic ones,
-    all drawing from one stream: ``seed``, a seed or a generator."""
+    all drawing from one stream: ``seed``, a seed or a generator.
+
+    A pair (i, j) is the pair (i - 1, j - 1) translated when both node
+    steps are exactly covariant (``EvalRep.steps``) and the two pairs share
+    their ``node_class``; it then carries the record of (i - 1, j - 1) with
+    its own nodes and its delta supports moved along (``_moved``).  So each
+    relation, sign and translation class is sampled once, at its first pair.
+    """
     rng = default_rng(seed)
     cd = rep.cartan
+    jobs = [(rel, i, j, sign) for rel in structfn.RELATIONS for i in cd.nodes()
+            for j in cd.nodes() for sign in ((+1, -1) if rel in ("HE", "HF") else (+1,))]
+    jobs += [("EF", i, j, +1) for i in cd.nodes() for j in cd.nodes()]
+    jobs += [("serre", i, j, +1) for i, j in adjacent_pairs(cd)]
+    firsts: dict = {}   # (relation, sign, i, j) -> (its class's first record, steps from it)
     out = []
-    for rel in structfn.RELATIONS:
-        for i in cd.nodes():
-            for j in cd.nodes():
-                for sign in ((+1, -1) if rel in ("HE", "HF") else (+1,)):
-                    rec = verify_relation(rep, rel, i, j, samples=samples,
-                                          tol=tol, rng=rng, sign=sign)
-                    rec["sign"] = sign
-                    out.append(rec)
-    for i in cd.nodes():
-        for j in cd.nodes():
-            rec = verify_relation(rep, "EF", i, j, samples=samples, tol=tol, rng=rng)
-            out.append(rec)
-    for i, j in adjacent_pairs(cd):
-        rec = verify_relation(rep, "serre", i, j, tol=tol)
-        out.append(rec)
+    for rel, i, j, sign in jobs:
+        back = (rel, sign, i - 1, j - 1)
+        if (back in firsts and {i - 1, j - 1} <= rep.steps
+                and node_class(cd, i, j) == node_class(cd, i - 1, j - 1)):
+            first, m = firsts[back]
+            m += 1
+        else:
+            first, m = verify_relation(rep, rel, i, j, samples=samples, tol=tol,
+                                       rng=rng, sign=sign), 0
+            if rel in structfn.RELATIONS:
+                first["sign"] = sign
+        firsts[rel, sign, i, j] = first, m
+        out.append(_moved(first, m) | {"i": i, "j": j})
     return out
+
+
+def _moved(rec: dict, m: int) -> dict:
+    """``rec`` for the pair m nodes on: its delta supports with z moved to
+    z - m*i*hbar/2, re-sorted as ``equal_numeric`` sorts them."""
+    if not m or "groups" not in rec:
+        return rec
+    z = var(Z) - ShiftExpr.hbar_units(Fraction(m, 2))
+    groups = [{**g, "support": sorted(str(ShiftExpr.parse(s).subs(Z, z)) for s in g["support"])}
+              for g in rec["groups"]]
+    return {**rec, "groups": sorted(groups, key=lambda g: g["support"])}
 
 
 def smeared_total_current_check(rep: EvalRep, l: int, n_grid: int = 200001) -> dict:

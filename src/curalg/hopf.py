@@ -299,19 +299,27 @@ def verify_axioms(rep: evalrep.EvalRep, params: ParamTower, samples: int = 30,
                   tol: float = 1e-9, rng: int | Generator = 17) -> list[dict]:
     """All four axioms on every generator, in the level-0 backend, on one
     stream ``rng`` (a seed or a generator); ``samples`` is the accepted
-    count of a record's groups, 0 for two exactly zero sides."""
+    count of a record's groups, 0 for two exactly zero sides.  A generator
+    at node i whose step from node i - 1 is exactly covariant
+    (``EvalRep.steps``) carries the records of its kind at node i - 1, so
+    each kind and axiom is sampled once per translation class."""
     rng = default_rng(rng)
     out = []
+    firsts: dict = {}   # (kind, node) -> the records of its class's first generator
     gens = [("c", 0)] + [(k, i) for k in GEN_KINDS for i in range(1, rep.r + 1)]
     for kind, i in gens:
-        for name, lhs, rhs in _axiom_sides(kind, i, tag=0, params=params):
-            cmp = equal_numeric(module_expr(rep, lhs), module_expr(rep, rhs), params,
-                                samples=samples, tol=tol, rng=rng)
-            groups = cmp.pop("groups")
-            out.append({
-                "axiom": name, "generator": f"{kind}_{i}" if i else kind, **cmp,
-                "samples": min((g["samples"] for g in groups), default=0),
-            })
+        if i - 1 in rep.steps:
+            recs = firsts[kind, i - 1]
+        else:
+            recs = []
+            for name, lhs, rhs in _axiom_sides(kind, i, tag=0, params=params):
+                cmp = equal_numeric(module_expr(rep, lhs), module_expr(rep, rhs), params,
+                                    samples=samples, tol=tol, rng=rng)
+                groups = cmp.pop("groups")
+                recs.append({"axiom": name, **cmp,
+                             "samples": min((g["samples"] for g in groups), default=0)})
+        firsts[kind, i] = recs
+        out.extend({**rec, "generator": f"{kind}_{i}" if i else kind} for rec in recs)
     return out
 
 

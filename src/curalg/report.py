@@ -54,6 +54,10 @@ class RunConfig:
             x = getattr(self, name)
             if type(x) is not int or x < least:
                 raise ValueError(f"{name} {x!r}: expected an int of at least {least}")
+        for name in ("tol", "tol_quadrature"):
+            x = getattr(self, name)
+            if not x >= 0:   # negative or NaN
+                raise ValueError(f"{name} {x!r}: expected a number of at least 0")
         if self.variant not in ("printed", "normalized"):
             raise ValueError(f"variant {self.variant!r}: expected 'printed' or 'normalized'")
         for name, known in (("suites", SUITES), ("hopf_parts", HOPF_PARTS)):

@@ -78,6 +78,21 @@ class ShiftExpr:
         """The point i*n/eta_period."""
         return ShiftExpr(lattice=((period, n),))
 
+    @staticmethod
+    def parse(text: str) -> "ShiftExpr":
+        """The point whose ``str`` is ``text``."""
+        v: dict[str, int] = {}
+        q, l = Fraction(0), {}
+        for bit in text.split(" + ") if text != "0" else ():
+            c, _, name = bit.rpartition("*")
+            if name == "ih":
+                q = Fraction(c)
+            elif name.startswith("i/eta"):
+                l[int(name[5:])] = int(c)
+            else:
+                v[name] = int(c or 1)
+        return _mk_shift(v, q, l)
+
     def _vdict(self) -> dict[str, int]:
         return dict(self.vars)
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -313,6 +314,27 @@ def test_a_seed_must_be_a_non_negative_int(seed, tmp_path, capsys):
     if seed == -1:
         assert main(["verify-all", "--algebra", "A1", "--seed", "-1"]) == 2
         assert "bad configuration" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["tol", "tol_quadrature"])
+@pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan])
+def test_a_tolerance_must_be_a_number_of_at_least_zero(field, tol, tmp_path, capsys):
+    # --tol -1 judged every record against -1: 12 boson records of A1 failed
+    # with residuals near 1e-15 and the run exited 1, as for a failed check
+    with pytest.raises(ValueError, match=field):
+        RunConfig(algebra="A1", **{field: tol})
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f'algebra = "A1"\n{field} = {json.dumps(tol)}\n')
+    assert main(["verify-boson", "--config", str(cfg_file)]) == 2
+    assert "bad configuration" in capsys.readouterr().err
+    if field == "tol":
+        assert main(["verify-boson", "--algebra", "A1", f"--tol={tol}"]) == 2
+        assert "bad configuration" in capsys.readouterr().err
+
+
+def test_a_zero_tolerance_is_a_configuration():
+    # test_zero_tolerance_harness_self_test judges every record against 0
+    assert RunConfig(algebra="A1", tol=0.0, tol_quadrature=0.0).tol == 0.0
 
 
 def test_a_config_file_names_no_suites(tmp_path, capsys):

@@ -71,6 +71,14 @@ def test_shift_negation(a):
     assert (a + (-a)).is_zero()
 
 
+@given(shift_strategy, st.integers(-2, 2))
+@settings(max_examples=60, deadline=None)
+def test_a_shift_parses_back_from_its_text(a, cz):
+    for e in (a, a + ShiftExpr.of_var("z", cz) + ShiftExpr.lattice_units(1, cz)):
+        assert ShiftExpr.parse(str(e)) == e
+    assert ShiftExpr.parse("0") == ShiftExpr()
+
+
 def test_shift_eval(params):
     e = var("u") - var("v") + ShiftExpr.hbar_units(Fraction(3, 2)) \
         + ShiftExpr.lattice_units(0, -1)
@@ -790,7 +798,8 @@ def test_the_module_run_canonicalizes_each_shape_once(cold_memos):
                            hopf_parts=("axioms",))
     assert report.run(cfg)["pass"]
     info = _canonical_shape.cache_info()
-    assert (info.hits + info.misses, info.currsize) == (2470, 606)
+    # (2470, 606) when every node pair and generator was sampled
+    assert (info.hits + info.misses, info.currsize) == (1230, 350)
 
 
 def test_a_warm_cache_gives_the_cold_report(cold_memos):
