@@ -17,28 +17,32 @@ denominators by plain equality, without any numeric tolerance.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from typing import Mapping
 
 from ..params import ParamTower
 from ..trigcalc import ShiftExpr
+from ..value import Value
 
 
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class ParamLin:
+class ParamLin(Value):
     """Exact scalar h*hbar + e/eta, with eta = eta^(0) of the tower.
 
     Two scalars are equal exactly when both coordinates are; every
     1/eta^(n) is resolved into these coordinates by ``inv_eta``.
     """
 
-    h: Fraction = _ZERO
-    e: Fraction = _ZERO
+    def __init__(self, h: Fraction = _ZERO, e: Fraction = _ZERO) -> None:
+        _set = object.__setattr__
+        _set(self, "h", h)
+        _set(self, "e", e)
+
+    def _fields(self) -> tuple:
+        return (self.h, self.e)
 
     @staticmethod
     def hbar(q: Fraction | int = 1) -> "ParamLin":
@@ -91,7 +95,6 @@ class ParamLin:
         return " + ".join(bits) if bits else "0"
 
 
-@dataclass(frozen=True)
 class ExponentFn:
     """weight * e^{i*lambda*vars + s*lambda} * prod sh^{+-1} * prod Bose^{-1}.
 
@@ -100,12 +103,15 @@ class ExponentFn:
     point); sign flips from sh oddness are folded into ``weight``.
     """
 
-    weight: complex = 1.0
-    vars: tuple[tuple[str, int], ...] = ()
-    rshift: ParamLin = ParamLin()
-    num_sh: tuple[ParamLin, ...] = ()
-    den_sh: tuple[ParamLin, ...] = ()
-    bose: tuple[ParamLin, ...] = ()
+    def __init__(self, weight: complex = 1.0, vars: tuple[tuple[str, int], ...] = (),
+                 rshift: ParamLin = ParamLin(), num_sh: tuple[ParamLin, ...] = (),
+                 den_sh: tuple[ParamLin, ...] = (), bose: tuple[ParamLin, ...] = ()) -> None:
+        self.weight = weight
+        self.vars = vars
+        self.rshift = rshift
+        self.num_sh = num_sh
+        self.den_sh = den_sh
+        self.bose = bose
 
     def negated_lambda(self) -> "ExponentFn":
         """g(-lambda), renormalized back to the canonical atom forms."""

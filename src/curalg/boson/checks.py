@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import replace
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -62,7 +61,8 @@ def pair_exponent(x: BosonCurrent, y: BosonCurrent, cartan: CartanData,
     key = (params, x.kind, y.kind, cartan.b_entry(x.j, y.j), x.slot)
     base = _PAIR_CACHE.get(key)
     if base is None:
-        bx, by = replace(x, arg=ShiftExpr()), replace(y, arg=ShiftExpr())
+        bx = BosonCurrent(x.kind, x.j, ShiftExpr(), x.slot)
+        by = BosonCurrent(y.kind, y.j, ShiftExpr(), y.slot)
         base = product_exponent(kernel(cartan, x.j, y.j, params, x.slot), bx.g(params),
                                 by.g(params), params)
         _PAIR_CACHE[key] = base

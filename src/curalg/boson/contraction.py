@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
@@ -49,24 +48,26 @@ class UnsupportedPairError(ValueError):
     """Integrand neither decomposes nor admits convergent quadrature."""
 
 
-@dataclass(frozen=True)
 class Primitive:
     """coeff * primitive(x(w)), x = -i*vars - s; Bose scale beta or None."""
 
-    coeff: int
-    vars: tuple[tuple[str, int], ...]
-    s: ParamLin
-    beta: Optional[ParamLin]
+    def __init__(self, coeff: int, vars: tuple[tuple[str, int], ...], s: ParamLin,
+                 beta: Optional[ParamLin]) -> None:
+        self.coeff = coeff
+        self.vars = vars
+        self.s = s
+        self.beta = beta
 
 
-@dataclass
 class _Work:
-    coeff: complex
-    vars: tuple[tuple[str, int], ...]
-    rshift: ParamLin
-    num_sh: list[ParamLin]
-    den_sh: list[ParamLin]
-    bose: list[ParamLin]
+    def __init__(self, coeff: complex, vars: tuple[tuple[str, int], ...], rshift: ParamLin,
+                 num_sh: list[ParamLin], den_sh: list[ParamLin], bose: list[ParamLin]) -> None:
+        self.coeff = coeff
+        self.vars = vars
+        self.rshift = rshift
+        self.num_sh = num_sh
+        self.den_sh = den_sh
+        self.bose = bose
 
 
 def _normalize_sh_list(args: Sequence[ParamLin], params: ParamTower) -> tuple[int, list[ParamLin]]:
@@ -171,13 +172,13 @@ def _x_value(vars_: tuple[tuple[str, int], ...], s: float,
     return -1j * z - s
 
 
-@dataclass(frozen=True)
 class ClosedForm:
     """Finite sum of primitives; the exponent C of one contraction factor."""
 
-    primitives: tuple[Primitive, ...]
-    # (tower, float plan) of the last tower evaluated under; see _float_plan
-    _plan: tuple = field(default=(None, ()), init=False, repr=False, compare=False)
+    def __init__(self, primitives: tuple[Primitive, ...]) -> None:
+        self.primitives = primitives
+        # (tower, float plan) of the last tower evaluated under; see _float_plan
+        self._plan: tuple = (None, ())
 
     def _float_plan(self, params: ParamTower) -> tuple:
         """Per primitive (id, coeff, vars, s, eta_p, gamma - ln eta_p) in floats,
@@ -195,7 +196,7 @@ class ClosedForm:
                     plan.append((id(p), p.coeff, p.vars, s, eta_p,
                                  EULER_GAMMA - math.log(eta_p)))
             plan = tuple(plan)
-            object.__setattr__(self, "_plan", (params, plan))
+            self._plan = (params, plan)
         return plan
 
     def value(self, assignment: Mapping[str, complex], params: ParamTower) -> complex:

@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 from ..liealg import CartanData
 from ..params import ParamTower
 from ..trigcalc import ShiftExpr
+from ..value import Value
 from .atoms import ExponentFn, ParamLin, spectral_exponent
 
 KINDS = ("E", "F", "H+", "H-")
@@ -40,8 +40,7 @@ CHARGE = {"E": 1, "F": -1, "H+": 0, "H-": 0}
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BosonCurrent:
+class BosonCurrent(Value):
     """One current letter: kind, node, spectral argument, family slot.
 
     ``slot`` selects the Heisenberg copy: the mode kernel of slot m uses
@@ -49,10 +48,15 @@ class BosonCurrent:
     slot 0.
     """
 
-    kind: str
-    j: int
-    arg: ShiftExpr
-    slot: int = 0
+    def __init__(self, kind: str, j: int, arg: ShiftExpr, slot: int = 0) -> None:
+        _set = object.__setattr__
+        _set(self, "kind", kind)
+        _set(self, "j", j)
+        _set(self, "arg", arg)
+        _set(self, "slot", slot)
+
+    def _fields(self) -> tuple:
+        return (self.kind, self.j, self.arg, self.slot)
 
     def g(self, params: ParamTower) -> ExponentFn:
         """The mode coefficient function g(lambda) of this letter, its

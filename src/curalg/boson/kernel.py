@@ -14,7 +14,6 @@ the two scales are eta^(m), eta^(m+1).
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from fractions import Fraction
 
 from ..liealg import CartanData
@@ -22,14 +21,15 @@ from ..params import ParamTower
 from .atoms import ParamLin
 
 
-@dataclass(frozen=True)
 class Kernel:
     """coeff * lambda^lambda_power * prod sh(num)/prod sh(den)."""
 
-    coeff: complex
-    num_sh: tuple[ParamLin, ...]
-    den_sh: tuple[ParamLin, ...]
-    lambda_power: int = -1
+    def __init__(self, coeff: complex, num_sh: tuple[ParamLin, ...],
+                 den_sh: tuple[ParamLin, ...], lambda_power: int = -1) -> None:
+        self.coeff = coeff
+        self.num_sh = num_sh
+        self.den_sh = den_sh
+        self.lambda_power = lambda_power
 
 
 def kernel(cartan: CartanData, i: int, j: int, params: ParamTower, slot: int = 0) -> Kernel:

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 
@@ -85,14 +84,14 @@ def ef_normalization(params: ParamTower) -> float:
     return math.sqrt(math.pi * params.eta / (params.hbar * s))
 
 
-@dataclass
 class EvalRep:
     """Half currents of the rank-r module, as matrix-valued DistExpr in u:
     ``build`` enters e+, f+ and H+, and ``op`` derives every other kind."""
 
-    r: int
-    params: ParamTower
-    _ops: dict[tuple, DistExpr] = field(default_factory=dict, init=False, repr=False)
+    def __init__(self, r: int, params: ParamTower) -> None:
+        self.r = r
+        self.params = params
+        self._ops: dict[tuple, DistExpr] = {}
 
     @property
     def dim(self) -> int:

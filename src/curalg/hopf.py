@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -33,20 +32,20 @@ from .trigcalc import DistExpr, ShiftExpr, equal_numeric, judged, var
 GEN_KINDS = ("E", "F", "H+", "H-")
 
 
-@dataclass(frozen=True)
 class Letter:
-    kind: str
-    i: int                    # node; 0 for 'one'/'c'
-    arg: Optional[ShiftExpr]  # spectral argument; None for 'one'/'c'
-    tag: int                  # family index n
+    def __init__(self, kind: str, i: int, arg: Optional[ShiftExpr], tag: int) -> None:
+        self.kind = kind
+        self.i = i        # node; 0 for 'one'/'c'
+        self.arg = arg    # spectral argument; None for 'one'/'c'
+        self.tag = tag    # family index n
 
 
-@dataclass(frozen=True)
 class Word:
     """coeff * (slot_0 letters) (x) (slot_1 letters) (x) ..."""
 
-    coeff: complex
-    slots: tuple[tuple[Letter, ...], ...]
+    def __init__(self, coeff: complex, slots: tuple[tuple[Letter, ...], ...]) -> None:
+        self.coeff = coeff
+        self.slots = slots
 
 
 class CurrentExpr:

@@ -23,7 +23,6 @@ from __future__ import annotations
 import cmath
 import math
 import re
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cache
 from typing import Iterator, Optional
@@ -73,21 +72,26 @@ EMBEDDED_DELTA = {
 _CASE_OFFSETS = {"j": -2, "j-1": +2, "other": 0}
 
 
-@dataclass(frozen=True)
 class InterRelation:
-    rid: str
-    vertex: str
-    vertex_case: str          # 'j', 'j-1', 'other' or 'commutator'
-    current: str
-    vertex_left: bool
-    period: int
-    num_off: Optional[int]    # numerator shift offset; None for commutators
-    extra: Optional[Fraction]
-    has_embedded_delta: bool = False
-    delta_scalar: Optional[complex] = None
-    delta_support_printed: Optional[str] = None  # verbatim; may carry unbound l
-    delta_payload: Optional[str] = None
-    kron: Optional[str] = None
+    def __init__(self, rid: str, vertex: str, vertex_case: str, current: str,
+                 vertex_left: bool, period: int, num_off: Optional[int],
+                 extra: Optional[Fraction], has_embedded_delta: bool = False,
+                 delta_scalar: Optional[complex] = None,
+                 delta_support_printed: Optional[str] = None,
+                 delta_payload: Optional[str] = None, kron: Optional[str] = None) -> None:
+        self.rid = rid
+        self.vertex = vertex
+        self.vertex_case = vertex_case      # 'j', 'j-1', 'other' or 'commutator'
+        self.current = current
+        self.vertex_left = vertex_left
+        self.period = period
+        self.num_off = num_off              # numerator shift offset; None for commutators
+        self.extra = extra
+        self.has_embedded_delta = has_embedded_delta
+        self.delta_scalar = delta_scalar
+        self.delta_support_printed = delta_support_printed  # verbatim; may carry unbound l
+        self.delta_payload = delta_payload
+        self.kron = kron
 
     def coeff(self, r: int, j: int) -> DistExpr:
         """Concrete exchange coefficient for current node j at rank r."""
@@ -430,7 +434,7 @@ def export_catalog(cat: list[InterRelation], r: int,
     """
     out = []
     for rec in cat:
-        entry = asdict(rec)
+        entry = dict(vars(rec))
         if rec.extra is not None:
             entry["extra"] = [rec.extra.numerator, rec.extra.denominator]
         if rec.delta_scalar is not None:

@@ -16,9 +16,10 @@ Node numbering conventions (fixed once, documented here):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
+
+from .value import Value
 
 
 class CartanError(ValueError):
@@ -45,8 +46,7 @@ def _edges(series: str, rank: int) -> list[tuple[int, int]]:
     raise CartanError(f"unknown series {series!r}; expected A, D or E")
 
 
-@dataclass(frozen=True)
-class CartanData:
+class CartanData(Value):
     """Validated Cartan matrix of a simply-laced algebra.
 
     ``a`` is the integer Cartan matrix, ``b`` the exact rational half
@@ -54,10 +54,16 @@ class CartanData:
     the public API are 1-based.
     """
 
-    series: str
-    rank: int
-    a: tuple[tuple[int, ...], ...]
-    b: tuple[tuple[Fraction, ...], ...]
+    def __init__(self, series: str, rank: int, a: tuple[tuple[int, ...], ...],
+                 b: tuple[tuple[Fraction, ...], ...]) -> None:
+        _set = object.__setattr__
+        _set(self, "series", series)
+        _set(self, "rank", rank)
+        _set(self, "a", a)
+        _set(self, "b", b)
+
+    def _fields(self) -> tuple:
+        return (self.series, self.rank, self.a, self.b)
 
     def a_entry(self, i: int, j: int) -> int:
         return self.a[i - 1][j - 1]
@@ -71,7 +77,7 @@ class CartanData:
     # cache keys hash the Fraction matrix; once per instance
     @cached_property
     def _hash(self) -> int:
-        return hash((self.series, self.rank, self.a, self.b))
+        return hash(self._fields())
 
     def __hash__(self) -> int:
         return self._hash

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional
+
+from .value import Value
 
 
 class ParameterRangeError(ValueError):
@@ -52,34 +53,35 @@ def check_genericity(hbar: float, eta: float) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class ParamTower:
+class ParamTower(Value):
     """(hbar, eta^(0), c_0, c_1, ...) with cached eta^(n) values.
 
     ``levels`` holds c_n for n = 0, 1, ...; only this many steps of the
     tower can be materialized.  Immutable; safe to share.
     """
 
-    hbar: float
-    eta: float
-    levels: tuple[float, ...] = ()
-    _inv_etas: tuple[float, ...] = field(init=False, repr=False, default=())
-
-    def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.hbar, self.eta, *self.levels))):
+    def __init__(self, hbar: float, eta: float, levels: tuple[float, ...] = ()) -> None:
+        if not all(map(math.isfinite, (hbar, eta, *levels))):
             raise ParameterRangeError("hbar, eta and every level must be finite")
-        if self.hbar <= 0 or self.eta <= 0:
+        if hbar <= 0 or eta <= 0:
             raise ParameterRangeError("hbar and eta must be positive")
-        inv = [1.0 / self.eta]
-        for n, c in enumerate(self.levels):
-            nxt = inv[-1] + self.hbar * c
+        inv = [1.0 / eta]
+        for n, c in enumerate(levels):
+            nxt = inv[-1] + hbar * c
             if nxt <= 0:
                 raise ParameterRangeError(
                     f"1/eta^({n + 1}) = {nxt} <= 0; tower leaves parameter range"
                 )
             inv.append(nxt)
-        object.__setattr__(self, "_inv_etas", tuple(inv))
-        check_genericity(self.hbar, self.eta)
+        _set = object.__setattr__
+        _set(self, "hbar", hbar)
+        _set(self, "eta", eta)
+        _set(self, "levels", levels)
+        _set(self, "_inv_etas", tuple(inv))
+        check_genericity(hbar, eta)
+
+    def _fields(self) -> tuple:
+        return (self.hbar, self.eta, self.levels, self._inv_etas)
 
     @property
     def eta_prime(self) -> float:

@@ -11,9 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
-import traceback
 import warnings
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -33,23 +31,25 @@ SUITES = ("liealg", "params", "trigcalc", "structfn", "evalrep", "boson",
 HOPF_PARTS = ("axioms", "structural", "homomorphism", "audit")
 
 
-@dataclass
 class RunConfig:
-    algebra: str = "A2"
-    hbar: float = 0.1
-    eta: float = 1.0
-    levels: tuple[float, ...] = (1.0, 1.0, 1.0)
-    suites: tuple[str, ...] = SUITES
-    samples: int = 50
-    tol: float = 1e-8            # delta-free comparisons
-    tol_quadrature: float = 1e-6
-    seed: int = 0
-    out: str | None = None
-    variant: str = "normalized"
-    pairs: str = "all"           # boson exchange filter: all | X1:Y2,...
-    hopf_parts: tuple[str, ...] = HOPF_PARTS
-
-    def __post_init__(self):
+    def __init__(self, algebra: str = "A2", hbar: float = 0.1, eta: float = 1.0,
+                 levels: tuple[float, ...] = (1.0, 1.0, 1.0), suites: tuple[str, ...] = SUITES,
+                 samples: int = 50, tol: float = 1e-8, tol_quadrature: float = 1e-6,
+                 seed: int = 0, out: str | None = None, variant: str = "normalized",
+                 pairs: str = "all", hopf_parts: tuple[str, ...] = HOPF_PARTS) -> None:
+        self.algebra = algebra
+        self.hbar = hbar
+        self.eta = eta
+        self.levels = levels
+        self.suites = suites
+        self.samples = samples
+        self.tol = tol                  # delta-free comparisons
+        self.tol_quadrature = tol_quadrature
+        self.seed = seed
+        self.out = out
+        self.variant = variant
+        self.pairs = pairs              # boson exchange filter: all | X1:Y2,...
+        self.hopf_parts = hopf_parts
         for name, least in (("seed", 0), ("samples", 1)):
             x = getattr(self, name)
             if type(x) is not int or x < least:
@@ -83,19 +83,24 @@ class RunConfig:
 def parse_config_file(path: str) -> dict:
     """Flat ``key = value`` lines; values in JSON syntax; a '#' comment on
     a line of its own or after a value (a '#' inside a JSON string is the
-    string's)."""
+    string's).  A key may be set once."""
     decode = json.JSONDecoder().raw_decode
     out: dict = {}
+    key_lines: dict[str, int] = {}
     with open(path) as fh:
         for ln, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             key, eq, val = line.partition("=")
+            key = key.strip()
             if not eq or "#" in key:
                 raise ValueError(f"{path}:{ln}: expected 'key = value'")
+            first = key_lines.setdefault(key, ln)
+            if first != ln:
+                raise ValueError(f"{path}:{ln}: {key!r} is already set on line {first}")
             val = val.strip()
-            out[key.strip()], end = decode(val)
+            out[key], end = decode(val)
             rest = val[end:].lstrip()
             if rest and not rest.startswith("#"):
                 raise ValueError(f"{path}:{ln}: {rest!r} after the value; expected a '#' comment")
@@ -495,6 +500,8 @@ def _jsonable(x):
 
 def _suite_error(exc: Exception) -> dict:
     """The record of a suite that raised: the error and the innermost frame."""
+    import traceback   # only a suite that raised needs it
+
     frame = traceback.extract_tb(exc.__traceback__)[-1]
     return {"id": "suite_error", "pass": False, "max_residual": float("inf"),
             "error": f"{type(exc).__name__}: {exc}",
@@ -523,7 +530,7 @@ def run(cfg: RunConfig) -> dict:
             ok = all(c.get("pass", False) for c in checks)
             overall = overall and ok
             suites_out.append({"suite": name, "pass": ok, "checks": _jsonable(checks)})
-    cfg_echo = asdict(cfg)
+    cfg_echo = dict(vars(cfg))
     cfg_echo.pop("out", None)  # the output channel is not part of the run identity
     report = {
         "config": _jsonable(cfg_echo),

@@ -18,7 +18,6 @@ relation, which mirrors E-E the same way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
@@ -62,16 +61,17 @@ ETA = 0        # period index of eta
 ETA_PRIME = 1  # period index of eta'
 
 
-@dataclass(frozen=True)
 class StructureRatio:
     """Exchange function in w = u - v, as numerator/denominator factor lists."""
 
-    relation: str
-    i: int
-    j: int
-    c: Fraction
-    num: tuple[TrigFactor, ...]
-    den: tuple[TrigFactor, ...]
+    def __init__(self, relation: str, i: int, j: int, c: Fraction,
+                 num: tuple[TrigFactor, ...], den: tuple[TrigFactor, ...]) -> None:
+        self.relation = relation
+        self.i = i
+        self.j = j
+        self.c = c
+        self.num = num
+        self.den = den
 
     @property
     def ratio(self) -> DistExpr:

@@ -33,7 +33,6 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from typing import Callable, Iterable, Mapping, Optional, Sequence
@@ -41,6 +40,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 from .evalplan import EPS_POLE, DeltaPresentError, Plan, PoleProximityError, worst_of
 from .params import ParamTower
 from .rng import Generator, default_rng
+from .value import Value
 
 class ReductionError(ValueError):
     """plemelj_reduce / residue precondition failed."""
@@ -51,18 +51,24 @@ class ReductionError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ShiftExpr:
+class ShiftExpr(Value):
     """var part + i*(q*hbar + sum_p lattice_p / eta_p), all exact: every
     shift of the relations is a rational multiple of i*hbar or of some
     i/eta^(p), so a point has no real offset."""
 
-    vars: tuple[tuple[str, int], ...] = ()
-    q: Fraction = Fraction(0)
-    lattice: tuple[tuple[int, int], ...] = ()
     # not a field: the real offset is always zero; the constant stays only
     # because perfbench/tracer.py:pair_key still reads ``arg.t``
     t = 0.0
+
+    def __init__(self, vars: tuple[tuple[str, int], ...] = (), q: Fraction = Fraction(0),
+                 lattice: tuple[tuple[int, int], ...] = ()) -> None:
+        _set = object.__setattr__
+        _set(self, "vars", vars)
+        _set(self, "q", q)
+        _set(self, "lattice", lattice)
+
+    def _fields(self) -> tuple:
+        return (self.vars, self.q, self.lattice)
 
     @staticmethod
     def of_var(name: str, coeff: int = 1) -> "ShiftExpr":
@@ -173,10 +179,10 @@ class ShiftExpr:
         return frozenset(name for name, _ in self.vars)
 
     # Every term bucket and sort key reads these, so each instance computes
-    # them once; the hash is the dataclass's own field hash.
+    # them once; the hash is the field tuple's.
     @cached_property
     def _hash(self) -> int:
-        return hash((self.vars, self.q, self.lattice))
+        return hash(self._fields())
 
     def __hash__(self) -> int:
         return self._hash
@@ -216,17 +222,19 @@ def var(name: str) -> ShiftExpr:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TrigFactor:
+class TrigFactor(Value):
     """sh(pi * eta_period * arg)^exponent."""
 
-    period: int
-    arg: ShiftExpr
-    exponent: int = 1
-
-    def __post_init__(self) -> None:
-        if self.exponent not in (1, -1):
+    def __init__(self, period: int, arg: ShiftExpr, exponent: int = 1) -> None:
+        if exponent not in (1, -1):
             raise ValueError("exponent must be +-1")
+        _set = object.__setattr__
+        _set(self, "period", period)
+        _set(self, "arg", arg)
+        _set(self, "exponent", exponent)
+
+    def _fields(self) -> tuple:
+        return (self.period, self.arg, self.exponent)
 
     def canonical(self) -> tuple[int, "TrigFactor"]:
         """Strip own-period lattice units; returns (sign, reduced factor)."""
@@ -239,7 +247,7 @@ class TrigFactor:
 
     @cached_property
     def _hash(self) -> int:
-        return hash((self.period, self.arg, self.exponent))
+        return hash(self._fields())
 
     def __hash__(self) -> int:
         return self._hash
@@ -257,15 +265,16 @@ class TrigFactor:
         return 1.0 / s
 
 
-@dataclass(frozen=True)
-class DeltaAtom:
+class DeltaAtom(Value):
     """delta(arg); arg must involve at least one formal variable."""
 
-    arg: ShiftExpr
-
-    def __post_init__(self) -> None:
-        if not self.arg.vars:
+    def __init__(self, arg: ShiftExpr) -> None:
+        if not arg.vars:
             raise ValueError("delta atom needs at least one variable")
+        object.__setattr__(self, "arg", arg)
+
+    def _fields(self) -> tuple:
+        return (self.arg,)
 
     def canonical(self) -> "DeltaAtom":
         name, c = self.arg.vars[0]
@@ -283,12 +292,13 @@ class DeltaAtom:
 Mat = tuple[tuple[tuple[int, int], complex], ...]
 
 
-@dataclass(frozen=True, eq=False)
 class Term:
-    scalar: complex
-    factors: tuple[TrigFactor, ...] = ()
-    deltas: tuple[DeltaAtom, ...] = ()
-    mat: Optional[Mat] = None
+    def __init__(self, scalar: complex, factors: tuple[TrigFactor, ...] = (),
+                 deltas: tuple[DeltaAtom, ...] = (), mat: Optional[Mat] = None) -> None:
+        self.scalar = scalar
+        self.factors = factors
+        self.deltas = deltas
+        self.mat = mat
 
     def signature(self) -> tuple:
         return (self.factors, self.deltas)

@@ -39,6 +39,16 @@ def test_config_file_rejects_garbage(tmp_path):
         parse_config_file(str(bad))
 
 
+def test_a_config_file_sets_each_key_once(tmp_path, capsys):
+    # a repeated key used to keep its last value without a word
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text('algebra = "A1"\n# a comment\nsamples = 5\nalgebra = "A2"\n')
+    with pytest.raises(ValueError, match=r"run.cfg:4: 'algebra' is already set on line 1"):
+        parse_config_file(str(cfg_file))
+    assert main(["verify-all", "--config", str(cfg_file)]) == 2
+    assert "bad configuration" in capsys.readouterr().err
+
+
 def test_config_file_comments_end_after_the_value(tmp_path, capsys):
     # a '#' inside a JSON string belongs to the string, not to a comment
     cfg_file = tmp_path / "run.cfg"
@@ -122,6 +132,18 @@ def test_a_run_imports_no_scipy():
             "from curalg import report\n"
             "report.run(report.RunConfig(algebra='A1', samples=5))\n"
             "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_importing_the_cli_loads_no_code_generation_or_traceback_modules():
+    # dataclasses would bring in inspect, ast, dis and copy; traceback (with
+    # tokenize and linecache) is needed only by a suite that raised
+    code = ("import sys\n"
+            "import curalg.report, curalg.cli\n"
+            "mods = ('dataclasses', 'inspect', 'ast', 'dis', 'copy', 'traceback')\n"
+            "loaded = [m for m in mods if m in sys.modules]\n"
+            "assert not loaded, loaded\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 

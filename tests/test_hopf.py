@@ -1,5 +1,4 @@
 import warnings
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -281,7 +280,9 @@ def test_swapped_exchange_ratio_fails_both_levels(params, monkeypatch):
 
     def swapped(relation, *args, **kwargs):
         sr = true_ratio(relation, *args, **kwargs)
-        return replace(sr, num=sr.den, den=sr.num) if relation == "EE" else sr
+        if relation != "EE":
+            return sr
+        return structfn.StructureRatio(sr.relation, sr.i, sr.j, sr.c, sr.den, sr.num)
 
     monkeypatch.setattr(structfn, "ratio", swapped)
     cd = cartan("A", 2)
@@ -325,8 +326,8 @@ def _halved_second_word_shift(kind: str):
         tag = l.tag + (direction == +1) if kind == "F" else l.tag - (direction == -1)
         level = hopf._c(params, tag)
         second = tuple(
-            tuple(replace(x, arg=l.arg + hopf._q(level / 4)) if x.kind == kind else x
-                  for x in slot)
+            tuple(Letter(x.kind, x.i, l.arg + hopf._q(level / 4), x.tag)
+                  if x.kind == kind else x for x in slot)
             for slot in words[1].slots)
         return [words[0], Word(words[1].coeff, second)]
 

@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import gc
 import json
 import math
@@ -13,6 +12,7 @@ import pytest
 from curalg import intertwine, report, structfn
 from curalg.intertwine import (
     DeltaBearingMove,
+    InterRelation,
     catalog,
     catalog_counts,
     consistency_suite,
@@ -480,10 +480,10 @@ def test_the_variant_report_keys_each_embedded_delta_where_the_catalog_puts_it(
     def moved(r, p):
         recs = {rec.rid: rec for rec in build(r, p)}
         src = recs["Phi.F.j"]
-        recs["Phi.F.j"] = dataclasses.replace(src, **{k: None for k in delta[1:]},
-                                              has_embedded_delta=False)
-        recs["Phi.F.j-1"] = dataclasses.replace(recs["Phi.F.j-1"],
-                                                **{k: getattr(src, k) for k in delta})
+        recs["Phi.F.j"] = InterRelation(**{**vars(src), **{k: None for k in delta[1:]},
+                                           "has_embedded_delta": False})
+        recs["Phi.F.j-1"] = InterRelation(**{**vars(recs["Phi.F.j-1"]),
+                                             **{k: getattr(src, k) for k in delta}})
         return list(recs.values())
 
     monkeypatch.setattr(intertwine, "catalog", moved)
@@ -497,7 +497,8 @@ def test_printed_support_in_j_fails_the_record(params, monkeypatch):
     build = intertwine.catalog
 
     def rewritten(r, p):
-        return [dataclasses.replace(rec, delta_support_printed="u - z - (r-j)/2*ih - 1/2*ih")
+        return [InterRelation(**{**vars(rec),
+                                 "delta_support_printed": "u - z - (r-j)/2*ih - 1/2*ih"})
                 if rec.rid == "Phi.F.j" else rec for rec in build(r, p)]
 
     monkeypatch.setattr(intertwine, "catalog", rewritten)

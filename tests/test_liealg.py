@@ -62,7 +62,7 @@ def test_from_label():
 
 def test_cartan_data_hashes_its_matrix_once(monkeypatch):
     cd = cartan("D", 4)
-    want = hash((cd.series, cd.rank, cd.a, cd.b))   # the dataclass's field hash
+    want = hash((cd.series, cd.rank, cd.a, cd.b))   # the field tuple's hash
     assert hash(cd) == want
 
     def rehashed(self):

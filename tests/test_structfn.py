@@ -157,6 +157,10 @@ def _terms(expr):
     return [(t.scalar, t.factors, t.deltas) for t in expr.terms]
 
 
+def _fields(sr):
+    return (sr.relation, sr.i, sr.j, sr.c, sr.num, sr.den)
+
+
 @pytest.mark.parametrize("label", ["D4", "A4"])
 def test_ratio_matches_a_cold_build(label, cold_memos):
     # the factors, the ratio and the cleared pair are shared by every node
@@ -174,7 +178,7 @@ def test_ratio_matches_a_cold_build(label, cold_memos):
         for memo in (structfn._factors, structfn._ratio, evalrep._rel_vars_ratio):
             memo.cache_clear()
         cold = structfn.ratio(rel, i, j, cd, c, sign, prime)
-        assert got == cold
+        assert _fields(got) == _fields(cold)
         assert (got.i, got.j) == (i, j)
         cold_exprs = _exprs(cold)
         assert got_exprs == cold_exprs
