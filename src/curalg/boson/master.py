@@ -139,16 +139,28 @@ def _contour_quadrature(g: Callable[[complex], complex], rho: float,
     [rho, lam_max] by ``_leg_integral``, 240 Gauss-Legendre nodes on the
     circle of radius rho."""
     legs = _leg_integral(g, rho, lam_max)
-
-    # The ln weight jumps by 2*pi*i across theta = 0, so the circle
-    # integrand is smooth but not periodic: Gauss-Legendre, not trapezoid.
     circle = 0j
+    for lam, a, b in _circle(rho):
+        circle += a * g(lam) * b
+    return legs + circle / (2j * math.pi)
+
+
+@functools.cache
+def _circle(rho: float) -> tuple[tuple[complex, complex, complex], ...]:
+    """(lambda, pi*w*ln(-lambda), i*lambda) at the 240 Gauss-Legendre nodes
+    of the circle of radius rho, built once per radius: the circle term of
+    ``_contour_quadrature`` is the sum of a * g(lambda) * b over them.
+
+    The ln weight jumps by 2*pi*i across theta = 0, so the circle
+    integrand is smooth but not periodic: Gauss-Legendre, not trapezoid.
+    """
+    out = []
     for t, w in zip(*_leggauss(240)):
         theta = math.pi * (t + 1.0)
         lam = rho * cmath.exp(1j * theta)
         lnweight = math.log(rho) + 1j * (theta - math.pi)
-        circle += math.pi * w * lnweight * g(lam) * (1j * lam)
-    return legs + circle / (2j * math.pi)
+        out.append((lam, math.pi * w * lnweight, 1j * lam))
+    return tuple(out)
 
 
 def master_integral_quadrature(x: complex, eta_p: float) -> complex:

@@ -315,54 +315,103 @@ def _exchange_inverts(xk: str, xi: int, yk: str, yi: int,
     return (rxy * ryx).odd_normal_form() == (1.0, frozenset())
 
 
-def consistency_suite(cartan: CartanData, params: ParamTower, samples: int = 20,
-                      tol: float = 1e-9,
-                      rng: int | Generator = 37) -> Iterator[dict]:
-    """All triples over the generator set; delta-bearing ones are skipped.
+def _move_verdict(fam: str, a: int, cur: str, i: int) -> Optional[DeltaBearingMove]:
+    """The DeltaBearingMove of moving vertex component a past current i,
+    None when that move bears no delta."""
+    try:
+        _move_case(fam, a, cur, i)
+    except DeltaBearingMove as exc:
+        return exc.with_traceback(None)   # as in _exchange_inverts
+    return None
 
-    Yields the records of ``verify_consistency`` per triple, in order, on
-    one stream ``rng`` (a seed or a generator).  Every coefficient is a
-    commuting scalar function, so path B is path A times rxy ryx: the
-    vertex costs cancel, and a diamond holds exactly when its current
-    pair's exchange inverts.  That is decided once per (kinds, node class)
-    while it holds, else per ordered pair; a vertex move is asked only
-    whether it bears a delta, and the triples of a pair that does not
-    invert get the oracle's record.
+
+def _triple_verdicts(cartan: CartanData) -> Iterator[tuple]:
+    """(family, a, (xk, xi), (yk, yi), verdict) per triple V_a(z) X(u)
+    Y(v), families in ``VERTEX_KINDS`` order, then a, then X and Y over
+    the currents.  The verdict is True for a proven triple, False for one
+    the oracle must judge, else the DeltaBearingMove that skips it: the
+    move past X, else the move past Y, else the pair's exchange (the
+    order ``verify_consistency`` meets them in).
+
+    Every coefficient is a commuting scalar function, so path B is path A
+    times rxy ryx: the vertex costs cancel, and a diamond holds exactly
+    when its current pair's exchange inverts.  That is decided once per
+    (kinds, node class) while it holds, else per ordered pair; a vertex
+    move is decided once per (family, a, current), and only whether it
+    bears a delta.
     """
-    rng = default_rng(rng)
     currents = [(k, i) for k in ("H+", "H-", "E", "F") for i in cartan.nodes()]
     # a pair's exchanges see its nodes only through their class
     # (liealg.node_class): once a class has a pair that inverts, its later
     # pairs do too; any other verdict is the pair's own
     inverting: set = set()
-    inverts = {}
+    inverts = []
     for xk, xi in currents:
+        row = []
         for yk, yi in currents:
             key = (xk, yk, node_class(cartan, xi, yi))
             verdict = key in inverting or _exchange_inverts(xk, xi, yk, yi, cartan)
             if verdict is True:
                 inverting.add(key)
-            inverts[(xk, xi, yk, yi)] = verdict
+            row.append(verdict)
+        inverts.append(row)
     for fam in VERTEX_KINDS:
         for a in range(0, cartan.rank + 1):
-            for xk, xi in currents:
-                for yk, yi in currents:
-                    try:
-                        _move_case(fam, a, xk, xi)
-                        _move_case(fam, a, yk, yi)
-                    except DeltaBearingMove as exc:
-                        verdict = exc.with_traceback(None)   # as in _exchange_inverts
-                    else:
-                        verdict = inverts[(xk, xi, yk, yi)]
-                    if verdict is False:
-                        rec = verify_consistency(fam, a, xk, xi, yk, yi, cartan, params,
-                                                 samples, tol, rng)
-                    else:
-                        rec = _settled(f"{fam}_{a} | {xk}_{xi}(u) | {yk}_{yi}(v)",
-                                       None if verdict is True else verdict)
-                    rec.update({"family": fam, "component": a,
-                                "x": f"{xk}_{xi}", "y": f"{yk}_{yi}"})
-                    yield rec
+            moves = [_move_verdict(fam, a, k, i) for k, i in currents]
+            for x, x_move, row in zip(currents, moves, inverts):
+                for y, y_move, verdict in zip(currents, moves, row):
+                    # a DeltaBearingMove is true, a move without delta None
+                    yield fam, a, x, y, x_move or y_move or verdict
+
+
+def consistency_summary(cartan: CartanData, params: ParamTower, samples: int = 20,
+                        tol: float = 1e-9, rng: int | Generator = 37) -> dict:
+    """The ``consistency_triples`` record's fields, folded from the verdict
+    stream (``_triple_verdicts``) without a record per settled triple.
+
+    The oracle ``verify_consistency`` judges each open triple, in triple
+    order on one stream ``rng`` (a seed or a generator), so the counts,
+    draws, worst residual and failures are those of the records of
+    ``consistency_suite``; a proven triple's residual, 0.0, moves no maximum.
+    """
+    rng = default_rng(rng)
+    proven = skipped = 0
+    oracle = []   # the records of the open triples, in triple order
+    for fam, a, (xk, xi), (yk, yi), verdict in _triple_verdicts(cartan):
+        if verdict is True:
+            proven += 1
+        elif verdict is False:
+            oracle.append(verify_consistency(fam, a, xk, xi, yk, yi, cartan, params,
+                                             samples, tol, rng))
+        else:
+            skipped += 1
+    run = proven + len(oracle)
+    fails = [rec["triple"] for rec in oracle if not rec["pass"]]
+    return {"pass": run > 0 and not fails, "run": run,
+            "proven": proven + sum(rec["proven"] for rec in oracle), "skipped": skipped,
+            "max_residual": max((rec["max_residual"] for rec in oracle), default=0.0),
+            "failures": fails}
+
+
+def consistency_suite(cartan: CartanData, params: ParamTower, samples: int = 20,
+                      tol: float = 1e-9,
+                      rng: int | Generator = 37) -> Iterator[dict]:
+    """All triples over the generator set; delta-bearing ones are skipped.
+
+    The per-triple view of the verdict stream that ``consistency_summary``
+    folds: yields, per triple in order, the record ``verify_consistency``
+    gives it, on one stream ``rng`` (a seed or a generator), a settled
+    triple's built from its verdict without the oracle.
+    """
+    rng = default_rng(rng)
+    for fam, a, (xk, xi), (yk, yi), verdict in _triple_verdicts(cartan):
+        if verdict is False:
+            rec = verify_consistency(fam, a, xk, xi, yk, yi, cartan, params, samples, tol, rng)
+        else:
+            rec = _settled(f"{fam}_{a} | {xk}_{xi}(u) | {yk}_{yi}(v)",
+                           None if verdict is True else verdict)
+        rec.update({"family": fam, "component": a, "x": f"{xk}_{xi}", "y": f"{yk}_{yi}"})
+        yield rec
 
 
 def variant_report(r: int, params: ParamTower) -> dict:

@@ -133,9 +133,20 @@ class _Shared:
         self.cfg = cfg
 
     @cached_property
+    def tower(self) -> ParamTower:
+        """The run's tower: one object, so the caches keyed on a tower
+        find it by identity rather than by comparing fields."""
+        return self.cfg.tower()
+
+    @cached_property
+    def tower0(self) -> ParamTower:
+        """The level-0 tower of the evaluation module."""
+        return self.cfg.tower_level0()
+
+    @cached_property
     def module0(self) -> evalrep.EvalRep:
         """The level-0 evaluation module (A series), built once per run."""
-        return evalrep.build(self.cfg.cartan().rank, self.cfg.tower_level0())
+        return evalrep.build(self.cfg.cartan().rank, self.tower0)
 
 
 def _suite_liealg(cfg: RunConfig, rng, shared: _Shared) -> list[dict]:
@@ -155,7 +166,7 @@ def _suite_liealg(cfg: RunConfig, rng, shared: _Shared) -> list[dict]:
 
 
 def _suite_params(cfg: RunConfig, rng, shared: _Shared) -> list[dict]:
-    tower = cfg.tower()
+    tower = shared.tower
     worst = worst_of(*(abs(1.0 / tower.eta_at(n + 1) - 1.0 / tower.eta_at(n)
                            - cfg.hbar * level) for n, level in enumerate(cfg.levels)))
     return [
@@ -166,7 +177,7 @@ def _suite_params(cfg: RunConfig, rng, shared: _Shared) -> list[dict]:
 
 
 def _suite_trigcalc(cfg: RunConfig, rng, shared: _Shared) -> list[dict]:
-    params = cfg.tower()
+    params = shared.tower
     out = []
     window = ((-2.0, 2.0), (-0.3, 0.3))
     # half-period flip identity, sampled
@@ -213,7 +224,7 @@ def _suite_trigcalc(cfg: RunConfig, rng, shared: _Shared) -> list[dict]:
 
 
 def _suite_structfn(cfg: RunConfig, rng, shared: _Shared) -> list[dict]:
-    params = cfg.tower()
+    params = shared.tower
     cd = cfg.cartan()
     out = []
     c1 = Fraction(1)
@@ -236,7 +247,7 @@ def _suite_structfn(cfg: RunConfig, rng, shared: _Shared) -> list[dict]:
                     w_window, 8, worst, done)
     out.append({"id": "inversion", **judged(worst, cfg.tol, done)})
     # level-0 H+H- ratio is identically 1
-    tower0 = cfg.tower_level0()
+    tower0 = shared.tower0
     worst, done = 0.0, 0
     for i in cd.nodes():
         sr = structfn.ratio("HH_pm", i, i, cd, c=0)
@@ -322,7 +333,7 @@ def _exchange_record(xk: str, xi: int, yk: str, yj: int, rel: str, sign: int,
 
 
 def _suite_boson(cfg: RunConfig, rng, shared: _Shared) -> list[dict]:
-    params = cfg.tower()
+    params = shared.tower
     cd = cfg.cartan()
     if params.max_level() < 1 or params.c_at(0) != 1.0:
         return [{"id": "config_error", "pass": False, "max_residual": float("inf"),
@@ -390,7 +401,7 @@ def _suite_hopf(cfg: RunConfig, rng, shared: _Shared) -> list[dict]:
                                       tol=1e-9, rng=rng):
             rec["id"] = f"axiom_{rec['axiom']}_{rec['generator']}"
             out.append(rec)
-    tower = cfg.tower()
+    tower = shared.tower
     if "structural" in parts:
         rec = hopf.minus_equals_shifted_plus(tower, cd.rank)
         rec.update({"id": "minus_equals_shifted_plus", "max_residual": 0.0})
@@ -437,7 +448,7 @@ def _suite_intertwine(cfg: RunConfig, rng, shared: _Shared) -> list[dict]:
     if cd.series != "A":
         return [{"id": "skipped_non_A_series", "pass": True, "max_residual": 0.0,
                  "note": "vertex operators intertwine with the A-series module only"}]
-    params = cfg.tower()
+    params = shared.tower
     cat = intertwine.catalog(cd.rank, params)
     out = []
     counts = intertwine.catalog_counts(cat)
@@ -450,21 +461,9 @@ def _suite_intertwine(cfg: RunConfig, rng, shared: _Shared) -> list[dict]:
     out.append({"id": "period_discipline",
                 "pass": intertwine.period_discipline(cat, cd.rank),
                 "max_residual": 0.0})
-    run = proven = skipped = 0
-    worst = 0.0
-    fails = []
-    for rec in intertwine.consistency_suite(cd, params, samples=max(10, cfg.samples // 3),
-                                            tol=1e-9, rng=rng):
-        if rec.get("skipped"):
-            skipped += 1
-            continue
-        run += 1
-        proven += rec["proven"]
-        worst = max(worst, rec["max_residual"])
-        if not rec["pass"]:
-            fails.append(rec["triple"])
-    out.append({"id": "consistency_triples", "pass": run > 0 and not fails, "run": run,
-                "proven": proven, "skipped": skipped, "max_residual": worst, "failures": fails})
+    diamonds = intertwine.consistency_summary(cd, params, samples=max(10, cfg.samples // 3),
+                                              tol=1e-9, rng=rng)
+    out.append({"id": "consistency_triples", **diamonds})
     variants = intertwine.variant_report(cd.rank, params)
     ok = all(case["normalized_on_denominator_zero"] and case["printed_l_unbound"]
              for entry in variants.values() for case in entry["cases"].values())

@@ -55,6 +55,38 @@ def test_master_closed_vs_quadrature(params):
         assert abs(closed - quad) < 1e-6
 
 
+def _inline_circle_quadrature(g, rho, lam_max):
+    """The keyhole quadrature with its circle nodes built inside the loop."""
+    legs = master._leg_integral(g, rho, lam_max)
+    circle = 0j
+    for t, w in zip(*master._leggauss(240)):
+        theta = math.pi * (t + 1.0)
+        lam = rho * cmath.exp(1j * theta)
+        lnweight = math.log(rho) + 1j * (theta - math.pi)
+        circle += math.pi * w * lnweight * g(lam) * (1j * lam)
+    return legs + circle / (2j * math.pi)
+
+
+@pytest.mark.parametrize("eta", [1.0, 1 / 1.9, 0.7])
+def test_the_circle_table_gives_the_inline_quadrature_bit_for_bit(eta):
+    # the report's 20 master_vs_quadrature points, and I0 on the radius 1/2
+    rho = 0.5 * min(1.0, math.pi * eta)
+    for k in range(20):
+        x = (0.2 + (3.0 - 0.2) * k / 19.0) / eta
+
+        def g(lam, x=x):
+            return cmath.exp(-x * lam) / (lam * (1.0 - cmath.exp(-lam / eta)))
+
+        def g0(lam, x=x):
+            return cmath.exp(-x * lam) / lam
+
+        assert master._contour_quadrature(g, rho, 60.0 / x) == \
+            _inline_circle_quadrature(g, rho, 60.0 / x)
+        assert master._contour_quadrature(g0, 0.5, 60.0 / x) == \
+            _inline_circle_quadrature(g0, 0.5, 60.0 / x)
+    assert master._circle(rho) is master._circle(rho)
+
+
 def test_master_special_points(params):
     # ln Gamma(1) = 0: value reduces to (1/2)(gamma - ln eta) - ln(2 pi)/2
     eta = 0.8

@@ -200,6 +200,32 @@ def test_default_config_full_run():
         "hopf", "intertwine"]
 
 
+def test_a_run_builds_its_towers_once():
+    # every suite reads the run's tower and level-0 tower from one object
+    # each, so the caches keyed on a tower find it by identity; the 342
+    # comparisons left are each closed form's first evaluation under a
+    # tower (990 with a tower per suite).  A fresh process, since a closed
+    # form keeps the tower of its last evaluation.
+    code = (
+        "from curalg.params import ParamTower\n"
+        "from curalg.report import RunConfig, config_from_sources, parse_config_file, run\n"
+        "from curalg.value import Value\n"
+        "calls = {'tower': 0, 'tower_level0': 0, '__eq__': 0}\n"
+        "for cls, name in ((RunConfig, 'tower'), (RunConfig, 'tower_level0'),\n"
+        "                  (Value, '__eq__')):\n"
+        "    def counted(self, *args, real=getattr(cls, name), name=name):\n"
+        "        calls[name] += isinstance(self, (RunConfig, ParamTower))\n"
+        "        return real(self, *args)\n"
+        "    setattr(cls, name, counted)\n"
+        "assert run(config_from_sources(parse_config_file('default.cfg'), {}))['pass']\n"
+        "print(calls)\n")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run([sys.executable, "-W", "ignore", "-c", code], cwd=root,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str({"tower": 1, "tower_level0": 1, "__eq__": 342})
+
+
 @pytest.mark.parametrize("algebra", ["A5", "D5", "E6", "E7"])
 def test_full_run_passes_on_the_larger_algebras(algebra):
     rep = run(RunConfig(algebra=algebra, seed=0))

@@ -26,6 +26,7 @@ from curalg.intertwine import (
 from curalg.evalplan import Plan, relative_residual
 from curalg.liealg import cartan
 from curalg.params import ParamTower
+from curalg.rng import default_rng
 from curalg.trigcalc import DistExpr, Term, TrigFactor, sample_max
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "catalog_A2.json"
@@ -150,6 +151,60 @@ def test_consistency_suite(label, params):
     assert max(r["max_residual"] for r in ran) < 1e-9
     skipped = [r for r in out if r.get("skipped")]
     assert all(r["reason"] for r in skipped)
+
+
+def _folded(records):
+    """The ``consistency_triples`` fields of a suite's records, tallied
+    one record at a time."""
+    run = proven = skipped = 0
+    worst, fails = 0.0, []
+    for rec in records:
+        if rec["skipped"]:
+            skipped += 1
+            continue
+        run += 1
+        proven += rec["proven"]
+        worst = max(worst, rec["max_residual"])
+        if not rec["pass"]:
+            fails.append(rec["triple"])
+    return {"pass": run > 0 and not fails, "run": run, "proven": proven,
+            "skipped": skipped, "max_residual": worst, "failures": fails}
+
+
+@pytest.mark.parametrize("flipped", [False, True])
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_the_summary_is_the_fold_of_the_suite_records(rank, flipped, params, request):
+    # with the flipped exchange the oracle samples, fails and draws, so the
+    # failures, the worst residual and the generator states must agree too
+    if flipped:
+        request.getfixturevalue("sign_flipped_exchange")
+    cd = cartan("A", rank)
+    rng_a, rng_b = default_rng(9), default_rng(9)
+    got = intertwine.consistency_summary(cd, params, samples=5, rng=rng_a)
+    assert got == _folded(consistency_suite(cd, params, samples=5, rng=rng_b))
+    assert vars(rng_a) == vars(rng_b)
+    assert got["run"] + got["skipped"] == 4 * (rank + 1) * (4 * rank) ** 2
+    assert (got["pass"], bool(got["failures"]), got["max_residual"] > 0) == (
+        not flipped, flipped, flipped)
+
+
+def test_the_report_decides_each_vertex_move_once(params, monkeypatch, cold_memos):
+    # A4: one move verdict per (family, a, current), 4 * 5 * 16, not two
+    # per triple (10,240); one exchange inversion per (kinds, class) that
+    # inverts, or per pair that does not; and no per-triple record on the
+    # report's path
+    calls = dict.fromkeys(("_move_case", "_exchange_inverts", "_settled"), 0)
+    for name in calls:
+        def counted(*args, real=getattr(intertwine, name), name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(intertwine, name, counted)
+    cfg = report.RunConfig(algebra="A4", suites=("intertwine",), samples=30)
+    rec = next(c for c in report.run(cfg)["suites"][0]["checks"]
+               if c["id"] == "consistency_triples")
+    assert (rec["pass"], rec["run"], rec["proven"], rec["skipped"]) == (True, 4056, 4056, 1064)
+    assert calls == {"_move_case": 320, "_exchange_inverts": 70, "_settled": 0}
 
 
 def _triples(cd):
