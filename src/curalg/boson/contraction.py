@@ -185,7 +185,7 @@ class ClosedForm:
         eta_p = 1/beta, or (id, coeff, vars, s, None, None) for I0; built at
         the first evaluation under a tower and kept until one under another."""
         tower, plan = self._plan
-        if tower is not params and tower != params:
+        if tower is None or (tower is not params and tower != params):
             plan = []
             for p in self.primitives:
                 s = p.s.value(params)
@@ -339,11 +339,7 @@ def quadrature_exponent(kernel: Kernel, g1: ExponentFn, g2: ExponentFn,
     g2n = g2.negated_lambda()
 
     def f(lam: complex) -> complex:
-        val = kernel.coeff * lam ** kernel.lambda_power
-        for a in kernel.num_sh:
-            val *= cmath.sinh(a.value(params) * lam)
-        for b in kernel.den_sh:
-            val /= cmath.sinh(b.value(params) * lam)
+        val = kernel.value(lam, params)
         val *= g1.eval_at(lam, assignment, params)
         val *= g2n.eval_at(lam, assignment, params)
         return val

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
+from functools import cache
 
 from ..liealg import CartanData
 from ..params import ParamTower
@@ -22,16 +23,25 @@ from .atoms import ParamLin
 
 
 class Kernel:
-    """coeff * lambda^lambda_power * prod sh(num)/prod sh(den)."""
+    """coeff/lambda * prod sh(num)/prod sh(den)."""
 
     def __init__(self, coeff: complex, num_sh: tuple[ParamLin, ...],
-                 den_sh: tuple[ParamLin, ...], lambda_power: int = -1) -> None:
+                 den_sh: tuple[ParamLin, ...]) -> None:
         self.coeff = coeff
         self.num_sh = num_sh
         self.den_sh = den_sh
-        self.lambda_power = lambda_power
+
+    def value(self, lam: complex, params: ParamTower) -> complex:
+        """The kernel at ``lam``, atom by atom."""
+        out = self.coeff / lam
+        for a in self.num_sh:
+            out *= cmath.sinh(a.value(params) * lam)
+        for b in self.den_sh:
+            out /= cmath.sinh(b.value(params) * lam)
+        return out
 
 
+@cache
 def kernel(cartan: CartanData, i: int, j: int, params: ParamTower, slot: int = 0) -> Kernel:
     """alpha_ij atoms at family slot ``slot``, resolved on ``params``; zero
     kernel for B_ij = 0."""
@@ -51,12 +61,5 @@ def kernel(cartan: CartanData, i: int, j: int, params: ParamTower, slot: int = 0
 
 def kernel_value(cartan: CartanData, i: int, j: int, lam: complex,
                  params: ParamTower, slot: int = 0) -> complex:
-    """Pointwise alpha_ij(lambda) for symmetry tests and quadrature."""
-    b = float(cartan.b_entry(i, j))
-    if b == 0.0:
-        return 0.0
-    eta = params.eta_at(slot)
-    eta_p = params.eta_at(slot + 1)
-    return (4.0 / lam) * cmath.sinh(params.hbar * lam / 2.0) \
-        * cmath.sinh(params.hbar * b * lam) \
-        * cmath.sinh(lam / (2.0 * eta)) / cmath.sinh(lam / (2.0 * eta_p))
+    """Pointwise alpha_ij(lambda): the atoms of ``kernel`` at ``lam``."""
+    return kernel(cartan, i, j, params, slot).value(lam, params)

@@ -28,7 +28,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eta", type=float)
     p.add_argument("--levels", help="comma-separated tower levels, e.g. 1,1,1")
     p.add_argument("--samples", type=int)
-    p.add_argument("--tol", type=float)
+    p.add_argument("--tol", type=float,
+                   help='tolerance of the "tol" families of report.TOLERANCES (default 1e-8)')
     p.add_argument("--seed", type=int)
     p.add_argument("--out", help="write the JSON report here")
     p.add_argument("--variant", choices=("printed", "normalized"),

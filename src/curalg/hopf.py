@@ -501,7 +501,8 @@ def verify_serre_level2(cartan: CartanData, params: ParamTower, i: int, j: int,
             **judged(worst, tol, done)}
 
 
-def ef_pole_audit_level2(cartan: CartanData, params: ParamTower, i: int) -> dict:
+def ef_pole_audit_level2(cartan: CartanData, params: ParamTower, i: int,
+                         tol: float = 1e-8) -> dict:
     """Pole/residue audit of the level-2 commutator of E_i(u), F_i(v): the
     product of their coproduct images (``boson.checks.ef_delta_supports``)
     judged by ``ef_delta_residuals`` at level 2.  The two w = 0 parts share
@@ -517,5 +518,5 @@ def ef_pole_audit_level2(cartan: CartanData, params: ParamTower, i: int) -> dict
         "inventory_ok": delta is not None,
         "zero_support_cancellation": cancel_res,
         "surviving_coefficient_residual": surv_res,
-        **judged(worst_of(cancel_res, surv_res), 1e-8),
+        **judged(worst_of(cancel_res, surv_res), tol),
     }

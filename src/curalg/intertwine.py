@@ -30,7 +30,7 @@ from typing import Iterator, Optional
 from . import structfn
 from .liealg import CartanData, node_class
 from .params import ParamTower
-from .evalplan import Plan
+from .evalplan import Plan, worst_of
 from .rng import Generator, default_rng
 from .trigcalc import DistExpr, ShiftExpr, Term, TrigFactor, judged, sample_max, var
 
@@ -373,6 +373,7 @@ def consistency_summary(cartan: CartanData, params: ParamTower, samples: int = 2
     order on one stream ``rng`` (a seed or a generator), so the counts,
     draws, worst residual and failures are those of the records of
     ``consistency_suite``; a proven triple's residual, 0.0, moves no maximum.
+    ``trigcalc.judged`` judges the run triples: with none, the record fails.
     """
     rng = default_rng(rng)
     proven = skipped = 0
@@ -386,11 +387,9 @@ def consistency_summary(cartan: CartanData, params: ParamTower, samples: int = 2
         else:
             skipped += 1
     run = proven + len(oracle)
-    fails = [rec["triple"] for rec in oracle if not rec["pass"]]
-    return {"pass": run > 0 and not fails, "run": run,
-            "proven": proven + sum(rec["proven"] for rec in oracle), "skipped": skipped,
-            "max_residual": max((rec["max_residual"] for rec in oracle), default=0.0),
-            "failures": fails}
+    return {"run": run, "proven": proven + sum(rec["proven"] for rec in oracle),
+            "skipped": skipped, "failures": [rec["triple"] for rec in oracle if not rec["pass"]],
+            **judged(worst_of(*(rec["max_residual"] for rec in oracle)), tol, run)}
 
 
 def consistency_suite(cartan: CartanData, params: ParamTower, samples: int = 20,

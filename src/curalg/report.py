@@ -30,11 +30,27 @@ SUITES = ("liealg", "params", "trigcalc", "structfn", "evalrep", "boson",
           "hopf", "intertwine")
 HOPF_PARTS = ("axioms", "structural", "homomorphism", "audit")
 
+# Each suite's record families (an id, or a glob over the ids of many
+# records) and the tolerance each is judged at: a number, or "tol" for the
+# run's ``tol``.  A record carries its family's as ``tol``; no exact one does.
+TOLERANCES = {
+    "params": {"tower_recursion": 1e-12},
+    "trigcalc": {"half_period_flip": "tol", "product_eval": "tol", "residue_contour": "tol"},
+    "structfn": {"inversion": "tol", "hh_pm_level0_trivial": "tol", "degeneration": 1e-3,
+                 "serre_coefficient_level0": 1e-14},
+    "evalrep": {"*_[1-9]*": 1e-9, "degeneration": 1e-3},   # relation_ij[_s+-1], then eta -> 0
+    "boson": {"kernel_symmetries": 1e-12, "master_vs_quadrature": 1e-6,
+              "gamma_reflection": 1e-10, "exchange_*": "tol", "ef_delta_*": "tol",
+              "serre_*": 1e-7},
+    "hopf": {"axiom_*": 1e-9, "hom_k2_*": 1e-7, "ef_pole_audit_k2_*": "tol"},
+    "intertwine": {"consistency_triples": 1e-9, "degeneration": 1e-3},
+}
+
 
 class RunConfig:
     def __init__(self, algebra: str = "A2", hbar: float = 0.1, eta: float = 1.0,
                  levels: tuple[float, ...] = (1.0, 1.0, 1.0), suites: tuple[str, ...] = SUITES,
-                 samples: int = 50, tol: float = 1e-8, tol_quadrature: float = 1e-6,
+                 samples: int = 50, tol: float = 1e-8,
                  seed: int = 0, out: str | None = None, variant: str = "normalized",
                  pairs: str = "all", hopf_parts: tuple[str, ...] = HOPF_PARTS) -> None:
         self.algebra = algebra
@@ -43,8 +59,7 @@ class RunConfig:
         self.levels = levels
         self.suites = suites
         self.samples = samples
-        self.tol = tol                  # delta-free comparisons
-        self.tol_quadrature = tol_quadrature
+        self.tol = tol                  # the "tol" families of TOLERANCES
         self.seed = seed
         self.out = out
         self.variant = variant
@@ -54,10 +69,8 @@ class RunConfig:
             x = getattr(self, name)
             if type(x) is not int or x < least:
                 raise ValueError(f"{name} {x!r}: expected an int of at least {least}")
-        for name in ("tol", "tol_quadrature"):
-            x = getattr(self, name)
-            if not x >= 0:   # negative or NaN
-                raise ValueError(f"{name} {x!r}: expected a number of at least 0")
+        if not tol >= 0:   # negative or NaN
+            raise ValueError(f"tol {tol!r}: expected a number of at least 0")
         if self.variant not in ("printed", "normalized"):
             raise ValueError(f"variant {self.variant!r}: expected 'printed' or 'normalized'")
         for name, known in (("suites", SUITES), ("hopf_parts", HOPF_PARTS)):
@@ -126,6 +139,11 @@ def config_from_sources(file_vals: dict | None, overrides: dict) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
+def _tols(cfg: RunConfig, suite: str) -> dict:
+    """The tolerance of each ``TOLERANCES`` family of ``suite`` in a run of ``cfg``."""
+    return {fam: cfg.tol if t == "tol" else t for fam, t in TOLERANCES[suite].items()}
+
+
 class _Shared:
     """What more than one suite of a run reads, each built at first use."""
 
@@ -166,18 +184,18 @@ def _suite_liealg(cfg: RunConfig, rng, shared: _Shared) -> list[dict]:
 
 
 def _suite_params(cfg: RunConfig, rng, shared: _Shared) -> list[dict]:
-    tower = shared.tower
+    tower, tol = shared.tower, _tols(cfg, "params")
     worst = worst_of(*(abs(1.0 / tower.eta_at(n + 1) - 1.0 / tower.eta_at(n)
                            - cfg.hbar * level) for n, level in enumerate(cfg.levels)))
     return [
-        {"id": "tower_recursion", **judged(worst, 1e-12)},
+        {"id": "tower_recursion", **judged(worst, tol["tower_recursion"])},
         {"id": "genericity", "pass": True, "generic": bool(check_genericity(cfg.hbar, cfg.eta)),
          "max_residual": 0.0},
     ]
 
 
 def _suite_trigcalc(cfg: RunConfig, rng, shared: _Shared) -> list[dict]:
-    params = shared.tower
+    params, tol = shared.tower, _tols(cfg, "trigcalc")
     out = []
     window = ((-2.0, 2.0), (-0.3, 0.3))
     # half-period flip identity, sampled
@@ -189,7 +207,7 @@ def _suite_trigcalc(cfg: RunConfig, rng, shared: _Shared) -> list[dict]:
         return abs(a + g.eval(pt, params)) / max(1.0, abs(a))
 
     worst, done = sample_max(flip_residual, {"u": window}, cfg.samples, rng, retries=0)
-    out.append({"id": "half_period_flip", **judged(worst, cfg.tol, done)})
+    out.append({"id": "half_period_flip", **judged(worst, tol["half_period_flip"], done)})
     # product evaluation property
     ea = DistExpr.from_factors(2.0, (TrigFactor(0, var("u") - var("v"), 1),))
     eb = DistExpr.from_factors(1.5, (TrigFactor(0, var("u"), -1),))
@@ -201,7 +219,7 @@ def _suite_trigcalc(cfg: RunConfig, rng, shared: _Shared) -> list[dict]:
         return abs(lhs - rhs) / max(1.0, abs(rhs))
 
     worst, done = sample_max(product_residual, {"u": window, "v": window}, cfg.samples, rng)
-    out.append({"id": "product_eval", **judged(worst, cfg.tol, done)})
+    out.append({"id": "product_eval", **judged(worst, tol["product_eval"], done)})
     # residue against a numeric contour integral
     expr = DistExpr.from_factors(1.0, (
         TrigFactor(0, var("u") - var("z"), -1),
@@ -219,12 +237,12 @@ def _suite_trigcalc(cfg: RunConfig, rng, shared: _Shared) -> list[dict]:
     circ /= npts
     want = res_sym.eval({"z": z0}, params)
     out.append({"id": "residue_contour",
-                **judged(abs(circ - want) / max(1.0, abs(want)), 1e-8)})
+                **judged(abs(circ - want) / max(1.0, abs(want)), tol["residue_contour"])})
     return out
 
 
 def _suite_structfn(cfg: RunConfig, rng, shared: _Shared) -> list[dict]:
-    params = shared.tower
+    params, tol = shared.tower, _tols(cfg, "structfn")
     cd = cfg.cartan()
     out = []
     c1 = Fraction(1)
@@ -245,7 +263,7 @@ def _suite_structfn(cfg: RunConfig, rng, shared: _Shared) -> list[dict]:
                 worst, done = sampled(
                     lambda pt: abs(rij.eval(pt["w"], params) * rji.eval(-pt["w"], params) - 1.0),
                     w_window, 8, worst, done)
-    out.append({"id": "inversion", **judged(worst, cfg.tol, done)})
+    out.append({"id": "inversion", **judged(worst, tol["inversion"], done)})
     # level-0 H+H- ratio is identically 1
     tower0 = shared.tower0
     worst, done = 0.0, 0
@@ -253,7 +271,8 @@ def _suite_structfn(cfg: RunConfig, rng, shared: _Shared) -> list[dict]:
         sr = structfn.ratio("HH_pm", i, i, cd, c=0)
         worst, done = sampled(lambda pt: abs(sr.eval(pt["w"], tower0) - 1.0),
                               w_window, 20, worst, done)
-    out.append({"id": "hh_pm_level0_trivial", **judged(worst, cfg.tol, done)})
+    out.append({"id": "hh_pm_level0_trivial",
+                **judged(worst, tol["hh_pm_level0_trivial"], done)})
     # eta -> 0 degeneration toward rational ratios
     small = ParamTower(cfg.hbar, 1e-4, (1.0,))
     worst, done = 0.0, 0
@@ -262,10 +281,11 @@ def _suite_structfn(cfg: RunConfig, rng, shared: _Shared) -> list[dict]:
         worst, done = sampled(
             lambda pt: abs(sr.eval(pt["w"], small) - sr.rational_eval(pt["w"], small)),
             {"w": ((-2.0, 2.0), (-0.05, 0.05))}, 20, worst, done)
-    out.append({"id": "degeneration", **judged(worst, 1e-3, done)})
+    out.append({"id": "degeneration", **judged(worst, tol["degeneration"], done)})
     coefE = structfn.serre_coefficient(tower0, "E")
     coefF = structfn.serre_coefficient(tower0, "F")
-    out.append({"id": "serre_coefficient_level0", **judged(abs(coefE - coefF), 1e-14)})
+    out.append({"id": "serre_coefficient_level0",
+                **judged(abs(coefE - coefF), tol["serre_coefficient_level0"])})
     return out
 
 
@@ -274,14 +294,14 @@ def _suite_evalrep(cfg: RunConfig, rng, shared: _Shared) -> list[dict]:
     if cd.series != "A":
         return [{"id": "skipped_non_A_series", "pass": True, "max_residual": 0.0,
                  "note": "finite-dimensional module exists for the A series only"}]
-    rep = shared.module0
+    rep, tol = shared.module0, _tols(cfg, "evalrep")
     out = []
-    recs = evalrep.verify_all(rep, samples=cfg.samples, tol=1e-9, seed=rng)
+    recs = evalrep.verify_all(rep, samples=cfg.samples, tol=tol["*_[1-9]*"], seed=rng)
     for rec in recs:
         rec["id"] = f"{rec['relation']}_{rec['i']}{rec['j']}" + \
             (f"_s{rec['sign']}" if "sign" in rec else "")
         out.append(rec)
-    deg = evalrep.degeneration_report(cd.rank, hbar=cfg.hbar, rng=rng)
+    deg = evalrep.degeneration_report(cd.rank, hbar=cfg.hbar, tol=tol["degeneration"], rng=rng)
     deg["id"] = "degeneration"
     out.append(deg)
     inv = evalrep.pole_inventory(rep)
@@ -338,32 +358,29 @@ def _suite_boson(cfg: RunConfig, rng, shared: _Shared) -> list[dict]:
     if params.max_level() < 1 or params.c_at(0) != 1.0:
         return [{"id": "config_error", "pass": False, "max_residual": float("inf"),
                  "note": "the free-field realization is level 1: set levels[0] = 1"}]
-    out = []
+    out, tol = [], _tols(cfg, "boson")
     # kernel antisymmetry and index symmetry
     def kernel_residual(pt):
         lam = pt["lam"]
         if abs(lam) < 0.1:
             return None
+        at = {(i, j): kernel_value(cd, i, j, lam, params) for i in cd.nodes() for j in cd.nodes()}
         residuals = []
-        for i in cd.nodes():
-            for j in cd.nodes():
-                a = kernel_value(cd, i, j, lam, params)
-                b = kernel_value(cd, i, j, -lam, params)
-                c = kernel_value(cd, j, i, lam, params)
-                residuals += (abs(a + b), abs(a - c))
+        for (i, j), a in at.items():
+            residuals += (abs(a + kernel_value(cd, i, j, -lam, params)), abs(a - at[j, i]))
         return worst_of(*residuals)
 
     worst, done = sample_max(kernel_residual, {"lam": ((-3.0, 3.0), (-0.5, 0.5))}, 100, rng,
                              retries=0)
-    out.append({"id": "kernel_symmetries", **judged(worst, 1e-12, done)})
+    out.append({"id": "kernel_symmetries", **judged(worst, tol["kernel_symmetries"], done)})
     # master formula against contour quadrature
     xs = [(0.2 + (3.0 - 0.2) * k / 19.0) / params.eta for k in range(20)]
     worst = worst_of(*(abs(master.master_integral(x, params.eta)
                            - master.master_integral_quadrature(x, params.eta)) for x in xs))
-    out.append({"id": "master_vs_quadrature", **judged(worst, cfg.tol_quadrature)})
+    out.append({"id": "master_vs_quadrature", **judged(worst, tol["master_vs_quadrature"])})
     # k = 19 would be x = 3.0, a pole of Gamma(1 - x), where the identity has no value
     worst = worst_of(*(master.gamma_reflection_defect(0.2 + 2.8 * k / 19.0) for k in range(19)))
-    out.append({"id": "gamma_reflection", **judged(worst, 1e-10)})
+    out.append({"id": "gamma_reflection", **judged(worst, tol["gamma_reflection"])})
     # exchange relations for every delta-free ordered pair; a record sees
     # its nodes only through their class, evaluated at its first record
     exchanges: dict = {}
@@ -373,32 +390,32 @@ def _suite_boson(cfg: RunConfig, rng, shared: _Shared) -> list[dict]:
         out.append(_per_class(
             exchanges, (xk, yk, rel, sign, node_class(cd, xi, yj)),
             lambda: _exchange_record(xk, xi, yk, yj, rel, sign, cd, params,
-                                       max(30, cfg.samples // 2), cfg.tol, rng),
+                                       max(30, cfg.samples // 2), tol["exchange_*"], rng),
             id=f"exchange_{xk}{xi}_{yk}{yj}", pair=f"{xk}_{xi}|{yk}_{yj}"))
     ef_deltas: dict = {}
     for i in cd.nodes():
         out.append(_per_class(
             ef_deltas, node_class(cd, i, i),
-            lambda: bchecks.ef_delta_check(i, cd, params, tol=cfg.tol, rng=rng),
+            lambda: bchecks.ef_delta_check(i, cd, params, tol=tol["ef_delta_*"], rng=rng),
             id=f"ef_delta_{i}", i=i))
     serres: dict = {}
     for i, j in adjacent_pairs(cd):
         out.append(_per_class(
             serres, node_class(cd, i, j),
             lambda: bchecks.serre_check(i, j, cd, params, samples=max(10, cfg.samples // 3),
-                                        tol=1e-7, rng=rng),
+                                        tol=tol["serre_*"], rng=rng),
             id=f"serre_{i}{j}", pair=(i, j)))
     return out
 
 
 def _suite_hopf(cfg: RunConfig, rng, shared: _Shared) -> list[dict]:
-    cd = cfg.cartan()
+    cd, tol = cfg.cartan(), _tols(cfg, "hopf")
     out = []
     parts = cfg.hopf_parts
     if "axioms" in parts and cd.series == "A":
         rep = shared.module0
         for rec in hopf.verify_axioms(rep, rep.params, samples=max(20, cfg.samples // 2),
-                                      tol=1e-9, rng=rng):
+                                      tol=tol["axiom_*"], rng=rng):
             rec["id"] = f"axiom_{rec['axiom']}_{rec['generator']}"
             out.append(rec)
     tower = shared.tower
@@ -423,7 +440,7 @@ def _suite_hopf(cfg: RunConfig, rng, shared: _Shared) -> list[dict]:
         return out
     if "homomorphism" in parts:
         for hrec in hopf.verify_homomorphism(cd, tower, samples=max(8, cfg.samples // 6),
-                                             tol=1e-7, rng=rng):
+                                             tol=tol["hom_k2_*"], rng=rng):
             hrec["id"] = f"hom_k2_{hrec['relation']}_{hrec['i']}{hrec['j']}"
             out.append(hrec)
         serres: dict = {}
@@ -431,14 +448,15 @@ def _suite_hopf(cfg: RunConfig, rng, shared: _Shared) -> list[dict]:
             out.append(_per_class(
                 serres, node_class(cd, i, j),
                 lambda: hopf.verify_serre_level2(cd, tower, i, j,
-                                                 samples=max(6, cfg.samples // 8), tol=1e-7,
-                                                 rng=rng),
+                                                 samples=max(6, cfg.samples // 8),
+                                                 tol=tol["hom_k2_*"], rng=rng),
                 id=f"hom_k2_serre_{i}{j}", pair=(i, j)))
     if "audit" in parts:
         audits: dict = {}
         for i in cd.nodes():
             out.append(_per_class(audits, node_class(cd, i, i),
-                                  lambda: hopf.ef_pole_audit_level2(cd, tower, i),
+                                  lambda: hopf.ef_pole_audit_level2(
+                                      cd, tower, i, tol["ef_pole_audit_k2_*"]),
                                   id=f"ef_pole_audit_k2_{i}", i=i))
     return out
 
@@ -448,7 +466,7 @@ def _suite_intertwine(cfg: RunConfig, rng, shared: _Shared) -> list[dict]:
     if cd.series != "A":
         return [{"id": "skipped_non_A_series", "pass": True, "max_residual": 0.0,
                  "note": "vertex operators intertwine with the A-series module only"}]
-    params = shared.tower
+    params, tol = shared.tower, _tols(cfg, "intertwine")
     cat = intertwine.catalog(cd.rank, params)
     out = []
     counts = intertwine.catalog_counts(cat)
@@ -462,14 +480,15 @@ def _suite_intertwine(cfg: RunConfig, rng, shared: _Shared) -> list[dict]:
                 "pass": intertwine.period_discipline(cat, cd.rank),
                 "max_residual": 0.0})
     diamonds = intertwine.consistency_summary(cd, params, samples=max(10, cfg.samples // 3),
-                                              tol=1e-9, rng=rng)
+                                              tol=tol["consistency_triples"], rng=rng)
     out.append({"id": "consistency_triples", **diamonds})
     variants = intertwine.variant_report(cd.rank, params)
     ok = all(case["normalized_on_denominator_zero"] and case["printed_l_unbound"]
              for entry in variants.values() for case in entry["cases"].values())
     out.append({"id": "variant_report", "pass": ok, "max_residual": 0.0,
                 "report": variants})
-    deg = intertwine.degeneration_report(cd.rank, hbar=cfg.hbar, rng=rng)
+    deg = intertwine.degeneration_report(cd.rank, hbar=cfg.hbar, tol=tol["degeneration"],
+                                         rng=rng)
     deg["id"] = "degeneration"
     out.append(deg)
     return out

@@ -292,17 +292,18 @@ def test_kernel_regular_at_zero(params, a2):
 
 
 def test_kernel_atoms_match_pointwise(a2):
-    # a non-unit rational level: slot 1 needs 1/eta^(1), 1/eta^(2) resolved exactly
+    # a non-unit rational level: slot 1 needs 1/eta^(1), 1/eta^(2) resolved
+    # exactly; kernel_value evaluates the atoms, the closed formula of
+    # alpha_ij on the float tower is the oracle
     t = tower(1.0, 0.5, 1.0)
     lam = 0.9 - 0.3j
-    for slot in (0, 1):
-        ker = kernel(a2, 1, 2, t, slot)
-        val = ker.coeff * lam ** ker.lambda_power
-        for a in ker.num_sh:
-            val *= cmath.sinh(a.value(t) * lam)
-        for b in ker.den_sh:
-            val /= cmath.sinh(b.value(t) * lam)
-        assert abs(val - kernel_value(a2, 1, 2, lam, t, slot=slot)) < 1e-13
+    for i, j in ((1, 1), (1, 2), (2, 1)):
+        b = float(a2.b_entry(i, j))
+        for slot in (0, 1):
+            eta, eta_p = t.eta_at(slot), t.eta_at(slot + 1)
+            want = (4.0 / lam) * cmath.sinh(t.hbar * lam / 2.0) * cmath.sinh(t.hbar * b * lam) \
+                * cmath.sinh(lam / (2.0 * eta)) / cmath.sinh(lam / (2.0 * eta_p))
+            assert abs(want - kernel_value(a2, i, j, lam, t, slot=slot)) < 1e-13
 
 
 # ---------------------------------------------------------------------------

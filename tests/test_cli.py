@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from fnmatch import fnmatchcase
 
 import pytest
 
@@ -71,6 +72,40 @@ def test_every_record_with_a_tolerance_passes_by_one_rule():
               for c in suite["checks"] if "max_residual" in c and "tol" in c]
     assert len(judged) > 50
     assert all(c["pass"] == (c["max_residual"] < c["tol"]) for c in judged)
+
+
+def _family(suite: str, record_id: str):
+    """The ``report.TOLERANCES`` family of a record, None for an exact one."""
+    families = [f for f in report.TOLERANCES.get(suite, {}) if fnmatchcase(record_id, f)]
+    assert len(families) <= 1, (suite, record_id, families)
+    return families[0] if families else None
+
+
+@pytest.mark.parametrize("seed,tol", [(0, 1e-8), (1, 1e-6)])
+def test_every_record_carries_the_tolerance_of_its_family(seed, tol):
+    # the nine algebras and the module config: a record carries tol exactly
+    # when the table lists its family, a "tol" family the run's, any other
+    # its number (master_vs_quadrature's is 1e-6 at any run tol); and every
+    # row of the table judges some record
+    configs = [{"algebra": alg} for alg in ("A1", "A2", "A3", "A4", "A5", "D4", "D5", "E6", "E7")]
+    configs.append({"algebra": "A4", "hopf_parts": ("axioms",),
+                    "suites": ("trigcalc", "structfn", "evalrep", "hopf", "intertwine")})
+    used = set()
+    for kw in configs:
+        for suite in run(RunConfig(seed=seed, tol=tol, **kw))["suites"]:
+            for c in suite["checks"]:
+                family = _family(suite["suite"], c["id"])
+                want = family and report.TOLERANCES[suite["suite"]][family]
+                assert c.get("tol") == (tol if want == "tol" else want), (suite["suite"], c)
+                used.add((suite["suite"], family))
+    assert used >= {(s, f) for s, rows in report.TOLERANCES.items() for f in rows}
+
+
+@pytest.mark.parametrize("command", ["verify-boson", "verify-hopf"])
+def test_the_run_tolerance_reaches_the_free_field_and_the_coproduct_suites(command, capsys):
+    # verify-hopf judged its E-F audits at a fixed 1e-8 and passed at --tol 1e-300
+    assert main([command, "--algebra", "A1", "--samples", "8", "--tol", "1e-300"]) == 1
+    assert "FAIL ef_" in capsys.readouterr().out
 
 
 def test_suite_subset_runs_without_boson():
@@ -149,8 +184,7 @@ def test_importing_the_cli_loads_no_code_generation_or_traceback_modules():
 
 
 def test_zero_tolerance_harness_self_test():
-    cfg = RunConfig(algebra="A1", samples=8, seed=1, tol=0.0, tol_quadrature=0.0,
-                    suites=("trigcalc", "boson"))
+    cfg = RunConfig(algebra="A1", samples=8, seed=1, tol=0.0, suites=("trigcalc", "boson"))
     rep = run(cfg)
     assert rep["pass"] is False
     failed = [c for s in rep["suites"] for c in s["checks"] if not c.get("pass")]
@@ -202,10 +236,12 @@ def test_default_config_full_run():
 
 def test_a_run_builds_its_towers_once():
     # every suite reads the run's tower and level-0 tower from one object
-    # each, so the caches keyed on a tower find it by identity; the 342
-    # comparisons left are each closed form's first evaluation under a
-    # tower (990 with a tower per suite).  A fresh process, since a closed
-    # form keeps the tower of its last evaluation.
+    # each, so the caches keyed on a tower find it by identity (990 tower
+    # comparisons with a tower per suite, and 342 more while a closed
+    # form's first evaluation compared its no-tower mark with the tower);
+    # the 5 left are structure ratios that the structfn suite evaluates
+    # under a second tower.  A fresh process, since a closed form keeps
+    # the tower of its last evaluation.
     code = (
         "from curalg.params import ParamTower\n"
         "from curalg.report import RunConfig, config_from_sources, parse_config_file, run\n"
@@ -223,7 +259,7 @@ def test_a_run_builds_its_towers_once():
     proc = subprocess.run([sys.executable, "-W", "ignore", "-c", code], cwd=root,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == str({"tower": 1, "tower_level0": 1, "__eq__": 342})
+    assert proc.stdout.strip() == str({"tower": 1, "tower_level0": 1, "__eq__": 5})
 
 
 @pytest.mark.parametrize("algebra", ["A5", "D5", "E6", "E7"])
@@ -364,7 +400,7 @@ def test_a_seed_must_be_a_non_negative_int(seed, tmp_path, capsys):
         assert "bad configuration" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field", ["tol", "tol_quadrature"])
+@pytest.mark.parametrize("field", ["tol"])
 @pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan])
 def test_a_tolerance_must_be_a_number_of_at_least_zero(field, tol, tmp_path, capsys):
     # --tol -1 judged every record against -1: 12 boson records of A1 failed
@@ -375,14 +411,21 @@ def test_a_tolerance_must_be_a_number_of_at_least_zero(field, tol, tmp_path, cap
     cfg_file.write_text(f'algebra = "A1"\n{field} = {json.dumps(tol)}\n')
     assert main(["verify-boson", "--config", str(cfg_file)]) == 2
     assert "bad configuration" in capsys.readouterr().err
-    if field == "tol":
-        assert main(["verify-boson", "--algebra", "A1", f"--tol={tol}"]) == 2
-        assert "bad configuration" in capsys.readouterr().err
+    assert main(["verify-boson", "--algebra", "A1", f"--tol={tol}"]) == 2
+    assert "bad configuration" in capsys.readouterr().err
 
 
 def test_a_zero_tolerance_is_a_configuration():
     # test_zero_tolerance_harness_self_test judges every record against 0
-    assert RunConfig(algebra="A1", tol=0.0, tol_quadrature=0.0).tol == 0.0
+    assert RunConfig(algebra="A1", tol=0.0).tol == 0.0
+
+
+def test_a_config_file_sets_no_second_tolerance(tmp_path, capsys):
+    # tol_quadrature was a second tolerance; report.TOLERANCES fixes its record at 1e-6
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text('algebra = "A1"\ntol_quadrature = 1e-6\n')
+    assert main(["verify-boson", "--config", str(cfg_file)]) == 2
+    assert "tol_quadrature" in capsys.readouterr().err
 
 
 def test_a_config_file_names_no_suites(tmp_path, capsys):

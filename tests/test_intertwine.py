@@ -153,9 +153,9 @@ def test_consistency_suite(label, params):
     assert all(r["reason"] for r in skipped)
 
 
-def _folded(records):
+def _folded(records, tol=1e-9):
     """The ``consistency_triples`` fields of a suite's records, tallied
-    one record at a time."""
+    one record at a time, with the ``tol`` the summary judges at."""
     run = proven = skipped = 0
     worst, fails = 0.0, []
     for rec in records:
@@ -168,7 +168,7 @@ def _folded(records):
         if not rec["pass"]:
             fails.append(rec["triple"])
     return {"pass": run > 0 and not fails, "run": run, "proven": proven,
-            "skipped": skipped, "max_residual": worst, "failures": fails}
+            "skipped": skipped, "max_residual": worst, "failures": fails, "tol": tol}
 
 
 @pytest.mark.parametrize("flipped", [False, True])
