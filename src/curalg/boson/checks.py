@@ -17,13 +17,14 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from random import Random
 from typing import Iterable, Optional, Sequence
 
 from .. import structfn
 from ..evalplan import relative_residual, worst_of
 from ..liealg import CartanData
 from ..params import ParamTower
-from ..rng import Generator, default_rng
+from ..rng import default_rng
 from ..structfn import StructureRatio
 from ..trigcalc import ShiftExpr, judged, sample_max
 from .atoms import ParamLin, spectral_exponent
@@ -152,7 +153,7 @@ def group_values(entries: list, params: ParamTower, pt,
 
 def cubic_residual(u1: list, u2: list, v: list, cartan: CartanData,
                    params: ParamTower, imag_window: float, samples: int,
-                   rng: Generator, retries: int = 200) -> tuple[float, int, int]:
+                   rng: Random, retries: int = 200) -> tuple[float, int, int]:
     """Sampled cubic relation of the images of E_i(u1), E_i(u2), E_j(v).
 
     Each image is a list of (coefficient, slot word) terms in its own
@@ -197,7 +198,7 @@ def cubic_residual(u1: list, u2: list, v: list, cartan: CartanData,
 
 def exchange_residual(xs: list, ys: list, expected: StructureRatio, cartan: CartanData,
                       params: ParamTower, imag_window: float, samples: int,
-                      rng: Generator) -> tuple[float, int]:
+                      rng: Random) -> tuple[float, int]:
     """Sampled exchange relation X(u) Y(v) = R(u - v) Y(v) X(u) of two images.
 
     Each image is a list of (coefficient, slot word) terms, ``xs`` in u and
@@ -236,7 +237,7 @@ def exchange_residual(xs: list, ys: list, expected: StructureRatio, cartan: Cart
 def exchange_check(x: BosonCurrent, y: BosonCurrent, expected: StructureRatio,
                    cartan: CartanData, params: ParamTower,
                    samples: int = 30, tol: float = 1e-8,
-                   rng: int | Generator = 11,
+                   rng: int | Random = 11,
                    imag_window: float = 0.2) -> dict:
     """Exchange relation of the currents X(u) and Y(v) against ``expected``,
     at points drawn from ``rng``, a seed or a generator."""
@@ -255,7 +256,7 @@ def exchange_check(x: BosonCurrent, y: BosonCurrent, expected: StructureRatio,
 
 def merged_exponent_matches(pair: tuple[BosonCurrent, BosonCurrent],
                             target: BosonCurrent, params: ParamTower,
-                            rng: int | Generator = 5) -> dict:
+                            rng: int | Random = 5) -> dict:
     """Pointwise check that g_X + g_Y equals g_target as mode functions,
     at 40 (lambda, vars) points drawn from ``rng`` (a seed or a
     generator), to 1e-9."""
@@ -333,7 +334,7 @@ def ef_delta_residuals(parts: dict, level: int,
 
 
 def ef_delta_check(i: int, cartan: CartanData, params: ParamTower,
-                   tol: float = 1e-8, rng: int | Generator = 5) -> dict:
+                   tol: float = 1e-8, rng: int | Random = 5) -> dict:
     """Pole/residue audit of E_i(u) F_i(v) against the H payloads.
 
     Checks, in order: the contraction factor's poles in the fundamental
@@ -375,7 +376,7 @@ def ef_delta_check(i: int, cartan: CartanData, params: ParamTower,
 
 def serre_check(i: int, j: int, cartan: CartanData, params: ParamTower,
                 samples: int = 20, tol: float = 1e-7,
-                rng: int | Generator = 23) -> dict:
+                rng: int | Random = 23) -> dict:
     """Symmetrized cubic combination of full word coefficients vanishes,
     at points drawn from ``rng``, a seed or a generator."""
     if cartan.a_entry(i, j) != -1:

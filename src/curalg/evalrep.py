@@ -44,12 +44,13 @@ import cmath
 import math
 from fractions import Fraction
 from functools import cache, cached_property
+from random import Random
 
 from . import structfn
 from .liealg import CartanData, adjacent_pairs, cartan, node_class
 from .evalplan import worst_of
 from .params import ParamTower
-from .rng import Generator, default_rng
+from .rng import default_rng
 from .trigcalc import (
     DeltaAtom,
     DistExpr,
@@ -239,7 +240,7 @@ def _rel_vars_ratio(num: tuple[TrigFactor, ...],
 
 def verify_relation(rep: EvalRep, relation: str, i: int, j: int,
                     samples: int = 50, tol: float = 1e-9,
-                    rng: int | Generator = 7,
+                    rng: int | Random = 7,
                     sign: int = +1) -> dict:
     """Check one defining relation in the module; returns a residual report.
 
@@ -329,7 +330,7 @@ def verify_serre(rep: EvalRep, i: int, j: int, tol: float = 1e-9) -> dict:
 
 
 def verify_all(rep: EvalRep, samples: int = 50, tol: float = 1e-9,
-               seed: int | Generator = 0) -> list[dict]:
+               seed: int | Random = 0) -> list[dict]:
     """Every defining relation over all index pairs, plus the cubic ones,
     all drawing from one stream: ``seed``, a seed or a generator.
 
@@ -423,7 +424,7 @@ def _entries_off(got: dict, want: dict) -> float:
 
 def degeneration_report(r: int, hbar: float = 0.1, eta_small: float = 1e-4,
                         points: int = 20, tol: float = 1e-3,
-                        rng: int | Generator = 3) -> dict:
+                        rng: int | Random = 3) -> dict:
     """eta -> 0 check: matrix entries against their rational-limit forms."""
     rng = default_rng(rng)
     params = ParamTower(hbar, eta_small, (0.0,))

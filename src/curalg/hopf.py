@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
+from random import Random
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import evalrep, structfn
@@ -26,7 +27,7 @@ from .boson.currents import BosonCurrent
 from .evalplan import worst_of
 from .liealg import CartanData, node_class
 from .params import ParamTower
-from .rng import Generator, default_rng
+from .rng import default_rng
 from .trigcalc import DistExpr, ShiftExpr, equal_numeric, judged, var
 
 GEN_KINDS = ("E", "F", "H+", "H-")
@@ -295,7 +296,7 @@ def _axiom_sides(kind: str, i: int, tag: int, params: ParamTower):
 
 
 def verify_axioms(rep: evalrep.EvalRep, params: ParamTower, samples: int = 30,
-                  tol: float = 1e-9, rng: int | Generator = 17) -> list[dict]:
+                  tol: float = 1e-9, rng: int | Random = 17) -> list[dict]:
     """All four axioms on every generator, in the level-0 backend, on one
     stream ``rng`` (a seed or a generator); ``samples`` is the accepted
     count of a record's groups, 0 for two exactly zero sides.  A generator
@@ -426,7 +427,7 @@ def _slot_words(x: CurrentExpr, name: str) -> list[tuple[complex, bchecks.SlotWo
 
 def verify_homomorphism(cartan: CartanData, params: ParamTower,
                         samples: int = 12, tol: float = 1e-7,
-                        rng: int | Generator = 29,
+                        rng: int | Random = 29,
                         relations: Optional[Sequence[str]] = None) -> list[dict]:
     """Level-2 images satisfy the defining relations at total level 2.
 
@@ -462,7 +463,7 @@ def verify_homomorphism(cartan: CartanData, params: ParamTower,
 
 def _homomorphism_record(rel: str, i: int, j: int, cartan: CartanData, params: ParamTower,
                          image: Callable[[str, int, str], list], samples: int, tol: float,
-                         rng: Generator) -> dict:
+                         rng: Random) -> dict:
     """The level-2 exchange ``rel`` of the images ``image(kind, node, name)``
     of X_i(u) and Y_j(v), sampled at ``samples`` points drawn from ``rng``."""
     kx, ky = structfn.exchange_kinds(rel)
@@ -482,7 +483,7 @@ def _level2_slot_words(kind: str, node: int, name: str,
 
 def verify_serre_level2(cartan: CartanData, params: ParamTower, i: int, j: int,
                         samples: int = 8, tol: float = 1e-7,
-                        rng: int | Generator = 43) -> dict:
+                        rng: int | Random = 43) -> dict:
     """Cubic relation for the level-2 images of an adjacent pair.
 
     The symmetrized combination of the three orderings of

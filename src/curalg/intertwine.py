@@ -25,13 +25,14 @@ import math
 import re
 from fractions import Fraction
 from functools import cache
+from random import Random
 from typing import Iterator, Optional
 
 from . import structfn
 from .liealg import CartanData, node_class
 from .params import ParamTower
 from .evalplan import Plan, worst_of
-from .rng import Generator, default_rng
+from .rng import default_rng
 from .trigcalc import DistExpr, ShiftExpr, Term, TrigFactor, judged, sample_max, var
 
 VERTEX_KINDS = ("Phi", "PhiStar", "PsiStar", "Psi")
@@ -269,7 +270,7 @@ def _settled(triple: str, skip: Optional[DeltaBearingMove] = None) -> dict:
 def verify_consistency(fam: str, a: int, xk: str, xi: int, yk: str, yi: int,
                        cartan: CartanData, params: ParamTower,
                        samples: int = 30, tol: float = 1e-9,
-                       rng: int | Generator = 31) -> dict:
+                       rng: int | Random = 31) -> dict:
     """Diamond check on the word V_a(z) X(u) Y(v).
 
     Path A moves the vertex straight through both currents (cx cy); path
@@ -365,7 +366,7 @@ def _triple_verdicts(cartan: CartanData) -> Iterator[tuple]:
 
 
 def consistency_summary(cartan: CartanData, params: ParamTower, samples: int = 20,
-                        tol: float = 1e-9, rng: int | Generator = 37) -> dict:
+                        tol: float = 1e-9, rng: int | Random = 37) -> dict:
     """The ``consistency_triples`` record's fields, folded from the verdict
     stream (``_triple_verdicts``) without a record per settled triple.
 
@@ -394,7 +395,7 @@ def consistency_summary(cartan: CartanData, params: ParamTower, samples: int = 2
 
 def consistency_suite(cartan: CartanData, params: ParamTower, samples: int = 20,
                       tol: float = 1e-9,
-                      rng: int | Generator = 37) -> Iterator[dict]:
+                      rng: int | Random = 37) -> Iterator[dict]:
     """All triples over the generator set; delta-bearing ones are skipped.
 
     The per-triple view of the verdict stream that ``consistency_summary``
@@ -446,7 +447,7 @@ def variant_report(r: int, params: ParamTower) -> dict:
 
 def degeneration_report(r: int, hbar: float = 0.1, eta_small: float = 1e-4,
                         points: int = 20, tol: float = 1e-3,
-                        rng: int | Generator = 41) -> dict:
+                        rng: int | Random = 41) -> dict:
     """eta -> 0: coefficient ratios approach their rational limits."""
     rng = default_rng(rng)
     params = ParamTower(hbar, eta_small, (1.0,))

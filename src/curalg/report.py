@@ -8,22 +8,24 @@ with its residual and pass flag, plus a text summary.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import os
 import warnings
 from fractions import Fraction
 from functools import cached_property
+from random import Random
 
 from . import evalrep, hopf, intertwine, structfn
 from .boson import checks as bchecks
 from .boson import master
 from .boson.currents import current as bcur
 from .boson.kernel import kernel_value
-from .evalplan import worst_of
+from .evalplan import relative_residual, worst_of
 from .liealg import CartanData, adjacent_pairs, from_label, node_class
 from .params import ParamTower, check_genericity
-from .rng import Generator, SeedSequence, default_rng
+from .rng import default_rng
 from .trigcalc import DistExpr, ShiftExpr, TrigFactor, judged, sample_max, var
 
 SUITES = ("liealg", "params", "trigcalc", "structfn", "evalrep", "boson",
@@ -339,7 +341,7 @@ def _per_class(memo: dict, key, evaluate, **own) -> dict:
 
 def _exchange_record(xk: str, xi: int, yk: str, yj: int, rel: str, sign: int,
                      cd: CartanData, params: ParamTower, samples: int, tol: float,
-                     rng: Generator) -> dict:
+                     rng: Random) -> dict:
     """The ``exchange_*`` record of X_xi(u) Y_yj(v), ``rel`` "one" for E-F."""
     x = bcur(xk, xi, "u")
     y = bcur(yk, yj, "v")
@@ -359,15 +361,24 @@ def _suite_boson(cfg: RunConfig, rng, shared: _Shared) -> list[dict]:
         return [{"id": "config_error", "pass": False, "max_residual": float("inf"),
                  "note": "the free-field realization is level 1: set levels[0] = 1"}]
     out, tol = [], _tols(cfg, "boson")
-    # kernel antisymmetry and index symmetry
+    # kernel antisymmetry, index symmetry and the closed formula
+    # (4/lam) sh(hbar lam/2) sh(hbar B_ij lam) sh(lam/2eta) / sh(lam/2eta')
+    h, eta, eta_p = params.hbar, params.eta, params.eta_prime
+    b = {(i, j): float(cd.b_entry(i, j)) for i in cd.nodes() for j in cd.nodes()}
+    b_values = set(b.values())
+
     def kernel_residual(pt):
         lam = pt["lam"]
         if abs(lam) < 0.1:
             return None
-        at = {(i, j): kernel_value(cd, i, j, lam, params) for i in cd.nodes() for j in cd.nodes()}
+        base = (4.0 / lam) * cmath.sinh(h * lam / 2.0) * cmath.sinh(lam / (2.0 * eta)) \
+            / cmath.sinh(lam / (2.0 * eta_p))
+        closed = {bij: base * cmath.sinh(h * bij * lam) for bij in b_values}
+        at = {ij: kernel_value(cd, *ij, lam, params) for ij in b}
         residuals = []
         for (i, j), a in at.items():
-            residuals += (abs(a + kernel_value(cd, i, j, -lam, params)), abs(a - at[j, i]))
+            residuals += (abs(a + kernel_value(cd, i, j, -lam, params)), abs(a - at[j, i]),
+                          relative_residual(a, closed[b[i, j]]))
         return worst_of(*residuals)
 
     worst, done = sample_max(kernel_residual, {"lam": ((-3.0, 3.0), (-0.5, 0.5))}, 100, rng,
@@ -528,16 +539,15 @@ def _suite_error(exc: Exception) -> dict:
 
 def run(cfg: RunConfig) -> dict:
     """Execute the selected suites in dependency order."""
-    children = SeedSequence(cfg.seed).spawn(len(SUITES))
     shared = _Shared(cfg)
     suites_out = []
     overall = True
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for idx, name in enumerate(SUITES):
+        for name in SUITES:
             if name not in cfg.suites:
                 continue
-            rng = default_rng(children[idx])
+            rng = default_rng(f"{cfg.seed}/{name}")   # one stream per (seed, suite)
             try:
                 checks = _SUITE_FNS[name](cfg, rng, shared)
             except Exception as exc:   # one failing record; the later suites still run

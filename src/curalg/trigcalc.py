@@ -35,11 +35,12 @@ import json
 import math
 from fractions import Fraction
 from functools import cache, cached_property
+from random import Random
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .evalplan import EPS_POLE, DeltaPresentError, Plan, PoleProximityError, worst_of
 from .params import ParamTower
-from .rng import Generator, default_rng
+from .rng import default_rng
 from .value import Value
 
 class ReductionError(ValueError):
@@ -724,19 +725,19 @@ Window = tuple[tuple[float, float], Optional[tuple[float, float]]]
 
 def sample_max(residual: Callable[[dict[str, complex]], Optional[float]],
                windows: Mapping[str, Window], samples: int,
-               rng: Generator, retries: int = 200) -> tuple[float, int]:
+               rng: Random, retries: int = 200) -> tuple[float, int]:
     """Largest residual over up to ``samples`` accepted random points.
 
     ``windows`` maps each variable, in draw order, to its (real range,
     imaginary range); an imaginary range of None draws a real point.  A
-    try draws every variable, real part then imaginary part, and all the
-    tries of a batch come from one ``rng.uniform(lo, hi, size=(n, width))``
-    call, one row per try: the same doubles as one scalar call per
-    coordinate.  ``rng`` is a ``rng.Generator`` or a numpy ``Generator``,
-    whose rows are read the same way.  A try whose ``residual`` returns None or
-    raises ArithmeticError is rejected; at most ``samples + retries``
-    tries are made.  A NaN residual is an accepted point with residual
-    inf (``worst_of``), so it fails the record.  Returns (worst, accepted
+    try draws every variable, real part then imaginary part, each
+    coordinate ``lo + (hi - lo) * rng.random()``.  ``rng`` is a
+    ``random.Random`` (``rng.default_rng``) or a numpy ``Generator``,
+    whose ``random()`` gives the doubles of its ``uniform(lo, hi, size)``
+    row by row.  A try whose ``residual`` returns None or raises
+    ArithmeticError is rejected; at most ``samples + retries`` tries are
+    made.  A NaN residual is an accepted point with residual inf
+    (``worst_of``), so it fails the record.  Returns (worst, accepted
     count).
 
     With no variable every try is the empty point, which draws nothing, so
@@ -749,36 +750,30 @@ def sample_max(residual: Callable[[dict[str, complex]], Optional[float]],
         except ArithmeticError:
             r = None
         return (0.0, 0) if r is None else (worst_of(r), samples)
-    lo: list[float] = []
-    hi: list[float] = []
-    slots = []   # (name, offset of the real part, offset of the imaginary part or None)
-    for name, (re_range, im_range) in windows.items():
-        slots.append((name, len(lo), None if im_range is None else len(lo) + 1))
-        for lo_hi in (re_range,) if im_range is None else (re_range, im_range):
-            lo.append(lo_hi[0])
-            hi.append(lo_hi[1])
-    width = len(lo)
+    # (name, real low, real span, imaginary (low, span) or None)
+    coords = [(name, re[0], re[1] - re[0], None if im is None else (im[0], im[1] - im[0]))
+              for name, (re, im) in windows.items()]
+    draw = rng.random
     accepted: list[float] = []
-    tries = 0
-    while len(accepted) < samples and tries < samples + retries:
-        # the tries left if none is rejected
-        n = min(samples - len(accepted), samples + retries - tries)
-        for row in rng.uniform(lo, hi, size=(n, width)):
-            tries += 1
-            pt = {name: complex(row[re], 0.0 if im is None else row[im])
-                  for name, re, im in slots}
-            try:
-                r = residual(pt)
-            except ArithmeticError:
-                continue
-            if r is not None:
-                accepted.append(r)
+    for _ in range(samples + retries):
+        if len(accepted) >= samples:
+            break
+        pt = {}
+        for name, lo, span, im in coords:
+            x = lo + span * draw()
+            pt[name] = complex(x, 0.0 if im is None else im[0] + im[1] * draw())
+        try:
+            r = residual(pt)
+        except ArithmeticError:
+            continue
+        if r is not None:
+            accepted.append(r)
     return worst_of(*accepted), len(accepted)
 
 
 def equal_numeric(a: DistExpr, b: DistExpr, params: ParamTower,
                   samples: int = 50, tol: float = 1e-9,
-                  rng: int | Generator = 0) -> dict:
+                  rng: int | Random = 0) -> dict:
     """Delta-aware structural + sampled equality report.
 
     Delta-free parts are compared pointwise, by ``evalplan.relative_residual`` from

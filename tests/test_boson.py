@@ -18,7 +18,8 @@ from curalg.boson.currents import (
     phi_value,
     word_phase,
 )
-from curalg.boson.kernel import kernel, kernel_value
+from curalg.boson.kernel import Kernel, kernel, kernel_value
+from curalg.cli import main
 from curalg.evalplan import worst_of
 from curalg.liealg import cartan, from_label
 from curalg.params import ParamTower
@@ -304,6 +305,25 @@ def test_kernel_atoms_match_pointwise(a2):
             want = (4.0 / lam) * cmath.sinh(t.hbar * lam / 2.0) * cmath.sinh(t.hbar * b * lam) \
                 * cmath.sinh(lam / (2.0 * eta)) / cmath.sinh(lam / (2.0 * eta_p))
             assert abs(want - kernel_value(a2, i, j, lam, t, slot=slot)) < 1e-13
+
+
+def test_a_kernel_that_multiplies_by_its_denominator_fails_the_boson_suite(monkeypatch, capsys):
+    # sh(lam/2eta') multiplied in, not divided out, keeps alpha_ij odd in
+    # lam and symmetric in (i, j): only the closed formula tells it apart
+    def value(self, lam, params):
+        out = self.coeff / lam
+        for a in self.num_sh:
+            out *= cmath.sinh(a.value(params) * lam)
+        for b in self.den_sh:
+            out *= cmath.sinh(b.value(params) * lam)
+        return out
+
+    assert main(["verify-boson", "--algebra", "A2"]) == 0
+    monkeypatch.setattr(Kernel, "value", value)
+    assert main(["verify-boson", "--algebra", "A2"]) == 1
+    failed = [line.split()[1] for line in capsys.readouterr().out.splitlines()
+              if line.lstrip().startswith("FAIL ")]
+    assert failed == ["kernel_symmetries:"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from fnmatch import fnmatchcase
@@ -292,8 +293,8 @@ def test_no_two_sampled_checks_of_a_suite_start_from_one_state(monkeypatch):
 
     def recorded(residual, windows, samples, rng, *args, **kwargs):
         if windows:   # a call with no variable draws nothing
-            # the generator's whole state is its instance dict
-            starts.setdefault(suite[0], []).append(repr(sorted(vars(rng).items())))
+            # the generator's whole state
+            starts.setdefault(suite[0], []).append(rng.getstate())
         return real(residual, windows, samples, rng, *args, **kwargs)
 
     for module in (trigcalc, report, evalrep, intertwine, bchecks):
@@ -307,6 +308,24 @@ def test_no_two_sampled_checks_of_a_suite_start_from_one_state(monkeypatch):
     assert set(starts) == {"trigcalc", "structfn", "evalrep", "boson", "hopf", "intertwine"}
     for name, states in starts.items():
         assert len(set(states)) == len(states), name
+
+
+def test_each_suite_draws_from_a_stream_of_its_own(monkeypatch):
+    # a suite's stream follows from the run seed and the suite's name, so
+    # its records do not depend on which other suites run with it
+    firsts = {}
+    for name, fn in list(report._SUITE_FNS.items()):
+        def entered(cfg, rng, shared, name=name, fn=fn):
+            twin = random.Random()
+            twin.setstate(rng.getstate())
+            firsts[name] = twin.random()
+            return fn(cfg, rng, shared)
+        monkeypatch.setitem(report._SUITE_FNS, name, entered)
+    every = {s["suite"]: s["checks"] for s in run(RunConfig(algebra="A2", samples=10))["suites"]}
+    assert len(firsts) == len(set(firsts.values())) == len(report.SUITES)
+    for name in ("boson", "evalrep"):
+        alone = run(RunConfig(algebra="A2", samples=10, suites=(name,)))["suites"]
+        assert [s["suite"] for s in alone] == [name] and alone[0]["checks"] == every[name], name
 
 
 def test_boson_pair_filter():
